@@ -76,28 +76,16 @@ pub enum BandwidthPolicy {
     DeadlineAware,
 }
 
-/// Compute per-device spectrum shares on one AP.
+/// Compute per-device spectrum shares on one AP: the AoS entry point.
+/// Gathers the demand structs into SoA columns and defers to
+/// [`allocate_cols_into`] with fresh scratch.
 pub fn allocate(demands: &[BandwidthDemand], policy: BandwidthPolicy) -> Vec<f64> {
-    let mut out = Vec::new();
-    allocate_into(demands, policy, &mut AllocScratch::default(), &mut out);
-    out
-}
-
-/// [`allocate`] writing into a caller-owned buffer (cleared first) with
-/// reusable solver scratch: bit-identical shares, zero heap traffic on the
-/// hot path once the buffers are warm. Gathers the AoS demand structs into
-/// SoA columns and defers to [`allocate_cols_into`].
-pub fn allocate_into(
-    demands: &[BandwidthDemand],
-    policy: BandwidthPolicy,
-    scratch: &mut AllocScratch,
-    out: &mut Vec<f64>,
-) {
     let pre: Vec<f64> = demands.iter().map(|d| d.pre_tx_s).collect();
     let tx: Vec<f64> = demands.iter().map(|d| d.tx_s_full).collect();
     let post: Vec<f64> = demands.iter().map(|d| d.post_tx_s).collect();
     let weight: Vec<f64> = demands.iter().map(|d| d.weight).collect();
     let deadline: Vec<f64> = demands.iter().map(|d| d.deadline_s).collect();
+    let mut out = Vec::new();
     allocate_cols_into(
         BandwidthCols {
             pre_tx_s: &pre,
@@ -107,14 +95,16 @@ pub fn allocate_into(
             deadline_s: &deadline,
         },
         policy,
-        scratch,
-        out,
+        &mut AllocScratch::default(),
+        &mut out,
     );
+    out
 }
 
-/// [`allocate_into`] over an SoA column view — the hot-path entry point.
-/// Share values are bit-identical to [`allocate`] / [`allocate_into`] for
-/// every policy.
+/// Per-device shares over an SoA column view, written into a
+/// caller-owned buffer (cleared first) with reusable solver scratch — the
+/// hot-path entry point. Share values are bit-identical to [`allocate`]
+/// for every policy.
 pub fn allocate_cols_into(
     cols: BandwidthCols<'_>,
     policy: BandwidthPolicy,

@@ -79,27 +79,15 @@ pub enum ComputePolicy {
     DeadlineAware,
 }
 
-/// Compute per-stream shares on one server under `policy`.
+/// Compute per-stream shares on one server under `policy`: the AoS entry
+/// point. Gathers the demand structs into SoA columns and defers to
+/// [`allocate_cols_into`] with fresh scratch.
 pub fn allocate(demands: &[ComputeDemand], policy: ComputePolicy) -> Vec<f64> {
-    let mut out = Vec::new();
-    allocate_into(demands, policy, &mut AllocScratch::default(), &mut out);
-    out
-}
-
-/// [`allocate`] writing into a caller-owned buffer (cleared first) with
-/// reusable solver scratch: bit-identical shares, zero heap traffic on the
-/// hot path once the buffers are warm. Gathers the AoS demand structs into
-/// SoA columns and defers to [`allocate_cols_into`].
-pub fn allocate_into(
-    demands: &[ComputeDemand],
-    policy: ComputePolicy,
-    scratch: &mut AllocScratch,
-    out: &mut Vec<f64>,
-) {
     let pre: Vec<f64> = demands.iter().map(|d| d.pre_edge_s).collect();
     let edge: Vec<f64> = demands.iter().map(|d| d.edge_s_full).collect();
     let weight: Vec<f64> = demands.iter().map(|d| d.weight).collect();
     let deadline: Vec<f64> = demands.iter().map(|d| d.deadline_s).collect();
+    let mut out = Vec::new();
     allocate_cols_into(
         ComputeCols {
             pre_edge_s: &pre,
@@ -108,15 +96,17 @@ pub fn allocate_into(
             deadline_s: &deadline,
         },
         policy,
-        scratch,
-        out,
+        &mut AllocScratch::default(),
+        &mut out,
     );
+    out
 }
 
-/// [`allocate_into`] over an SoA column view — the hot-path entry point:
-/// the evaluator's gather buffers are already columns, so no per-element
-/// struct is built. Share values are bit-identical to [`allocate`] /
-/// [`allocate_into`] for every policy.
+/// Per-stream shares over an SoA column view, written into a caller-owned
+/// buffer (cleared first) with reusable solver scratch — the hot-path
+/// entry point: the evaluator's gather buffers are already columns, so no
+/// per-element struct is built, and warm buffers mean no heap traffic.
+/// Share values are bit-identical to [`allocate`] for every policy.
 pub fn allocate_cols_into(
     cols: ComputeCols<'_>,
     policy: ComputePolicy,

@@ -89,7 +89,7 @@ impl std::fmt::Display for AllocError {
 impl std::error::Error for AllocError {}
 
 /// Reusable buffers for the borrowed-scratch allocator entry points
-/// (`compute_alloc::allocate_into`, `bandwidth_alloc::allocate_into`).
+/// (`compute_alloc::allocate_cols_into`, `bandwidth_alloc::allocate_cols_into`).
 /// Holding one of these across calls removes every per-call heap
 /// allocation from the solve path; the solvers themselves are unchanged
 /// and produce bit-identical shares.

@@ -3,12 +3,14 @@
 //! Every policy must survive adversarial demand vectors — NaN/negative
 //! timings, all-zero weights, single streams, and million-stream loads —
 //! returning shares that are finite, non-negative, and on (or under) the
-//! simplex. `allocate` and `allocate_into` must agree bit-for-bit so the
-//! hot path can use the scratch variant without behavioral drift.
+//! simplex. The SoA `allocate_cols_into` door with a reused scratch must
+//! agree bit-for-bit with a fresh `allocate`, so the hot path can keep its
+//! scratch without behavioral drift.
 
 use scalpel_alloc::bandwidth_alloc::{self, BandwidthDemand, BandwidthPolicy};
 use scalpel_alloc::compute_alloc::{self, ComputeDemand, ComputePolicy};
 use scalpel_alloc::convex::AllocScratch;
+use scalpel_alloc::{BandwidthCols, ComputeCols};
 
 const COMPUTE_POLICIES: [ComputePolicy; 5] = [
     ComputePolicy::Equal,
@@ -57,16 +59,46 @@ fn assert_valid_shares(shares: &[f64], ctx: &str) {
     assert!(sum <= 1.0 + 1e-6, "{ctx}: shares sum to {sum} > 1");
 }
 
-fn compute_into(demands: &[ComputeDemand], policy: ComputePolicy) -> Vec<f64> {
-    let mut out = Vec::new();
-    compute_alloc::allocate_into(demands, policy, &mut AllocScratch::default(), &mut out);
-    out
+/// The SoA hot path over caller-gathered columns with caller scratch.
+fn compute_cols_into(
+    demands: &[ComputeDemand],
+    policy: ComputePolicy,
+    scratch: &mut AllocScratch,
+    out: &mut Vec<f64>,
+) {
+    let pre: Vec<f64> = demands.iter().map(|d| d.pre_edge_s).collect();
+    let edge: Vec<f64> = demands.iter().map(|d| d.edge_s_full).collect();
+    let weight: Vec<f64> = demands.iter().map(|d| d.weight).collect();
+    let deadline: Vec<f64> = demands.iter().map(|d| d.deadline_s).collect();
+    let cols = ComputeCols {
+        pre_edge_s: &pre,
+        edge_s_full: &edge,
+        weight: &weight,
+        deadline_s: &deadline,
+    };
+    compute_alloc::allocate_cols_into(cols, policy, scratch, out);
 }
 
-fn bandwidth_into(demands: &[BandwidthDemand], policy: BandwidthPolicy) -> Vec<f64> {
-    let mut out = Vec::new();
-    bandwidth_alloc::allocate_into(demands, policy, &mut AllocScratch::default(), &mut out);
-    out
+/// [`compute_cols_into`] for spectrum shares.
+fn bandwidth_cols_into(
+    demands: &[BandwidthDemand],
+    policy: BandwidthPolicy,
+    scratch: &mut AllocScratch,
+    out: &mut Vec<f64>,
+) {
+    let pre: Vec<f64> = demands.iter().map(|d| d.pre_tx_s).collect();
+    let tx: Vec<f64> = demands.iter().map(|d| d.tx_s_full).collect();
+    let post: Vec<f64> = demands.iter().map(|d| d.post_tx_s).collect();
+    let weight: Vec<f64> = demands.iter().map(|d| d.weight).collect();
+    let deadline: Vec<f64> = demands.iter().map(|d| d.deadline_s).collect();
+    let cols = BandwidthCols {
+        pre_tx_s: &pre,
+        tx_s_full: &tx,
+        post_tx_s: &post,
+        weight: &weight,
+        deadline_s: &deadline,
+    };
+    bandwidth_alloc::allocate_cols_into(cols, policy, scratch, out);
 }
 
 fn assert_bit_identical(a: &[f64], b: &[f64], ctx: &str) {
@@ -201,47 +233,24 @@ fn bandwidth_policies_survive_poisoned_demands() {
     }
 }
 
-#[test]
-fn allocate_and_allocate_into_are_bit_identical() {
-    for (name, demands) in poison_compute_cases() {
-        for policy in COMPUTE_POLICIES {
-            let ctx = format!("compute/{name}/{policy:?}");
-            assert_bit_identical(
-                &compute_alloc::allocate(&demands, policy),
-                &compute_into(&demands, policy),
-                &ctx,
-            );
-        }
-    }
-    for (name, demands) in poison_bandwidth_cases() {
-        for policy in BANDWIDTH_POLICIES {
-            let ctx = format!("bandwidth/{name}/{policy:?}");
-            assert_bit_identical(
-                &bandwidth_alloc::allocate(&demands, policy),
-                &bandwidth_into(&demands, policy),
-                &ctx,
-            );
-        }
-    }
-}
-
 /// Reusing one scratch across differently-shaped calls must not leak state
-/// between calls: results stay bit-identical to a fresh-scratch run.
+/// between calls: the SoA door with a reused scratch and output buffer
+/// stays bit-identical to a fresh `allocate`.
 #[test]
 fn scratch_reuse_does_not_leak_state() {
     let mut scratch = AllocScratch::default();
     let mut out = Vec::new();
     for (name, demands) in poison_compute_cases() {
         for policy in COMPUTE_POLICIES {
-            compute_alloc::allocate_into(&demands, policy, &mut scratch, &mut out);
-            let fresh = compute_into(&demands, policy);
+            compute_cols_into(&demands, policy, &mut scratch, &mut out);
+            let fresh = compute_alloc::allocate(&demands, policy);
             assert_bit_identical(&out, &fresh, &format!("reuse/compute/{name}/{policy:?}"));
         }
     }
     for (name, demands) in poison_bandwidth_cases() {
         for policy in BANDWIDTH_POLICIES {
-            bandwidth_alloc::allocate_into(&demands, policy, &mut scratch, &mut out);
-            let fresh = bandwidth_into(&demands, policy);
+            bandwidth_cols_into(&demands, policy, &mut scratch, &mut out);
+            let fresh = bandwidth_alloc::allocate(&demands, policy);
             assert_bit_identical(&out, &fresh, &format!("reuse/bandwidth/{name}/{policy:?}"));
         }
     }

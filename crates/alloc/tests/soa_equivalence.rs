@@ -1,7 +1,7 @@
 //! AoS ≡ SoA equivalence for the allocation entry points.
 //!
-//! `allocate_into` gathers `&[Demand]` structs into columns and defers
-//! to `allocate_cols_into`; the incremental evaluator skips the gather
+//! `allocate` gathers `&[Demand]` structs into columns and defers to
+//! `allocate_cols_into`; the incremental evaluator skips the gather
 //! and hands over its own column buffers directly. Both doors must
 //! produce bit-identical shares for every policy — including on raw
 //! inputs carrying the NaN deadlines and zero demands the sanitizer
@@ -88,7 +88,7 @@ proptest! {
     #[test]
     fn compute_aos_and_soa_doors_are_bit_identical(demands in compute_demands()) {
         // Caller-built columns, the way the evaluator's gather buffers
-        // arrive — independent of allocate_into's internal gather.
+        // arrive — independent of allocate's internal gather.
         let pre: Vec<f64> = demands.iter().map(|d| d.pre_edge_s).collect();
         let edge: Vec<f64> = demands.iter().map(|d| d.edge_s_full).collect();
         let weight: Vec<f64> = demands.iter().map(|d| d.weight).collect();

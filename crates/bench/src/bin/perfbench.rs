@@ -10,7 +10,9 @@
 //! `EvalMode::Incremental` — asserts the two walked bit-identical
 //! objective traces and landed on identical assignments, and reports wall
 //! time, evaluations/second and the speedup. Results land in
-//! `BENCH_optimizer.json` (override with `--out`).
+//! `BENCH_optimizer.json` (override with `--out`); `--smoke` results
+//! default to `target/BENCH_optimizer.smoke.json`, so a smoke run never
+//! overwrites the committed record.
 //!
 //! The fleet-scale section benchmarks `solve_sharded` (partition →
 //! parallel shard solves → reconcile → polish) at N = 4096 / 10⁴ / 10⁵
@@ -386,7 +388,11 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-        .unwrap_or("BENCH_optimizer.json")
+        .unwrap_or(if smoke {
+            "target/BENCH_optimizer.smoke.json"
+        } else {
+            "BENCH_optimizer.json"
+        })
         .to_string();
 
     let sizes: &[usize] = if smoke { &[32] } else { &[32, 128, 512] };

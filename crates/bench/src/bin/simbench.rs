@@ -16,7 +16,8 @@
 //! re-checked, so a parity break fails the bench before any number is
 //! reported. Wall times are compared against the pre-refactor baseline
 //! (recorded below) and land in `BENCH_sim.json` (override with
-//! `--out`).
+//! `--out`); `--smoke` results default to `target/BENCH_sim.smoke.json`,
+//! so a smoke run never overwrites the committed record.
 //!
 //! `--smoke` runs the 1k size only: a CI-friendly parity gate plus one
 //! throughput floor — the clean smoke row must stay at or above the
@@ -293,9 +294,16 @@ fn check_golden_pins() {
                 ..Default::default()
             },
         );
-        runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1])
-            .pop()
-            .expect("one seed, one report")
+        runner::run_solution_seeds(
+            &problem,
+            &ev,
+            &sol,
+            cfg.sim,
+            &[1],
+            &compiler::CompileOptions::default(),
+        )
+        .pop()
+        .expect("one seed, one report")
     };
 
     let r = golden(false);
@@ -477,7 +485,11 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1))
         .map(String::as_str)
-        .unwrap_or("BENCH_sim.json")
+        .unwrap_or(if smoke {
+            "target/BENCH_sim.smoke.json"
+        } else {
+            "BENCH_sim.json"
+        })
         .to_string();
 
     println!("== simbench: slab pool + timing-wheel queue + reusable scratch ==");

@@ -11,6 +11,7 @@ use crate::harness::{self};
 use crate::table::{ms, pct, Table};
 use rayon::prelude::*;
 use scalpel_core::baselines::solve_with;
+use scalpel_core::compiler::CompileOptions;
 use scalpel_core::config::ScenarioConfig;
 use scalpel_core::evaluator::Evaluator;
 use scalpel_core::runner;
@@ -63,8 +64,9 @@ pub fn run(quick: bool) {
             .par_iter()
             .map(|&m| {
                 let sol = solve_with(&ev, m, &opt);
+                let opts = CompileOptions::default();
                 let reports =
-                    runner::run_solution_seeds(&problem, &ev, &sol, scfg.sim.clone(), seeds);
+                    runner::run_solution_seeds(&problem, &ev, &sol, scfg.sim.clone(), seeds, &opts);
                 runner::aggregate(m, &sol, &reports)
             })
             .collect();

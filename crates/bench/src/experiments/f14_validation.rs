@@ -7,6 +7,7 @@
 
 use crate::table::Table;
 use scalpel_core::baselines::{solve_with, Method};
+use scalpel_core::compiler::CompileOptions;
 use scalpel_core::config::ScenarioConfig;
 use scalpel_core::evaluator::Evaluator;
 use scalpel_core::runner;
@@ -46,13 +47,15 @@ pub fn run(quick: bool) {
             let problem = scfg.build();
             let ev = Evaluator::new(&problem, None);
             let sol = solve_with(&ev, Method::Joint, &harness_opt(quick));
-            let report = runner::run_solution(
+            let report = runner::try_run_solution(
                 &problem,
                 &ev,
                 &sol.assignment,
                 &sol.result,
                 scfg.sim.clone(),
-            );
+                &CompileOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("compiled streams validate by construction: {e}"));
             // Per-stream comparison.
             let mut errs = Vec::new();
             for (k, ss) in report.per_stream.iter().enumerate() {

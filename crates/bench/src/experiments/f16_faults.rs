@@ -20,7 +20,7 @@ use scalpel_core::evaluator::Evaluator;
 use scalpel_core::online::{FaultDetector, OnlineController};
 use scalpel_core::optimizer::{OptimizerConfig, Solution};
 use scalpel_core::runner;
-use scalpel_sim::{EdgeSim, FaultPlan, FaultProfile, RecoveryConfig};
+use scalpel_sim::{EdgeSim, FaultPlan, FaultProfile, RecoveryConfig, SimConfig};
 
 /// Seed of the fault stream — fixed so every method and intensity level
 /// reuses the same disruption pattern (scaled, not resampled).
@@ -87,14 +87,12 @@ pub fn run(quick: bool) {
         let rows: Vec<_> = sols
             .par_iter()
             .map(|(m, sol)| {
-                let reports = runner::run_solution_seeds_faulted(
-                    &problem,
-                    &ev,
-                    sol,
-                    scfg.sim.clone(),
-                    &plan,
-                    seeds,
-                );
+                let sim = SimConfig {
+                    faults: plan.clone(),
+                    ..scfg.sim.clone()
+                };
+                let opts = compiler::CompileOptions::default();
+                let reports = runner::run_solution_seeds(&problem, &ev, sol, sim, seeds, &opts);
                 runner::aggregate(*m, sol, &reports)
             })
             .collect();

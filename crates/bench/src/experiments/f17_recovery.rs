@@ -25,7 +25,7 @@ use scalpel_core::optimizer::OptimizerConfig;
 use scalpel_core::runner::{self, MethodOutcome};
 use scalpel_sim::{
     BreakerConfig, CorrelatedProfile, DomainKind, FailureDomain, FaultClass, FaultPlan,
-    FaultProfile, RecoveryConfig,
+    FaultProfile, RecoveryConfig, SimConfig,
 };
 
 use super::f16_faults::{scenario, FAULT_SEED};
@@ -102,15 +102,14 @@ pub(crate) fn outcomes(quick: bool) -> Vec<(f64, Vec<(&'static str, MethodOutcom
             let rows: Vec<(&'static str, MethodOutcome)> = presets()
                 .par_iter()
                 .map(|(name, recovery)| {
-                    let reports = runner::run_solution_seeds_recovered(
-                        &problem,
-                        &ev,
-                        &sol,
-                        scfg.sim.clone(),
-                        &plan,
-                        recovery,
-                        seeds,
-                    );
+                    let sim = SimConfig {
+                        faults: plan.clone(),
+                        recovery: recovery.clone(),
+                        ..scfg.sim.clone()
+                    };
+                    let opts = CompileOptions::default();
+                    let reports =
+                        runner::run_solution_seeds(&problem, &ev, &sol, sim, seeds, &opts);
                     (*name, runner::aggregate(Method::Joint, &sol, &reports))
                 })
                 .collect();
@@ -254,16 +253,12 @@ pub(crate) fn correlated_rows(quick: bool) -> CorrelatedRows {
     ]
     .into_iter()
     .map(|(name, opts)| {
-        let reports = runner::run_solution_seeds_recovered_with(
-            &problem,
-            &ev,
-            &bounded,
-            scfg.sim.clone(),
-            &plan,
-            &recovery,
-            seeds,
-            opts,
-        );
+        let sim = SimConfig {
+            faults: plan.clone(),
+            recovery: recovery.clone(),
+            ..scfg.sim.clone()
+        };
+        let reports = runner::run_solution_seeds(&problem, &ev, &bounded, sim, seeds, opts);
         (name, runner::aggregate(Method::Joint, &bounded, &reports))
     })
     .collect();

@@ -18,6 +18,7 @@
 use crate::table::{ms, pct, Table};
 use rayon::prelude::*;
 use scalpel_core::baselines::Method;
+use scalpel_core::compiler::CompileOptions;
 use scalpel_core::optimizer::{Budget, OptimizerConfig};
 use scalpel_core::runner::{self, MethodOutcome};
 use scalpel_core::service::{PlanningService, ServiceConfig, ServiceStatus};
@@ -104,6 +105,7 @@ fn drive(name: &'static str, ungoverned: bool, quick: bool) -> ChurnOutcome {
         svc.solution(),
         scfg.sim.clone(),
         seeds,
+        &CompileOptions::default(),
     );
     let sim = runner::aggregate(Method::Joint, svc.solution(), &reports);
     ChurnOutcome {

@@ -8,7 +8,7 @@
 use crate::table::Table;
 use scalpel_core::config::ScenarioConfig;
 use scalpel_core::evaluator::Evaluator;
-use scalpel_core::optimizer::{self, OptimizerConfig};
+use scalpel_core::optimizer::{self, Budget, OptimizerConfig};
 use scalpel_surgery::candidates::CandidateConfig;
 use scalpel_surgery::PruneLevel;
 
@@ -34,7 +34,8 @@ pub fn run(quick: bool) {
         gibbs_iters: if quick { 60 } else { 200 },
         ..Default::default()
     };
-    let exhaustive = optimizer::exhaustive(&ev, &opt_cfg, 2_000_000);
+    let exhaustive = optimizer::try_exhaustive(&ev, &opt_cfg, 2_000_000)
+        .expect("the F9 instance fits the exhaustive limit");
     // Start the traced search from the naive configuration (every stream
     // on its first menu plan, round-robin placement) so the figure shows
     // actual descent, then Gibbs refinement.
@@ -44,8 +45,10 @@ pub fn run(quick: bool) {
             .map(|k| k % ev.num_servers())
             .collect(),
     };
-    let descended = optimizer::coordinate_descent_from(&ev, &opt_cfg, naive);
-    let sol = optimizer::gibbs_refine(&ev, &opt_cfg, descended);
+    let descended = optimizer::descent_from_with_budget(&ev, &opt_cfg, naive, Budget::UNLIMITED);
+    let sol =
+        optimizer::refine_from_with_budget(&ev, &opt_cfg, descended.solution, Budget::UNLIMITED)
+            .solution;
     let gap = (sol.result.objective - exhaustive.result.objective)
         / exhaustive.result.objective.max(1e-12);
     println!(

@@ -3,6 +3,7 @@
 
 use rayon::prelude::*;
 use scalpel_core::baselines::{solve_with, Method};
+use scalpel_core::compiler::CompileOptions;
 use scalpel_core::config::ScenarioConfig;
 use scalpel_core::evaluator::Evaluator;
 use scalpel_core::optimizer::OptimizerConfig;
@@ -41,7 +42,9 @@ pub fn compare_methods(
         .par_iter()
         .map(|&method| {
             let sol = solve_with(&ev, method, opt_cfg);
-            let reports = runner::run_solution_seeds(&problem, &ev, &sol, scfg.sim.clone(), seeds);
+            let opts = CompileOptions::default();
+            let reports =
+                runner::run_solution_seeds(&problem, &ev, &sol, scfg.sim.clone(), seeds, &opts);
             MethodRow {
                 method,
                 outcome: runner::aggregate(method, &sol, &reports),

@@ -57,11 +57,7 @@ pub use optimizer::{
     Budget, BudgetSpent, EvalMode, OptimizerConfig, SearchTrace, Solution, SolveOutcome,
 };
 pub use problem::{JointProblem, StreamSpec};
-pub use runner::{
-    aggregate_sharded, run_sharded_seeds, run_solution, run_solution_seeds,
-    run_solution_seeds_faulted, run_solution_seeds_recovered, run_solution_seeds_recovered_with,
-    run_solution_seeds_with, MethodOutcome,
-};
+pub use runner::{run_solution_seeds, MethodOutcome};
 pub use service::{
     FleetState, GovernorConfig, GovernorDecision, PlanDelta, PlanningService, ServiceConfig,
     ServiceStatus, SwitchGovernor, TickOutcome,

@@ -7,8 +7,8 @@
 //! onto the rebuilt menus by structural signature, placement is kept, and
 //! coordinate descent runs from there (usually converging in one sweep).
 
-use crate::evaluator::{Assignment, Evaluator, PlanPricing};
-use crate::optimizer::{self, Budget, OptimizerConfig, Solution};
+use crate::evaluator::{Assignment, EvalResult, Evaluator, PlanPricing};
+use crate::optimizer::{self, Budget, OptimizerConfig, Solution, SolveOutcome};
 use crate::problem::JointProblem;
 use scalpel_sim::{FaultKind, FaultPlan, HealthSnapshot};
 use scalpel_surgery::SurgeryPlan;
@@ -333,23 +333,9 @@ impl OnlineController {
     /// React to changed conditions: re-price the stale decisions on the
     /// new evaluator, warm-start descent from them, and adopt the result.
     pub fn adapt(&mut self, old_ev: &Evaluator, new_ev: &Evaluator) -> AdaptReport {
-        self.adapt_with_budget(old_ev, new_ev, Budget::UNLIMITED)
-    }
-
-    /// [`adapt`](Self::adapt) under a re-planning budget. When the budget
-    /// expires mid-descent the controller adopts the best incumbent found
-    /// so far — which is never worse than the remapped previous plan — so
-    /// replanning under churn degrades gracefully instead of stalling.
-    pub fn adapt_with_budget(
-        &mut self,
-        old_ev: &Evaluator,
-        new_ev: &Evaluator,
-        budget: Budget,
-    ) -> AdaptReport {
-        let proposal = self.propose_with_budget(old_ev, new_ev, budget);
-        let report = proposal.report.clone();
+        let proposal = self.propose_with_budget(old_ev, new_ev, Budget::UNLIMITED);
         self.solution = proposal.solution;
-        report
+        proposal.report
     }
 
     /// Compute a warm-started replan *without adopting it*: the candidate
@@ -357,6 +343,9 @@ impl OnlineController {
     /// propose/adopt split used by the planning service — a policy layer
     /// (e.g. [`crate::service::SwitchGovernor`]) can veto individual moves
     /// in the candidate before [`adopt`](Self::adopt) commits anything.
+    /// When the budget expires mid-descent the candidate is the best
+    /// incumbent found so far — never worse than the remapped previous
+    /// plan — so replanning under churn degrades gracefully.
     pub fn propose_with_budget(
         &self,
         old_ev: &Evaluator,
@@ -370,37 +359,34 @@ impl OnlineController {
         let mut quick = self.cfg.clone();
         quick.gibbs_iters = 0; // descent-only for fast adaptation
         let outcome = optimizer::descent_from_with_budget(new_ev, &quick, warm.clone(), budget);
-        let converged = outcome.converged;
-        let adapted = outcome.solution;
-        let resolve_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let plans_changed = warm
-            .plan_idx
-            .iter()
-            .zip(&adapted.assignment.plan_idx)
-            .filter(|(a, b)| a != b)
-            .count();
-        let placements_changed = warm
-            .placement
-            .iter()
-            .zip(&adapted.assignment.placement)
-            .filter(|(a, b)| a != b)
-            .count();
-        let report = AdaptReport {
-            stale_objective: stale.objective,
-            adapted_objective: adapted.result.objective,
-            evaluations: adapted.trace.evaluations,
-            resolve_ms,
-            converged,
-            plans_changed,
-            placements_changed,
-            remap_misses,
-        };
-        Proposal {
-            solution: adapted,
-            report,
-            warm,
-            stale,
-        }
+        proposal(warm, stale, outcome, t0, remap_misses)
+    }
+
+    /// Warm-started *sharded* replan, not adopted: the fleet-scale
+    /// counterpart of [`propose_with_budget`](Self::propose_with_budget).
+    /// The previous assignment is remapped onto the new evaluator, each
+    /// shard runs budgeted descent from its slice of the warm point in
+    /// parallel, and cross-shard placements are reconciled. The warm
+    /// point itself joins the incumbent race inside
+    /// [`crate::shard::solve_sharded_with`], so the candidate is never
+    /// worse than the re-priced stale plan. Fails only if `shard_cfg` is
+    /// inconsistent with `new_problem`.
+    pub fn propose_sharded(
+        &self,
+        old_ev: &Evaluator,
+        new_problem: &JointProblem,
+        new_ev: &Evaluator,
+        shard_cfg: &crate::shard::ShardConfig,
+        budget: Budget,
+    ) -> Result<Proposal, crate::validate::ProblemError> {
+        let (warm, warm_misses) =
+            remap_assignment_counted(old_ev, new_ev, &self.solution.assignment);
+        let stale = new_ev.evaluate(&warm, self.cfg.policies);
+        let t0 = Instant::now();
+        let out =
+            crate::shard::solve_sharded_with(new_problem, new_ev, shard_cfg, budget, Some(&warm))?;
+        let misses = warm_misses + out.remap_misses;
+        Ok(proposal(warm, stale, out.outcome, t0, misses))
     }
 
     /// Adopt an externally chosen assignment (typically a governed blend
@@ -415,60 +401,40 @@ impl OnlineController {
         };
         &self.solution
     }
+}
 
-    /// Warm-started *sharded* replan: the fleet-scale counterpart of
-    /// [`adapt_with_budget`](Self::adapt_with_budget). The previous
-    /// assignment is remapped onto the new evaluator, each shard runs
-    /// budgeted descent from its slice of the warm point in parallel, and
-    /// cross-shard placements are reconciled. The warm point itself joins
-    /// the incumbent race inside [`crate::shard::solve_sharded_with`], so
-    /// the adopted solution is never worse than the re-priced stale one.
-    /// Fails only if `shard_cfg` is inconsistent with `new_problem`.
-    pub fn adapt_sharded(
-        &mut self,
-        old_ev: &Evaluator,
-        new_problem: &JointProblem,
-        new_ev: &Evaluator,
-        shard_cfg: &crate::shard::ShardConfig,
-        budget: Budget,
-    ) -> Result<AdaptReport, crate::validate::ProblemError> {
-        let (warm, warm_misses) =
-            remap_assignment_counted(old_ev, new_ev, &self.solution.assignment);
-        let stale = new_ev.evaluate(&warm, self.cfg.policies);
-        let t0 = Instant::now();
-        let out =
-            crate::shard::solve_sharded_with(new_problem, new_ev, shard_cfg, budget, Some(&warm))?;
-        let resolve_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let adapted = out.outcome.solution;
-        let plans_changed = warm
-            .plan_idx
-            .iter()
-            .zip(&adapted.assignment.plan_idx)
-            .filter(|(a, b)| a != b)
-            .count();
-        let placements_changed = warm
-            .placement
-            .iter()
-            .zip(&adapted.assignment.placement)
-            .filter(|(a, b)| a != b)
-            .count();
-        let report = AdaptReport {
-            stale_objective: stale.objective,
-            adapted_objective: adapted.result.objective,
-            evaluations: adapted.trace.evaluations,
-            resolve_ms,
-            converged: out.outcome.converged,
-            plans_changed,
-            placements_changed,
-            remap_misses: warm_misses + out.remap_misses,
-        };
-        self.solution = adapted;
-        Ok(report)
+/// Package a warm-started solve that began at `t0` as a [`Proposal`],
+/// counting the streams whose plan or server moved off the warm point.
+fn proposal(
+    warm: Assignment,
+    stale: EvalResult,
+    outcome: SolveOutcome,
+    t0: Instant,
+    remap_misses: usize,
+) -> Proposal {
+    let resolve_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let adapted = outcome.solution;
+    let changed = |a: &[usize], b: &[usize]| a.iter().zip(b).filter(|(x, y)| x != y).count();
+    let report = AdaptReport {
+        stale_objective: stale.objective,
+        adapted_objective: adapted.result.objective,
+        evaluations: adapted.trace.evaluations,
+        resolve_ms,
+        converged: outcome.converged,
+        plans_changed: changed(&warm.plan_idx, &adapted.assignment.plan_idx),
+        placements_changed: changed(&warm.placement, &adapted.assignment.placement),
+        remap_misses,
+    };
+    Proposal {
+        solution: adapted,
+        report,
+        warm,
+        stale,
     }
 }
 
 /// The propose half of the controller's propose/adopt split: a candidate
-/// solution computed by warm-started descent, not yet adopted.
+/// solution computed by a warm-started solve, not yet adopted.
 #[derive(Debug, Clone)]
 pub struct Proposal {
     /// The candidate solution (assignment + pricing + trace).
@@ -480,7 +446,7 @@ pub struct Proposal {
     pub warm: Assignment,
     /// The warm point priced under the new conditions (per-stream
     /// latencies drive switch-cost-aware acceptance).
-    pub stale: crate::evaluator::EvalResult,
+    pub stale: EvalResult,
 }
 
 #[cfg(test)]

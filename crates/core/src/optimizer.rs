@@ -130,11 +130,6 @@ impl Budget {
             max_evals: Some(limit),
         }
     }
-
-    /// Whether neither axis is limited.
-    pub fn is_unlimited(&self) -> bool {
-        self.wall_time.is_none() && self.max_evals.is_none()
-    }
 }
 
 /// What an anytime solve actually consumed.
@@ -160,10 +155,10 @@ pub struct SolveOutcome {
     pub spent: BudgetSpent,
 }
 
-/// Internal budget bookkeeping threaded through the search loops. The
-/// unlimited tracker never consults the clock and always answers `false`,
-/// so the unconstrained search path is control-flow-identical (and
-/// therefore trace-bit-identical) to the pre-budget implementation.
+/// Internal budget bookkeeping threaded through the search loops. A
+/// tracker over [`Budget::UNLIMITED`] never consults the clock and always
+/// answers `false`, so an unbudgeted search is a pure function of its
+/// inputs.
 struct BudgetTracker {
     deadline: Option<Instant>,
     max_evals: Option<usize>,
@@ -171,14 +166,6 @@ struct BudgetTracker {
 }
 
 impl BudgetTracker {
-    fn unlimited() -> Self {
-        BudgetTracker {
-            deadline: None,
-            max_evals: None,
-            exhausted: false,
-        }
-    }
-
     fn new(budget: Budget) -> Self {
         BudgetTracker {
             deadline: budget.wall_time.map(|d| Instant::now() + d),
@@ -499,18 +486,13 @@ pub fn initial_assignment(ev: &Evaluator, strategy: PlacementStrategy) -> Assign
     }
 }
 
-/// Greedy coordinate descent: sweep streams, trying every plan in each
-/// stream's menu (re-solving allocation each time), until a full round
-/// yields no improvement.
-pub fn coordinate_descent(ev: &Evaluator, cfg: &OptimizerConfig) -> Solution {
-    let start = initial_assignment(ev, cfg.placement);
-    coordinate_descent_from(ev, cfg, start)
-}
-
-/// [`coordinate_descent_from`] under a budget: warm-start descent that
-/// stops at the budget and reports what it spent. Used by the online
-/// controller so replanning under churn degrades to the (remapped)
-/// incumbent instead of blocking.
+/// Greedy coordinate descent from `start` under a budget: sweep streams,
+/// trying every plan in each stream's menu (re-solving allocation each
+/// time), until a full round yields no improvement or the budget runs
+/// out, and report what it spent. Used by the online controller so
+/// replanning under churn degrades to the (remapped) incumbent instead of
+/// blocking, and by the convergence experiment to show descent from a
+/// naive configuration.
 pub fn descent_from_with_budget(
     ev: &Evaluator,
     cfg: &OptimizerConfig,
@@ -518,11 +500,7 @@ pub fn descent_from_with_budget(
     budget: Budget,
 ) -> SolveOutcome {
     let started = Instant::now();
-    let mut tracker = if budget.is_unlimited() {
-        BudgetTracker::unlimited()
-    } else {
-        BudgetTracker::new(budget)
-    };
+    let mut tracker = BudgetTracker::new(budget);
     let solution = descent_impl(ev, cfg, start, &mut tracker);
     let spent = BudgetSpent {
         evaluations: solution.trace.evaluations,
@@ -533,16 +511,6 @@ pub fn descent_from_with_budget(
         solution,
         spent,
     }
-}
-
-/// [`coordinate_descent`] from an explicit starting assignment (used by
-/// the convergence experiment to show descent from a naive configuration).
-pub fn coordinate_descent_from(
-    ev: &Evaluator,
-    cfg: &OptimizerConfig,
-    start: Assignment,
-) -> Solution {
-    descent_impl(ev, cfg, start, &mut BudgetTracker::unlimited())
 }
 
 /// Budget-aware descent body. With the unlimited tracker every branch the
@@ -618,19 +586,14 @@ fn descent_impl(
     }
 }
 
-/// Gibbs-sampling refinement (Markov approximation): resample one stream's
-/// plan from the Boltzmann distribution of the objective, annealing the
-/// temperature. Returns the best configuration visited.
-pub fn gibbs_refine(ev: &Evaluator, cfg: &OptimizerConfig, start: Solution) -> Solution {
-    gibbs_impl(ev, cfg, start, &mut BudgetTracker::unlimited())
-}
-
-/// [`gibbs_refine`] under a budget, *relative* to the start: the chain may
-/// spend up to `budget.max_evals` evaluations and `budget.wall_time` on
-/// top of whatever `start.trace` already records, then materializes its
-/// best-visited assignment. `spent` counts only the refinement's own
-/// evaluations. With [`Budget::UNLIMITED`] this is bit-identical to
-/// [`gibbs_refine`] (the clock is never consulted).
+/// Gibbs-sampling refinement (Markov approximation) under a budget:
+/// resample one stream's plan from the Boltzmann distribution of the
+/// objective, annealing the temperature, and return the best
+/// configuration visited. The budget is *relative* to the start: the
+/// chain may spend up to `budget.max_evals` evaluations and
+/// `budget.wall_time` on top of whatever `start.trace` already records.
+/// `spent` counts only the refinement's own evaluations. Under
+/// [`Budget::UNLIMITED`] the clock is never consulted.
 pub fn refine_from_with_budget(
     ev: &Evaluator,
     cfg: &OptimizerConfig,
@@ -639,14 +602,10 @@ pub fn refine_from_with_budget(
 ) -> SolveOutcome {
     let started = Instant::now();
     let base_evals = start.trace.evaluations;
-    let mut tracker = if budget.is_unlimited() {
-        BudgetTracker::unlimited()
-    } else {
-        BudgetTracker::new(Budget {
-            wall_time: budget.wall_time,
-            max_evals: budget.max_evals.map(|m| m.saturating_add(base_evals)),
-        })
-    };
+    let mut tracker = BudgetTracker::new(Budget {
+        wall_time: budget.wall_time,
+        max_evals: budget.max_evals.map(|m| m.saturating_add(base_evals)),
+    });
     let solution = gibbs_impl(ev, cfg, start, &mut tracker);
     let spent = BudgetSpent {
         evaluations: solution.trace.evaluations.saturating_sub(base_evals),
@@ -753,28 +712,20 @@ fn gibbs_impl(
     }
 }
 
-/// The full joint algorithm: descent, then annealed Gibbs refinement.
+/// The full joint algorithm, unbudgeted: descent, then annealed Gibbs
+/// refinement.
 pub fn solve(ev: &Evaluator, cfg: &OptimizerConfig) -> Solution {
-    let descended = coordinate_descent(ev, cfg);
-    if cfg.gibbs_iters == 0 {
-        return descended;
-    }
-    gibbs_refine(ev, cfg, descended)
+    solve_with_budget(ev, cfg, Budget::UNLIMITED).solution
 }
 
 /// Anytime variant of [`solve`]: runs descent then Gibbs under `budget`,
 /// checkpointing best-so-far, and returns the incumbent with a
-/// convergence flag instead of running unbounded. With
-/// [`Budget::UNLIMITED`] the trace (and solution) is bit-identical to
-/// [`solve`]. The budget is checked between per-stream steps, so the
-/// wall-clock overshoot is bounded by one menu scan.
+/// convergence flag instead of running unbounded. The budget is checked
+/// between per-stream steps, so the wall-clock overshoot is bounded by
+/// one menu scan.
 pub fn solve_with_budget(ev: &Evaluator, cfg: &OptimizerConfig, budget: Budget) -> SolveOutcome {
     let started = Instant::now();
-    let mut tracker = if budget.is_unlimited() {
-        BudgetTracker::unlimited()
-    } else {
-        BudgetTracker::new(budget)
-    };
+    let mut tracker = BudgetTracker::new(budget);
     let start = initial_assignment(ev, cfg.placement);
     let descended = descent_impl(ev, cfg, start, &mut tracker);
     let solution = if cfg.gibbs_iters == 0 || tracker.is_exhausted() {
@@ -793,19 +744,6 @@ pub fn solve_with_budget(ev: &Evaluator, cfg: &OptimizerConfig, budget: Budget) 
     }
 }
 
-/// Fleet-scale sharded solve: partition the problem into AP/server
-/// shards, solve each with the incremental optimizer in parallel under a
-/// slice of `budget`, then reconcile cross-shard placements and polish
-/// globally. Same anytime semantics as [`solve_with_budget`]; see
-/// [`crate::shard`] for the pipeline and its guarantees.
-pub fn solve_sharded(
-    problem: &crate::problem::JointProblem,
-    cfg: &crate::shard::ShardConfig,
-    budget: Budget,
-) -> Result<crate::shard::ShardedOutcome, crate::validate::ProblemError> {
-    crate::shard::solve_sharded(problem, cfg, budget)
-}
-
 /// Size of the full plan product space.
 fn combo_count(ev: &Evaluator) -> u64 {
     let mut combos: u64 = 1;
@@ -816,19 +754,8 @@ fn combo_count(ev: &Evaluator) -> u64 {
 }
 
 /// Exhaustive search over the full plan product space (placement re-solved
-/// per combination). Panics if the space exceeds `limit` combinations;
-/// [`try_exhaustive`] is the non-panicking variant.
-pub fn exhaustive(ev: &Evaluator, cfg: &OptimizerConfig, limit: u64) -> Solution {
-    match try_exhaustive(ev, cfg, limit) {
-        Some(sol) => sol,
-        None => panic!("exhaustive space {} exceeds limit {limit}", combo_count(ev)),
-    }
-}
-
-/// Exhaustive search, refusing (with `None`) rather than panicking when
-/// the product space exceeds `limit` combinations. Evaluation order,
-/// counts and the recorded trace are identical to the historical
-/// implementation.
+/// per combination), refusing with `None` when the space exceeds `limit`
+/// combinations.
 pub fn try_exhaustive(ev: &Evaluator, cfg: &OptimizerConfig, limit: u64) -> Option<Solution> {
     if combo_count(ev) > limit {
         return None;
@@ -923,7 +850,7 @@ mod tests {
         let cfg = OptimizerConfig::default();
         let init = initial_assignment(&ev, cfg.placement);
         let init_obj = ev.evaluate(&init, cfg.policies).objective;
-        let sol = coordinate_descent(&ev, &cfg);
+        let sol = descent_from_with_budget(&ev, &cfg, init, Budget::UNLIMITED).solution;
         assert!(sol.result.objective <= init_obj + 1e-12);
         assert!(!sol.trace.objective.is_empty());
     }
@@ -931,7 +858,9 @@ mod tests {
     #[test]
     fn trace_best_so_far_is_monotone_in_descent() {
         let ev = tiny_evaluator();
-        let sol = coordinate_descent(&ev, &OptimizerConfig::default());
+        let cfg = OptimizerConfig::default();
+        let init = initial_assignment(&ev, cfg.placement);
+        let sol = descent_from_with_budget(&ev, &cfg, init, Budget::UNLIMITED).solution;
         // The recorded series is best-after-each-accepted-step; descent
         // only accepts improvements, so it must be non-increasing.
         for w in sol.trace.objective.windows(2) {
@@ -946,9 +875,10 @@ mod tests {
             gibbs_iters: 60,
             ..OptimizerConfig::default()
         };
-        let descended = coordinate_descent(&ev, &cfg);
+        let init = initial_assignment(&ev, cfg.placement);
+        let descended = descent_from_with_budget(&ev, &cfg, init, Budget::UNLIMITED).solution;
         let d_obj = descended.result.objective;
-        let refined = gibbs_refine(&ev, &cfg, descended);
+        let refined = refine_from_with_budget(&ev, &cfg, descended, Budget::UNLIMITED).solution;
         assert!(refined.result.objective <= d_obj + 1e-12);
     }
 
@@ -968,7 +898,7 @@ mod tests {
         };
         let ev = Evaluator::new(&p, Some(menu_cfg));
         let cfg = OptimizerConfig::default();
-        let ex = exhaustive(&ev, &cfg, 100_000);
+        let ex = try_exhaustive(&ev, &cfg, 100_000).expect("space fits the limit");
         let sol = solve(&ev, &cfg);
         assert!(
             sol.result.objective <= ex.result.objective * 1.10 + 1e-9,
@@ -1053,15 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_panics_when_space_too_large() {
-        let ev = tiny_evaluator();
-        let cfg = OptimizerConfig::default();
-        let res =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exhaustive(&ev, &cfg, 1)));
-        assert!(res.is_err());
-    }
-
-    #[test]
     fn placement_keeps_every_stream_on_a_valid_server() {
         let ev = tiny_evaluator();
         let asg = initial_assignment(&ev, PlacementStrategy::BestResponse);
@@ -1115,8 +1036,8 @@ mod tests {
             eval_mode: EvalMode::Incremental,
             ..OptimizerConfig::default()
         };
-        let a = exhaustive(&ev, &full_cfg, 1_000_000);
-        let b = exhaustive(&ev, &inc_cfg, 1_000_000);
+        let a = try_exhaustive(&ev, &full_cfg, 1_000_000).expect("space fits the limit");
+        let b = try_exhaustive(&ev, &inc_cfg, 1_000_000).expect("space fits the limit");
         assert_eq!(a.trace.evaluations, b.trace.evaluations);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.result.objective.to_bits(), b.result.objective.to_bits());

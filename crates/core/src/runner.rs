@@ -10,9 +10,7 @@ use crate::evaluator::{Assignment, EvalResult, Evaluator};
 use crate::optimizer::Solution;
 use crate::problem::JointProblem;
 use rayon::prelude::*;
-use scalpel_sim::{
-    EdgeSim, FaultPlan, LatencyStats, RecoveryConfig, SimConfig, SimReport, SimScratch,
-};
+use scalpel_sim::{EdgeSim, LatencyStats, SimConfig, SimReport, SimScratch};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -72,52 +70,15 @@ pub struct MethodOutcome {
     /// latency, not accuracy.
     #[serde(default)]
     pub accuracy_cost: f64,
-    /// Warm-start remaps that fell back to the closest-cut heuristic
-    /// because no structural/signature match existed (see
-    /// [`remap_assignment`](crate::online::remap_assignment)). Zero for
-    /// cold solves; populated by [`aggregate_sharded`] so the warning
-    /// is carried into printed outcome rows instead of being silently
-    /// absorbed inside the reconciler.
-    #[serde(default)]
-    pub remap_misses: usize,
 }
 
-/// Run one solution once.
-pub fn run_solution(
-    problem: &JointProblem,
-    ev: &Evaluator,
-    asg: &Assignment,
-    result: &EvalResult,
-    sim: SimConfig,
-) -> SimReport {
-    try_run_solution(problem, ev, asg, result, sim)
-        .unwrap_or_else(|e| panic!("compiled streams validate by construction: {e}"))
-}
-
-/// [`run_solution`] surfacing simulator-construction failures as a typed
-/// error instead of panicking — the entry point for callers feeding
-/// unvalidated or repaired problems.
+/// Compile one solution under `opts` and run it once. Simulator
+/// construction failures surface as a typed error instead of a panic, so
+/// callers may feed unvalidated or repaired problems. Faults and recovery
+/// travel in `sim` ([`SimConfig::faults`], [`SimConfig::recovery`]);
+/// `CompileOptions::default()` lowers the flat hedging order, other
+/// options the ranked fallback menus.
 pub fn try_run_solution(
-    problem: &JointProblem,
-    ev: &Evaluator,
-    asg: &Assignment,
-    result: &EvalResult,
-    sim: SimConfig,
-) -> Result<SimReport, String> {
-    try_run_solution_with(
-        problem,
-        ev,
-        asg,
-        result,
-        sim,
-        &compiler::CompileOptions::default(),
-    )
-}
-
-/// [`try_run_solution`] under explicit [`compiler::CompileOptions`] — the
-/// entry point for ranked-fallback-menu runs (default options lower
-/// byte-identically to the historical flat path).
-pub fn try_run_solution_with(
     problem: &JointProblem,
     ev: &Evaluator,
     asg: &Assignment,
@@ -130,26 +91,11 @@ pub fn try_run_solution_with(
     Ok(SIM_SCRATCH.with(|scratch| sim.run_with_scratch(&mut scratch.borrow_mut())))
 }
 
-/// Run one solution over several seeds in parallel and pool the samples.
+/// Run one solution over several seeds in parallel, one report per seed.
+/// Every seed shares `base_sim`'s fault plan and recovery policy, so
+/// methods compared on the same seeds face the identical disruption
+/// schedule.
 pub fn run_solution_seeds(
-    problem: &JointProblem,
-    ev: &Evaluator,
-    sol: &Solution,
-    base_sim: SimConfig,
-    seeds: &[u64],
-) -> Vec<SimReport> {
-    run_solution_seeds_with(
-        problem,
-        ev,
-        sol,
-        base_sim,
-        seeds,
-        &compiler::CompileOptions::default(),
-    )
-}
-
-/// [`run_solution_seeds`] under explicit compile options.
-pub fn run_solution_seeds_with(
     problem: &JointProblem,
     ev: &Evaluator,
     sol: &Solution,
@@ -162,99 +108,10 @@ pub fn run_solution_seeds_with(
         .map(|&seed| {
             let mut cfg = base_sim.clone();
             cfg.seed = seed;
-            try_run_solution_with(problem, ev, &sol.assignment, &sol.result, cfg, opts)
+            try_run_solution(problem, ev, &sol.assignment, &sol.result, cfg, opts)
                 .unwrap_or_else(|e| panic!("compiled streams validate by construction: {e}"))
         })
         .collect()
-}
-
-/// Solve a fleet with the sharded optimizer and execute the resulting
-/// solution in the simulator across `seeds` — the fleet-scale companion
-/// of "solve then [`run_solution_seeds`]". Returns the full
-/// [`ShardedOutcome`](crate::shard::ShardedOutcome) (partition, per-shard
-/// reports, reconciliation stats) alongside the simulator reports so the
-/// experiment harness can attribute measured latency to shard decisions.
-pub fn run_sharded_seeds(
-    problem: &JointProblem,
-    ev: &Evaluator,
-    shard_cfg: &crate::shard::ShardConfig,
-    budget: crate::optimizer::Budget,
-    base_sim: SimConfig,
-    seeds: &[u64],
-) -> Result<(crate::shard::ShardedOutcome, Vec<SimReport>), crate::validate::ProblemError> {
-    let out = crate::shard::solve_sharded_with(problem, ev, shard_cfg, budget, None)?;
-    if out.remap_misses > 0 {
-        eprintln!(
-            "warning: sharded reconciliation remapped {} stream(s) via the closest-cut \
-             fallback (no structural or signature match in the target menu)",
-            out.remap_misses
-        );
-    }
-    let reports = run_solution_seeds(problem, ev, &out.outcome.solution, base_sim, seeds);
-    Ok((out, reports))
-}
-
-/// Run one solution over several seeds, all under the same fault plan —
-/// the resilience counterpart of [`run_solution_seeds`]. The plan is
-/// shared across seeds so every method and seed faces the identical
-/// disruption schedule.
-pub fn run_solution_seeds_faulted(
-    problem: &JointProblem,
-    ev: &Evaluator,
-    sol: &Solution,
-    base_sim: SimConfig,
-    faults: &FaultPlan,
-    seeds: &[u64],
-) -> Vec<SimReport> {
-    let mut cfg = base_sim;
-    cfg.faults = faults.clone();
-    run_solution_seeds(problem, ev, sol, cfg, seeds)
-}
-
-/// Run one solution over several seeds under a shared fault plan *and* a
-/// recovery policy — the closed-loop counterpart of
-/// [`run_solution_seeds_faulted`]. Identical plan + seeds across recovery
-/// presets isolates the policy's effect.
-#[allow(clippy::too_many_arguments)]
-pub fn run_solution_seeds_recovered(
-    problem: &JointProblem,
-    ev: &Evaluator,
-    sol: &Solution,
-    base_sim: SimConfig,
-    faults: &FaultPlan,
-    recovery: &RecoveryConfig,
-    seeds: &[u64],
-) -> Vec<SimReport> {
-    run_solution_seeds_recovered_with(
-        problem,
-        ev,
-        sol,
-        base_sim,
-        faults,
-        recovery,
-        seeds,
-        &compiler::CompileOptions::default(),
-    )
-}
-
-/// [`run_solution_seeds_recovered`] under explicit compile options — how
-/// f17's correlated-outage section compares ranked fallback menus against
-/// the flat hedging order on the identical fault schedule.
-#[allow(clippy::too_many_arguments)]
-pub fn run_solution_seeds_recovered_with(
-    problem: &JointProblem,
-    ev: &Evaluator,
-    sol: &Solution,
-    base_sim: SimConfig,
-    faults: &FaultPlan,
-    recovery: &RecoveryConfig,
-    seeds: &[u64],
-    opts: &compiler::CompileOptions,
-) -> Vec<SimReport> {
-    let mut cfg = base_sim;
-    cfg.faults = faults.clone();
-    cfg.recovery = recovery.clone();
-    run_solution_seeds_with(problem, ev, sol, cfg, seeds, opts)
 }
 
 /// Aggregate seed reports into one outcome row.
@@ -335,29 +192,17 @@ pub fn aggregate(method: Method, sol: &Solution, reports: &[SimReport]) -> Metho
         shed,
         retry_timeouts,
         accuracy_cost,
-        remap_misses: 0,
     }
-}
-
-/// [`aggregate`] for sharded runs: the same pooled row, plus the
-/// reconciler's closest-cut fallback count so downstream tables can show
-/// the warning counter next to the measured numbers.
-pub fn aggregate_sharded(
-    method: Method,
-    out: &crate::shard::ShardedOutcome,
-    reports: &[SimReport],
-) -> MethodOutcome {
-    let mut row = aggregate(method, &out.outcome.solution, reports);
-    row.remap_misses = out.remap_misses;
-    row
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baselines::{solve_with, Method};
+    use crate::compiler::CompileOptions;
     use crate::config::ScenarioConfig;
     use crate::optimizer::OptimizerConfig;
+    use scalpel_sim::{FaultProfile, RecoveryConfig};
 
     fn quick_scenario() -> (JointProblem, Evaluator, SimConfig) {
         let cfg = ScenarioConfig {
@@ -387,7 +232,7 @@ mod tests {
             ..Default::default()
         };
         let sol = solve_with(&ev, Method::Joint, &cfg);
-        let reports = run_solution_seeds(&p, &ev, &sol, sim, &[1, 2]);
+        let reports = run_solution_seeds(&p, &ev, &sol, sim, &[1, 2], &CompileOptions::default());
         assert_eq!(reports.len(), 2);
         for r in &reports {
             assert!(r.completed > 0);
@@ -403,16 +248,16 @@ mod tests {
     fn seed_runs_differ_but_are_individually_deterministic() {
         let (p, ev, sim) = quick_scenario();
         let sol = solve_with(&ev, Method::Neurosurgeon, &OptimizerConfig::default());
-        let a = run_solution_seeds(&p, &ev, &sol, sim.clone(), &[7]);
-        let b = run_solution_seeds(&p, &ev, &sol, sim.clone(), &[7]);
+        let opts = CompileOptions::default();
+        let a = run_solution_seeds(&p, &ev, &sol, sim.clone(), &[7], &opts);
+        let b = run_solution_seeds(&p, &ev, &sol, sim.clone(), &[7], &opts);
         assert_eq!(a[0].latency.mean, b[0].latency.mean);
-        let c = run_solution_seeds(&p, &ev, &sol, sim, &[8]);
+        let c = run_solution_seeds(&p, &ev, &sol, sim, &[8], &opts);
         assert_ne!(a[0].latency.mean, c[0].latency.mean);
     }
 
     #[test]
     fn faulted_runs_conserve_requests_and_fill_outcome() {
-        use scalpel_sim::FaultProfile;
         let (p, ev, sim) = quick_scenario();
         let sol = solve_with(&ev, Method::Joint, &OptimizerConfig::default());
         let plan = FaultProfile {
@@ -428,7 +273,12 @@ mod tests {
             sim.horizon_s,
         );
         assert!(!plan.is_empty());
-        let reports = run_solution_seeds_faulted(&p, &ev, &sol, sim, &plan, &[1, 2]);
+        let faulted = SimConfig {
+            faults: plan,
+            ..sim
+        };
+        let opts = CompileOptions::default();
+        let reports = run_solution_seeds(&p, &ev, &sol, faulted.clone(), &[1, 2], &opts);
         for r in &reports {
             assert_eq!(r.generated, r.completed + r.faults.lost());
             assert!(r.faults.injected > 0);
@@ -439,18 +289,13 @@ mod tests {
             reports.iter().map(|r| r.faults.lost()).sum::<usize>()
         );
         // The identical plan under the same seed reproduces bit-for-bit.
-        let again = run_solution_seeds_faulted(&p, &ev, &sol, outcome_sim(), &plan, &[1, 2]);
+        let again = run_solution_seeds(&p, &ev, &sol, faulted, &[1, 2], &opts);
         assert_eq!(reports[0].latency.mean, again[0].latency.mean);
         assert_eq!(reports[0].faults, again[0].faults);
     }
 
-    fn outcome_sim() -> SimConfig {
-        quick_scenario().2
-    }
-
     #[test]
     fn recovered_runs_account_every_request_and_fill_outcome() {
-        use scalpel_sim::FaultProfile;
         let (p, ev, sim) = quick_scenario();
         let sol = solve_with(&ev, Method::Joint, &OptimizerConfig::default());
         let plan = FaultProfile {
@@ -465,9 +310,13 @@ mod tests {
             p.cluster.servers.len(),
             sim.horizon_s,
         );
-        let recovery = RecoveryConfig::full();
-        let reports =
-            run_solution_seeds_recovered(&p, &ev, &sol, sim.clone(), &plan, &recovery, &[1, 2]);
+        let recovered = SimConfig {
+            faults: plan,
+            recovery: RecoveryConfig::full(),
+            ..sim
+        };
+        let opts = CompileOptions::default();
+        let reports = run_solution_seeds(&p, &ev, &sol, recovered.clone(), &[1, 2], &opts);
         for r in &reports {
             assert_eq!(r.generated, r.accounted());
         }
@@ -478,7 +327,7 @@ mod tests {
         );
         assert!(outcome.accuracy_cost.is_finite());
         // Same plan, seeds, and policy reproduce bit-for-bit.
-        let again = run_solution_seeds_recovered(&p, &ev, &sol, sim, &plan, &recovery, &[1, 2]);
+        let again = run_solution_seeds(&p, &ev, &sol, recovered, &[1, 2], &opts);
         assert_eq!(reports[0].latency.mean, again[0].latency.mean);
         assert_eq!(reports[0].recovery, again[0].recovery);
     }
@@ -487,7 +336,8 @@ mod tests {
     fn aggregate_pools_conservatively() {
         let (p, ev, sim) = quick_scenario();
         let sol = solve_with(&ev, Method::EdgeOnly, &OptimizerConfig::default());
-        let reports = run_solution_seeds(&p, &ev, &sol, sim, &[1, 2, 3]);
+        let reports =
+            run_solution_seeds(&p, &ev, &sol, sim, &[1, 2, 3], &CompileOptions::default());
         let outcome = aggregate(Method::EdgeOnly, &sol, &reports);
         let max_p99 = reports.iter().map(|r| r.latency.p99).fold(0.0, f64::max);
         assert_eq!(outcome.latency.p99, max_p99);

@@ -45,7 +45,7 @@
 //! daemon but not for replay tests.
 
 use crate::evaluator::{Assignment, EvalResult, Evaluator};
-use crate::online::{self, OnlineController, Proposal};
+use crate::online::{OnlineController, Proposal};
 use crate::optimizer::{Budget, OptimizerConfig, Solution};
 use crate::problem::JointProblem;
 use crate::shard::ShardConfig;
@@ -789,38 +789,13 @@ impl PlanningService {
                 new_ev,
                 self.cfg.replan_budget,
             )),
-            Some(sc) => {
-                let (warm, misses) = online::remap_assignment_counted(
-                    &self.evaluator,
-                    new_ev,
-                    &self.controller.solution().assignment,
-                );
-                let stale = new_ev.evaluate(&warm, self.cfg.optimizer.policies);
-                let out = crate::shard::solve_sharded_with(
-                    new_problem,
-                    new_ev,
-                    sc,
-                    self.cfg.replan_budget,
-                    Some(&warm),
-                )?;
-                let solution = out.outcome.solution;
-                let report = crate::online::AdaptReport {
-                    stale_objective: stale.objective,
-                    adapted_objective: solution.result.objective,
-                    evaluations: solution.trace.evaluations,
-                    resolve_ms: 0.0,
-                    converged: out.outcome.converged,
-                    plans_changed: 0,
-                    placements_changed: 0,
-                    remap_misses: misses + out.remap_misses,
-                };
-                Ok(Proposal {
-                    solution,
-                    report,
-                    warm,
-                    stale,
-                })
-            }
+            Some(sc) => self.controller.propose_sharded(
+                &self.evaluator,
+                new_problem,
+                new_ev,
+                sc,
+                self.cfg.replan_budget,
+            ),
         }
     }
 

@@ -721,15 +721,9 @@ impl EdgeSim {
         self.run_internal(scratch, false).0
     }
 
-    /// Run to completion, additionally returning one [`TaskRecord`] per
-    /// measured completion (in completion order).
-    pub fn run_traced(&self) -> (SimReport, Vec<TaskRecord>) {
-        let (report, trace) = self.run_logged();
-        (report, trace.tasks)
-    }
-
-    /// Run to completion with full event logging: per-completion timing
-    /// records plus one [`FaultRecord`] per executed fault event.
+    /// Run to completion with full event logging: one [`TaskRecord`] per
+    /// measured completion (in completion order) plus one [`FaultRecord`]
+    /// per executed fault event.
     pub fn run_logged(&self) -> (SimReport, RunTrace) {
         let mut scratch = SimScratch::new();
         self.run_logged_with_scratch(&mut scratch)
@@ -2599,7 +2593,8 @@ mod tests {
         };
         s.acc_at_exit = vec![0.73];
         let sim = EdgeSim::new(cluster, vec![s], base_config()).unwrap();
-        let (report, trace) = sim.run_traced();
+        let (report, log) = sim.run_logged();
+        let trace = log.tasks;
         assert_eq!(trace.len(), report.completed);
         // Trace mean latency must equal the report's.
         let mean = trace.iter().map(|r| r.latency_s).sum::<f64>() / trace.len() as f64;
@@ -2629,7 +2624,7 @@ mod tests {
         let s = no_exit_stream(4.0, 0.003, 1e9);
         let sim = EdgeSim::new(cluster, vec![s], base_config()).unwrap();
         let plain = sim.run();
-        let (traced, _) = sim.run_traced();
+        let (traced, _) = sim.run_logged();
         assert_eq!(plain.latency.mean, traced.latency.mean);
         assert_eq!(plain.completed, traced.completed);
     }

@@ -1,11 +1,10 @@
 //! Per-request and per-fault trace records (optional run output).
 //!
-//! [`crate::EdgeSim::run_traced`] returns, besides the aggregate report,
-//! one [`TaskRecord`] per measured completion with its full timing
-//! decomposition — the raw material for debugging, latency-breakdown
-//! plots, and the cross-stage invariant tests.
-//! [`crate::EdgeSim::run_logged`] additionally returns one [`FaultRecord`]
-//! per executed fault event, bundled in a [`RunTrace`].
+//! [`crate::EdgeSim::run_logged`] returns, besides the aggregate report,
+//! a [`RunTrace`]: one [`TaskRecord`] per measured completion with its
+//! full timing decomposition — the raw material for debugging,
+//! latency-breakdown plots, and the cross-stage invariant tests — plus
+//! one [`FaultRecord`] per executed fault event.
 
 use crate::faults::FaultKind;
 use crate::recovery::HealthSnapshot;

@@ -105,7 +105,8 @@ proptest! {
             },
         )
         .expect("valid streams");
-        let (report, trace) = sim.run_traced();
+        let (report, log) = sim.run_logged();
+        let trace = log.tasks;
         prop_assert_eq!(report.completed, report.generated);
         prop_assert_eq!(trace.len(), report.completed);
         for r in &trace {

@@ -8,6 +8,7 @@
 //! ```
 
 use scalpel::core::baselines::{solve_with, Method};
+use scalpel::core::compiler::CompileOptions;
 use scalpel::core::config::ScenarioConfig;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::optimizer::OptimizerConfig;
@@ -48,8 +49,14 @@ fn main() {
     );
     for &method in Method::ALL {
         let sol = solve_with(&evaluator, method, &opt);
-        let reports =
-            runner::run_solution_seeds(&problem, &evaluator, &sol, scenario.sim.clone(), &[11, 22]);
+        let reports = runner::run_solution_seeds(
+            &problem,
+            &evaluator,
+            &sol,
+            scenario.sim.clone(),
+            &[11, 22],
+            &CompileOptions::default(),
+        );
         let o = runner::aggregate(method, &sol, &reports);
         println!(
             "{:<14} {:>9.1} {:>9.1} {:>9.1} {:>9.1}% {:>9.3} {:>10.1}%",

@@ -8,6 +8,7 @@
 //! ```
 
 use scalpel::core::baselines::{solve_with, Method};
+use scalpel::core::compiler::CompileOptions;
 use scalpel::core::config::ScenarioConfig;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::optimizer::OptimizerConfig;
@@ -27,8 +28,14 @@ fn deadline_ratio(devices_per_ap: usize, method: Method) -> f64 {
     let problem = scenario.build();
     let evaluator = Evaluator::new(&problem, None);
     let sol = solve_with(&evaluator, method, &OptimizerConfig::default());
-    let reports =
-        runner::run_solution_seeds(&problem, &evaluator, &sol, scenario.sim.clone(), &[5]);
+    let reports = runner::run_solution_seeds(
+        &problem,
+        &evaluator,
+        &sol,
+        scenario.sim.clone(),
+        &[5],
+        &CompileOptions::default(),
+    );
     runner::aggregate(method, &sol, &reports).deadline_ratio
 }
 

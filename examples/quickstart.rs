@@ -7,6 +7,7 @@
 //! ```
 
 use scalpel::core::baselines::{solve_with, Method};
+use scalpel::core::compiler::CompileOptions;
 use scalpel::core::config::ScenarioConfig;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::optimizer::OptimizerConfig;
@@ -64,6 +65,7 @@ fn main() {
         &solution,
         scenario.sim.clone(),
         &[1, 2, 3],
+        &CompileOptions::default(),
     );
     let outcome = runner::aggregate(Method::Joint, &solution, &reports);
     println!(

@@ -13,6 +13,7 @@
 //! runs the whole method ladder.
 
 use scalpel::core::baselines::{solve_with, Method};
+use scalpel::core::compiler::CompileOptions;
 use scalpel::core::config::ScenarioConfig;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::optimizer::OptimizerConfig;
@@ -117,6 +118,7 @@ fn run_method(flags: &ScenarioFlags, method: Method) -> runner::MethodOutcome {
         &sol,
         scfg.sim.clone(),
         &[flags.seed, flags.seed + 1],
+        &CompileOptions::default(),
     );
     runner::aggregate(method, &sol, &reports)
 }

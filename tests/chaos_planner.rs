@@ -15,6 +15,7 @@
 //!   simulator with every generated request accounted for.
 
 use proptest::prelude::*;
+use scalpel::core::compiler::CompileOptions;
 use scalpel::core::config::ScenarioConfig;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::optimizer::{self, Budget, EvalMode, OptimizerConfig, SolveOutcome};
@@ -319,7 +320,8 @@ proptest! {
             seed: 7,
             ..SimConfig::default()
         };
-        let report = runner::try_run_solution(&repaired, &ev, &sol.assignment, &sol.result, sim)
+        let opts = CompileOptions::default();
+        let report = runner::try_run_solution(&repaired, &ev, &sol.assignment, &sol.result, sim, &opts)
             .expect("repaired instances compile into valid simulator streams");
         prop_assert_eq!(report.generated, report.completed + report.faults.lost());
     }
@@ -409,8 +411,15 @@ fn chaos_fault_plan_case(chaos: &ChaosProblem, fault_seed: u64, poison: PlanPois
                 faults: plan,
                 ..SimConfig::default()
             };
-            let report = runner::try_run_solution(&problem, &ev, &sol.assignment, &sol.result, sim)
-                .expect("validated plans drive valid simulator runs");
+            let report = runner::try_run_solution(
+                &problem,
+                &ev,
+                &sol.assignment,
+                &sol.result,
+                sim,
+                &CompileOptions::default(),
+            )
+            .expect("validated plans drive valid simulator runs");
             assert_eq!(report.generated, report.completed + report.faults.lost());
             return;
         }

@@ -2,6 +2,7 @@
 //! joint search, simulation — is a pure function of its seeds.
 
 use scalpel::core::baselines::{solve_with, Method};
+use scalpel::core::compiler::CompileOptions;
 use scalpel::core::config::ScenarioConfig;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::optimizer::OptimizerConfig;
@@ -38,7 +39,9 @@ fn whole_pipeline_is_deterministic() {
                 ..Default::default()
             },
         );
-        let reports = runner::run_solution_seeds(&problem, &ev, &sol, scenario().sim, &[1, 2]);
+        let opts = CompileOptions::default();
+        let reports =
+            runner::run_solution_seeds(&problem, &ev, &sol, scenario().sim, &[1, 2], &opts);
         (
             sol.assignment.plan_idx.clone(),
             sol.assignment.placement.clone(),
@@ -89,7 +92,8 @@ fn whole_pipeline_with_faults_is_bit_identical() {
                 ..Default::default()
             },
         );
-        let reports = runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1, 2]);
+        let opts = CompileOptions::default();
+        let reports = runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1, 2], &opts);
         (
             sol.assignment.plan_idx.clone(),
             sol.result.objective,
@@ -118,7 +122,8 @@ fn fault_seed_isolation() {
         let problem = cfg.build();
         let ev = Evaluator::new(&problem, None);
         let sol = solve_with(&ev, Method::Joint, &OptimizerConfig::default());
-        let reports = runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1]);
+        let opts = CompileOptions::default();
+        let reports = runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1], &opts);
         (sol.assignment.plan_idx.clone(), reports)
     };
     let (plans_a, reports_a) = solve_under(5);
@@ -167,8 +172,9 @@ fn simulation_seed_isolation() {
     let problem = scenario().build();
     let ev = Evaluator::new(&problem, None);
     let sol = solve_with(&ev, Method::Neurosurgeon, &OptimizerConfig::default());
-    let r1 = runner::run_solution_seeds(&problem, &ev, &sol, scenario().sim, &[1]);
-    let r2 = runner::run_solution_seeds(&problem, &ev, &sol, scenario().sim, &[2]);
+    let opts = CompileOptions::default();
+    let r1 = runner::run_solution_seeds(&problem, &ev, &sol, scenario().sim, &[1], &opts);
+    let r2 = runner::run_solution_seeds(&problem, &ev, &sol, scenario().sim, &[2], &opts);
     assert_ne!(r1[0].latency.mean, r2[0].latency.mean);
     // but both measure the same system: means within a factor of 2
     let ratio = r1[0].latency.mean / r2[0].latency.mean;

@@ -2,6 +2,7 @@
 //! simulate, across crates.
 
 use scalpel::core::baselines::{solve_with, Method};
+use scalpel::core::compiler::CompileOptions;
 use scalpel::core::config::ScenarioConfig;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::optimizer::OptimizerConfig;
@@ -40,7 +41,9 @@ fn full_pipeline_every_method() {
     let ev = Evaluator::new(&problem, None);
     for &method in Method::ALL {
         let sol = solve_with(&ev, method, &quick_opt());
-        let reports = runner::run_solution_seeds(&problem, &ev, &sol, scenario.sim.clone(), &[1]);
+        let opts = CompileOptions::default();
+        let reports =
+            runner::run_solution_seeds(&problem, &ev, &sol, scenario.sim.clone(), &[1], &opts);
         let o = runner::aggregate(method, &sol, &reports);
         assert!(o.completed > 0, "{}: no completions", method.name());
         assert!(
@@ -64,8 +67,9 @@ fn joint_beats_static_baselines_in_simulation() {
     let ev = Evaluator::new(&problem, None);
     let measure = |method: Method| -> f64 {
         let sol = solve_with(&ev, method, &quick_opt());
+        let opts = CompileOptions::default();
         let reports =
-            runner::run_solution_seeds(&problem, &ev, &sol, scenario.sim.clone(), &[1, 2]);
+            runner::run_solution_seeds(&problem, &ev, &sol, scenario.sim.clone(), &[1, 2], &opts);
         runner::aggregate(method, &sol, &reports).latency.mean
     };
     let joint = measure(Method::Joint);
@@ -124,7 +128,9 @@ fn simulated_misses_track_analytic_misses() {
     let problem = scenario.build();
     let ev = Evaluator::new(&problem, None);
     let sol = solve_with(&ev, Method::Joint, &quick_opt());
-    let reports = runner::run_solution_seeds(&problem, &ev, &sol, scenario.sim.clone(), &[3]);
+    let opts = CompileOptions::default();
+    let reports =
+        runner::run_solution_seeds(&problem, &ev, &sol, scenario.sim.clone(), &[3], &opts);
     let o = runner::aggregate(Method::Joint, &sol, &reports);
     // If the analytic model expects zero misses, simulation should be at
     // least 80% on time (fading/queueing tails account for the gap).

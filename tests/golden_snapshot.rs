@@ -50,7 +50,8 @@ fn golden_report() -> SimReport {
             ..Default::default()
         },
     );
-    runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1])
+    let opts = CompileOptions::default();
+    runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1], &opts)
         .pop()
         .expect("one seed, one report")
 }
@@ -114,7 +115,8 @@ fn golden_recovered_report() -> SimReport {
             ..Default::default()
         },
     );
-    runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1])
+    let opts = CompileOptions::default();
+    runner::run_solution_seeds(&problem, &ev, &sol, cfg.sim, &[1], &opts)
         .pop()
         .expect("one seed, one report")
 }
@@ -198,18 +200,14 @@ fn golden_correlated_report() -> SimReport {
         same_domain_penalty_s: 1e3,
         ..CompileOptions::default()
     };
-    runner::run_solution_seeds_recovered_with(
-        &problem,
-        &ev,
-        &sol,
-        cfg.sim.clone(),
-        &plan,
-        &RecoveryConfig::full(),
-        &[1],
-        &opts,
-    )
-    .pop()
-    .expect("one seed, one report")
+    let sim = SimConfig {
+        faults: plan,
+        recovery: RecoveryConfig::full(),
+        ..cfg.sim.clone()
+    };
+    runner::run_solution_seeds(&problem, &ev, &sol, sim, &[1], &opts)
+        .pop()
+        .expect("one seed, one report")
 }
 
 #[test]

@@ -7,9 +7,8 @@
 use proptest::prelude::*;
 use scalpel::core::config::{ScenarioConfig, ServerMix};
 use scalpel::core::evaluator::Evaluator;
-use scalpel::core::online::OnlineController;
+use scalpel::core::online::{remap_assignment_counted, OnlineController};
 use scalpel::core::optimizer::{Budget, OptimizerConfig};
-use scalpel::core::runner;
 use scalpel::core::shard::{self, Reachability, ShardConfig};
 use scalpel::core::validate;
 
@@ -176,13 +175,12 @@ fn thread_count_sweep_is_invariant() {
     }
 }
 
-/// The two runtime entry points that wrap `solve_sharded` — the batch
-/// runner and the online controller — produce the same reconciled
-/// solution as the module entry and hand back usable follow-on results
-/// (simulator reports, an adaptation report that never regresses past
-/// the re-priced stale plan).
+/// The online controller's sharded proposal is the module entry run from
+/// the remapped incumbent: its candidate matches `solve_sharded_with`
+/// bit-for-bit, its report counts exactly the streams that moved off the
+/// warm point, and it never regresses past the re-priced stale plan.
 #[test]
-fn runner_and_controller_wrappers_agree_with_module_entry() {
+fn controller_proposal_agrees_with_module_entry() {
     let scenario = ScenarioConfig {
         num_aps: 4,
         devices_per_ap: 3,
@@ -196,44 +194,48 @@ fn runner_and_controller_wrappers_agree_with_module_entry() {
         opt: quick_opt(),
         ..ShardConfig::default()
     };
-
-    // Batch runner: sharded solve + one simulation per seed.
-    let (out, reports) = runner::run_sharded_seeds(
-        &problem,
-        &ev,
-        &cfg,
-        Budget::UNLIMITED,
-        scenario.sim.clone(),
-        &[1, 2],
-    )
-    .expect("valid scenario");
-    assert_eq!(reports.len(), 2, "one simulator report per seed");
-    let direct = shard::solve_sharded(&problem, &cfg, Budget::UNLIMITED).expect("valid");
-    assert_eq!(
-        out.outcome.solution.result.objective.to_bits(),
-        direct.outcome.solution.result.objective.to_bits(),
-        "runner wrapper must match the module entry bit-for-bit"
-    );
-    assert_eq!(
-        out.outcome.solution.assignment,
-        direct.outcome.solution.assignment
-    );
-    // The aggregated row carries the reconciler's closest-cut fallback
-    // count instead of silently absorbing it.
-    let row = runner::aggregate_sharded(scalpel::core::baselines::Method::Joint, &out, &reports);
-    assert_eq!(row.remap_misses, out.remap_misses);
-
-    // Online controller: warm-started sharded re-solve after a load change.
+    // Warm-started sharded re-solve after a load change.
     let shifted = ScenarioConfig {
         arrival_rate_hz: 6.0,
         ..scenario.clone()
     }
     .build();
     let shifted_ev = Evaluator::new(&shifted, None);
-    let mut ctl = OnlineController::bootstrap(&ev, quick_opt());
-    let report = ctl
-        .adapt_sharded(&ev, &shifted, &shifted_ev, &cfg, Budget::UNLIMITED)
+    let ctl = OnlineController::bootstrap(&ev, quick_opt());
+    let proposal = ctl
+        .propose_sharded(&ev, &shifted, &shifted_ev, &cfg, Budget::UNLIMITED)
         .expect("valid scenario");
+
+    let (warm, warm_misses) =
+        remap_assignment_counted(&ev, &shifted_ev, &ctl.solution().assignment);
+    assert_eq!(proposal.warm, warm);
+    let direct =
+        shard::solve_sharded_with(&shifted, &shifted_ev, &cfg, Budget::UNLIMITED, Some(&warm))
+            .expect("valid scenario");
+    let candidate = &proposal.solution;
+    assert_eq!(candidate.assignment, direct.outcome.solution.assignment);
+    assert_eq!(
+        candidate.result.objective.to_bits(),
+        direct.outcome.solution.result.objective.to_bits(),
+        "controller proposal must match the module entry bit-for-bit"
+    );
+
+    let report = &proposal.report;
+    let moved = |a: &[usize], b: &[usize]| a.iter().zip(b).filter(|(x, y)| x != y).count();
+    assert_eq!(
+        report.plans_changed,
+        moved(&warm.plan_idx, &candidate.assignment.plan_idx)
+    );
+    assert_eq!(
+        report.placements_changed,
+        moved(&warm.placement, &candidate.assignment.placement)
+    );
+    // The load shift moves some decision, so zero counts would be wrong.
+    assert!(report.plans_changed + report.placements_changed > 0);
+    assert_eq!(report.remap_misses, warm_misses + direct.remap_misses);
+    assert_eq!(report.evaluations, candidate.trace.evaluations);
+    assert!(report.converged);
+    assert!(report.resolve_ms > 0.0);
     assert!(report.adapted_objective.is_finite());
     assert!(
         report.adapted_objective <= report.stale_objective + 1e-12,

@@ -213,28 +213,3 @@ fn fleet_10k_solves_under_60s() {
         wall.as_secs_f64()
     );
 }
-
-/// The facade entry (`optimizer::solve_sharded`) and the module entry are
-/// the same function; determinism ties them bit-for-bit.
-#[test]
-fn facade_and_module_entry_agree() {
-    let problem = ScenarioConfig {
-        num_aps: 2,
-        devices_per_ap: 3,
-        arrival_rate_hz: 4.0,
-        ..ScenarioConfig::default()
-    }
-    .build();
-    let cfg = ShardConfig {
-        max_streams: 3,
-        opt: quick_opt(),
-        ..ShardConfig::default()
-    };
-    let a = optimizer::solve_sharded(&problem, &cfg, Budget::UNLIMITED).expect("valid");
-    let b = shard::solve_sharded(&problem, &cfg, Budget::UNLIMITED).expect("valid");
-    assert_eq!(
-        a.outcome.solution.result.objective.to_bits(),
-        b.outcome.solution.result.objective.to_bits()
-    );
-    assert_eq!(a.outcome.solution.assignment, b.outcome.solution.assignment);
-}
