@@ -164,7 +164,7 @@ pub fn try_weighted_sum_shares(
 /// Missing weights are treated as `0.0`, extra weights are ignored, and
 /// `NaN`/negative/oversized inputs are sanitized — a malformed profile
 /// yields a degraded (possibly all-zeros) allocation, never a panic.
-pub fn weighted_sum_shares_into(demands: &[HyperbolicDemand], weights: &[f64], out: &mut Vec<f64>) {
+fn weighted_sum_shares_into(demands: &[HyperbolicDemand], weights: &[f64], out: &mut Vec<f64>) {
     let scaled: Vec<f64> = demands.iter().map(|d| sanitize(d.scaled)).collect();
     let w: Vec<f64> = (0..demands.len())
         .map(|i| sanitize(weights.get(i).copied().unwrap_or(0.0)))
@@ -172,7 +172,7 @@ pub fn weighted_sum_shares_into(demands: &[HyperbolicDemand], weights: &[f64], o
     weighted_sum_shares_cols(&scaled, &w, out);
 }
 
-/// Column (SoA) core of [`weighted_sum_shares_into`]: the KKT
+/// Column (SoA) core of [`weighted_sum_shares`]: the KKT
 /// water-filling `c_k = √(w_k e_k) / Σ √(w_j e_j)` over pre-sanitized
 /// parallel columns (see [`sanitize`]; callers own the sanitize pass so
 /// it runs once, not per solver call). Bit-identical to the AoS entry
@@ -203,7 +203,7 @@ pub fn minmax_shares(demands: &[HyperbolicDemand]) -> (f64, Vec<f64>) {
 /// demands with NaN/∞ components cannot hang the bracket search or emit
 /// NaN shares; for valid inputs every sanitized read is bit-identical to
 /// the raw one.
-pub fn minmax_shares_into(demands: &[HyperbolicDemand], out: &mut Vec<f64>) -> f64 {
+fn minmax_shares_into(demands: &[HyperbolicDemand], out: &mut Vec<f64>) -> f64 {
     let fixed: Vec<f64> = demands.iter().map(|d| sanitize(d.fixed)).collect();
     let scaled: Vec<f64> = demands.iter().map(|d| sanitize(d.scaled)).collect();
     let mut scratch = AllocScratch::default();
@@ -216,7 +216,7 @@ pub fn minmax_shares_into(demands: &[HyperbolicDemand], out: &mut Vec<f64>) -> f
     )
 }
 
-/// Column (SoA) core of [`minmax_shares_into`] over pre-sanitized
+/// Column (SoA) core of [`minmax_shares`] over pre-sanitized
 /// parallel columns. Served streams (`scaled > 0`) are compacted once —
 /// order-preserving — into the two scratch columns so the bisection's
 /// `g(λ) = Σ e/(λ−a)` evaluations run branch-free 4-lane sweeps
@@ -289,7 +289,8 @@ pub fn minmax_shares_cols(
 /// Whether deadlines `d_k` are jointly feasible: every stream needs
 /// `c_k ≥ e_k/(D_k − a_k)`, so feasibility is `Σ e_k/(D_k − a_k) ≤ 1`.
 /// A stream with `a_k ≥ D_k` and `e_k > 0` is infeasible outright.
-pub fn deadline_feasible(demands: &[HyperbolicDemand], deadlines: &[f64]) -> bool {
+#[cfg(test)]
+fn deadline_feasible(demands: &[HyperbolicDemand], deadlines: &[f64]) -> bool {
     let fixed: Vec<f64> = demands.iter().map(|d| sanitize(d.fixed)).collect();
     let scaled: Vec<f64> = demands.iter().map(|d| sanitize(d.scaled)).collect();
     let dls: Vec<f64> = (0..demands.len())
@@ -298,12 +299,13 @@ pub fn deadline_feasible(demands: &[HyperbolicDemand], deadlines: &[f64]) -> boo
     deadline_feasible_cols(&fixed, &scaled, &dls)
 }
 
-/// Column (SoA) core of [`deadline_feasible`]: `fixed`/`scaled` are
-/// pre-sanitized, `deadlines` stays **raw** — NaN deadlines propagate
-/// into a NaN `need`, which fails the final comparison, so a malformed
-/// instance reads as infeasible instead of panicking (sanitizing the
-/// deadline would silently flip it to feasible).
-pub fn deadline_feasible_cols(fixed: &[f64], scaled: &[f64], deadlines: &[f64]) -> bool {
+/// Whether deadlines are jointly feasible (`Σ e_k/(D_k − a_k) ≤ 1`),
+/// over columns: `fixed`/`scaled` are pre-sanitized, `deadlines` stays
+/// **raw** — NaN deadlines propagate into a NaN `need`, which fails the
+/// final comparison, so a malformed instance reads as infeasible instead
+/// of panicking (sanitizing the deadline would silently flip it to
+/// feasible).
+fn deadline_feasible_cols(fixed: &[f64], scaled: &[f64], deadlines: &[f64]) -> bool {
     let n = fixed.len().min(scaled.len());
     let mut need = 0.0;
     for i in 0..n {
@@ -374,7 +376,7 @@ pub fn try_deadline_shares(
 /// accumulated in the same element order as the original per-iteration
 /// vector, so the bracket, every bisection decision, and the final shares
 /// are bit-identical — without allocating a vector per iteration.
-pub fn deadline_shares_into(
+fn deadline_shares_into(
     demands: &[HyperbolicDemand],
     deadlines: &[f64],
     weights: &[f64],
@@ -394,9 +396,9 @@ pub fn deadline_shares_into(
     deadline_shares_cols(&fixed, &scaled, &dls, &w, roots, out)
 }
 
-/// Column (SoA) core of [`deadline_shares_into`]: `fixed`/`scaled`/
+/// Column (SoA) core of [`deadline_shares`]: `fixed`/`scaled`/
 /// `weights` are pre-sanitized, `deadlines` stays raw (NaN ⇒ infeasible,
-/// see [`deadline_feasible_cols`]). The bisection objective
+/// as in the feasibility check). The bisection objective
 /// `Σ max(√(w_k e_k)/ν, min_k)` is branch-free — a stream with
 /// `scaled == 0` has root 0 and minimum 0, so `max(0/ν, 0) = 0` drops out
 /// of the sum without the old per-element branch — and runs as a 4-lane

@@ -13,20 +13,17 @@
 //! * [`compute_alloc`] / [`bandwidth_alloc`] — thin, documented adapters
 //!   from streams to demand vectors (per server / per AP);
 //! * [`placement`] — stream→server assignment as a weighted congestion
-//!   game with an exact potential, plus greedy and balanced baselines;
-//! * [`admission`] — deadline-feasibility screening.
+//!   game with an exact potential, plus greedy and balanced baselines.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod admission;
 pub mod bandwidth_alloc;
 pub mod compute_alloc;
 pub mod convex;
 pub mod placement;
 
-pub use admission::{screen, screen_with_breakers, AdmissionResult};
 pub use bandwidth_alloc::BandwidthCols;
 pub use compute_alloc::ComputeCols;
 pub use convex::{

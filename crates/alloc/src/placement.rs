@@ -77,7 +77,7 @@ impl ServerLoadModel {
     }
 
     /// `L_s` values under `assignment`.
-    pub fn loads_for(&self, assignment: &[usize]) -> Vec<f64> {
+    fn loads_for(&self, assignment: &[usize]) -> Vec<f64> {
         let mut loads = vec![0.0; self.loads.len()];
         for (k, &s) in assignment.iter().enumerate() {
             loads[s] += self.ell[k][s];
@@ -156,7 +156,8 @@ fn greedy(model: &ServerLoadModel) -> Vec<usize> {
 
 /// Run best-response dynamics from `assignment`. Returns the equilibrium
 /// assignment and the number of improving moves made.
-pub fn best_response(
+#[cfg(test)]
+fn best_response(
     streams: &[PlacementStream],
     servers: &[ServerCap],
     assignment: Vec<usize>,
@@ -164,10 +165,10 @@ pub fn best_response(
     best_response_with_model(&ServerLoadModel::new(streams, servers), assignment)
 }
 
-/// [`best_response`] over a prebuilt load model, so callers that already
-/// paid for the ℓ matrix (greedy seeding, repeated warm starts) don't
-/// rebuild it.
-pub fn best_response_with_model(
+/// Best-response dynamics from `assignment` over a prebuilt load model
+/// (the ℓ matrix the greedy seeding already paid for). Returns the
+/// equilibrium assignment and the number of improving moves made.
+fn best_response_with_model(
     model: &ServerLoadModel,
     mut assignment: Vec<usize>,
 ) -> (Vec<usize>, usize) {

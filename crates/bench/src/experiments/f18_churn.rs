@@ -94,7 +94,9 @@ fn drive(name: &'static str, ungoverned: bool, quick: bool) -> ChurnOutcome {
         ..ServiceConfig::default()
     };
     let mut svc = PlanningService::new(problem, cfg).expect("f18 scenario validates");
-    let report = svc.drive_trace(&trace, horizon_s(quick));
+    let report = svc
+        .drive_trace(&trace, horizon_s(quick))
+        .expect("a fresh service starts at cursor 0");
     let degraded_ticks = report.outcomes.iter().filter(|o| o.degraded).count();
     let status = svc.status();
     let final_problem = svc.effective_problem();

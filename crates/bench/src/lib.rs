@@ -3,8 +3,9 @@
 //! Regenerates every table and figure of the (reconstructed) evaluation —
 //! see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
 //! recorded results. The `experiments` binary dispatches one experiment per
-//! subcommand (`t1`, `t2`, `t3`, `f4` … `f11`, or `all`); the Criterion
-//! benches cover the component-level performance numbers.
+//! subcommand (`t1`, `t2`, `t3`, `f4` … `f18`, `a1`, or `all`). Speed is
+//! measured by the separate `e2ebench` workspace (`e2ebench/BENCHMARK.md`),
+//! and the release-mode speed floors live in `tests/release_gates.rs`.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

@@ -12,12 +12,9 @@
 //! | Joint         | joint surgery search            | optimal               |
 
 use crate::evaluator::{AllocPolicies, Assignment, Evaluator, PlanPricing};
-use crate::optimizer::{
-    self, Budget, BudgetSpent, OptimizerConfig, SearchTrace, Solution, SolveOutcome,
-};
+use crate::optimizer::{self, OptimizerConfig, SearchTrace, Solution};
 use scalpel_alloc::placement::PlacementStrategy;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// The seven methods compared throughout the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -207,39 +204,6 @@ pub fn solve_with(ev: &Evaluator, method: Method, cfg: &OptimizerConfig) -> Solu
             fixed(idx, placement, cfg.policies)
         }
         Method::Joint => optimizer::solve(ev, cfg),
-    }
-}
-
-/// Budgeted variant of [`solve_with`]. The search-based methods
-/// (SurgeryOnly, Joint) run their anytime search under `budget` and may
-/// return `converged: false` with the best incumbent found; the fixed
-/// methods price exactly one configuration and always converge.
-pub fn solve_with_budget(
-    ev: &Evaluator,
-    method: Method,
-    cfg: &OptimizerConfig,
-    budget: Budget,
-) -> SolveOutcome {
-    match method {
-        Method::SurgeryOnly => {
-            let mut c = cfg.clone();
-            c.policies = AllocPolicies::equal();
-            c.placement = PlacementStrategy::RoundRobin;
-            optimizer::solve_with_budget(ev, &c, budget)
-        }
-        Method::Joint => optimizer::solve_with_budget(ev, cfg, budget),
-        _ => {
-            let started = Instant::now();
-            let solution = solve_with(ev, method, cfg);
-            SolveOutcome {
-                converged: true,
-                spent: BudgetSpent {
-                    evaluations: 1,
-                    wall_s: started.elapsed().as_secs_f64(),
-                },
-                solution,
-            }
-        }
     }
 }
 

@@ -160,7 +160,7 @@ pub struct ConcentrationCounts {
 
 /// Count the concentration of `asg` under `div` (device-only streams
 /// never count — their placement entry is dormant).
-pub fn count_assignment(
+fn count_assignment(
     ev: &Evaluator,
     asg: &Assignment,
     div: &DiversityConfig,
@@ -187,7 +187,7 @@ pub fn count_assignment(
 
 /// Total saturating excess of `counts` over `caps` — the integer the
 /// penalty prices. Zero iff every counter respects its cap.
-pub fn total_excess(counts: &ConcentrationCounts, caps: &ConcentrationCaps) -> usize {
+fn total_excess(counts: &ConcentrationCounts, caps: &ConcentrationCaps) -> usize {
     let sum = |xs: &[usize], cap: usize| xs.iter().map(|&x| x.saturating_sub(cap)).sum::<usize>();
     sum(&counts.per_server, caps.server)
         + sum(&counts.per_ap, caps.ap)

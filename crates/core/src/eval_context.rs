@@ -363,12 +363,6 @@ impl<'a> EvalContext<'a> {
         self.div.as_ref().map(|d| &d.cfg)
     }
 
-    /// Total saturating concentration excess of the cached assignment
-    /// (0 when diversity is off or every cap holds).
-    pub fn diversity_excess(&self) -> usize {
-        self.div.as_ref().map_or(0, |d| d.excess)
-    }
-
     /// Whether switching stream `k` to plan `idx` keeps every touched
     /// concentration counter within its cap. Only a device-only →
     /// offloading toggle raises counters (`k`'s server, AP and domain);

@@ -128,8 +128,6 @@ pub struct EvalResult {
 pub struct Evaluator {
     /// Per-stream candidate menus.
     pub(crate) menus: Vec<Vec<PlanPricing>>,
-    /// Mean full-spectrum uplink rate per stream, bits/s.
-    pub(crate) link_rate_bps: Vec<f64>,
     /// Request rate per stream.
     pub(crate) rate_hz: Vec<f64>,
     /// Deadline per stream.
@@ -192,7 +190,6 @@ impl Evaluator {
         // Latency models cached per (model, device-proc name).
         let mut lat_cache: HashMap<(usize, String), LatencyModel> = HashMap::new();
         let mut menus = Vec::with_capacity(n);
-        let mut link_rate_bps = Vec::with_capacity(n);
         let by_ap = problem.streams_by_ap();
         // Mean full-spectrum link rate cached per *device*: `mean_rate_bps`
         // walks the fading model (log2/powf), and streams sharing a device
@@ -202,7 +199,6 @@ impl Evaluator {
             let dev = &problem.cluster.devices[spec.device];
             let rate = *dev_rate_bps[spec.device]
                 .get_or_insert_with(|| problem.cluster.link(spec.device).mean_rate_bps(1.0));
-            link_rate_bps.push(rate);
             let peers_on_ap = by_ap[dev.ap].len().max(1) as f64;
             let model = &problem.models[spec.model];
             let lat = lat_cache
@@ -246,7 +242,6 @@ impl Evaluator {
         }
         Self {
             menus,
-            link_rate_bps,
             rate_hz: (0..n).map(|k| problem.rate_of(k)).collect(),
             deadline_s: problem.streams.iter().map(|s| s.deadline_s).collect(),
             device_of,
@@ -353,11 +348,6 @@ impl Evaluator {
     /// The plan menu of stream `k`.
     pub fn menu(&self, k: usize) -> &[PlanPricing] {
         &self.menus[k]
-    }
-
-    /// Mean full-spectrum uplink rate of stream `k`, bits/s.
-    pub fn link_rate_bps(&self, k: usize) -> f64 {
-        self.link_rate_bps[k]
     }
 
     /// Deadline of stream `k`.

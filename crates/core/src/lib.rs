@@ -30,7 +30,6 @@
 #![warn(clippy::all)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod admission_report;
 pub mod baselines;
 pub mod compiler;
 pub mod config;

@@ -10,7 +10,7 @@
 use crate::evaluator::{Assignment, EvalResult, Evaluator, PlanPricing};
 use crate::optimizer::{self, Budget, OptimizerConfig, Solution, SolveOutcome};
 use crate::problem::JointProblem;
-use scalpel_sim::{FaultKind, FaultPlan, HealthSnapshot};
+use scalpel_sim::HealthSnapshot;
 use scalpel_surgery::SurgeryPlan;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -124,35 +124,6 @@ pub fn remap_assignment_counted(
     )
 }
 
-/// Steady-state view of a faulted environment: the problem with every
-/// sustained degradation in `plan` applied at its *worst* level — each
-/// AP's bandwidth scaled by its deepest `LinkDegrade`, each server's
-/// capacity by its deepest `ServerThrottle`. Transient churn (device and
-/// AP up/down cycles) is not representable in the static problem and is
-/// left to the simulator; what this gives the [`OnlineController`] is the
-/// environment to re-solve against when degradations persist.
-pub fn faulted_problem(problem: &JointProblem, plan: &FaultPlan) -> JointProblem {
-    let mut degraded = problem.clone();
-    for ev in &plan.events {
-        match ev.kind {
-            FaultKind::LinkDegrade { ap, factor } => {
-                if let Some(spec) = degraded.cluster.aps.get_mut(ap) {
-                    let nominal = problem.cluster.aps[ap].bandwidth_hz;
-                    spec.bandwidth_hz = spec.bandwidth_hz.min(nominal * factor);
-                }
-            }
-            FaultKind::ServerThrottle { server, factor } => {
-                if let Some(spec) = degraded.cluster.servers.get_mut(server) {
-                    let nominal = problem.cluster.servers[server].proc.flops_per_sec;
-                    spec.proc.flops_per_sec = spec.proc.flops_per_sec.min(nominal * factor);
-                }
-            }
-            _ => {}
-        }
-    }
-    degraded
-}
-
 /// Thresholds for turning simulator telemetry into a re-solve trigger.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DetectorConfig {
@@ -193,8 +164,8 @@ pub struct FaultDiagnosis {
     pub unhealthy_epochs: usize,
 }
 
-/// Telemetry-driven fault detection: the closed-loop replacement for the
-/// oracle [`faulted_problem`]. The simulator emits [`HealthSnapshot`]s
+/// Telemetry-driven fault detection: the closed-loop replacement for an
+/// oracle that reads the injected fault schedule. The simulator emits [`HealthSnapshot`]s
 /// (per-epoch completions, misses, timeouts, and circuit-breaker states);
 /// the detector watches those signals and, when a server or AP has been
 /// breaker-open for a sustained stretch, derates its capacity in
@@ -216,7 +187,7 @@ impl FaultDetector {
     /// Diagnose a telemetry window. Purely observational: derates come
     /// only from breaker states the simulator actually reported, never
     /// from the fault schedule.
-    pub fn assess(&self, health: &[HealthSnapshot]) -> FaultDiagnosis {
+    fn assess(&self, health: &[HealthSnapshot]) -> FaultDiagnosis {
         let epochs = health.len();
         let n_servers = health
             .iter()
@@ -453,6 +424,36 @@ pub struct Proposal {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
+    use scalpel_sim::{FaultKind, FaultPlan};
+
+    /// Steady-state view of a faulted environment: the problem with every
+    /// sustained degradation in `plan` applied at its *worst* level — each
+    /// AP's bandwidth scaled by its deepest `LinkDegrade`, each server's
+    /// capacity by its deepest `ServerThrottle`. Transient churn (device and
+    /// AP up/down cycles) is not representable in the static problem and is
+    /// left to the simulator. The tests re-solve against it as the oracle
+    /// the telemetry-driven [`FaultDetector`] is compared with.
+    fn faulted_problem(problem: &JointProblem, plan: &FaultPlan) -> JointProblem {
+        let mut degraded = problem.clone();
+        for ev in &plan.events {
+            match ev.kind {
+                FaultKind::LinkDegrade { ap, factor } => {
+                    if let Some(spec) = degraded.cluster.aps.get_mut(ap) {
+                        let nominal = problem.cluster.aps[ap].bandwidth_hz;
+                        spec.bandwidth_hz = spec.bandwidth_hz.min(nominal * factor);
+                    }
+                }
+                FaultKind::ServerThrottle { server, factor } => {
+                    if let Some(spec) = degraded.cluster.servers.get_mut(server) {
+                        let nominal = problem.cluster.servers[server].proc.flops_per_sec;
+                        spec.proc.flops_per_sec = spec.proc.flops_per_sec.min(nominal * factor);
+                    }
+                }
+                _ => {}
+            }
+        }
+        degraded
+    }
 
     fn scenario(bandwidth_mhz: f64) -> ScenarioConfig {
         ScenarioConfig {

@@ -44,7 +44,8 @@ impl JointProblem {
     }
 
     /// The backbone of stream `k`.
-    pub fn model_of(&self, k: usize) -> &ModelGraph {
+    #[cfg(test)]
+    fn model_of(&self, k: usize) -> &ModelGraph {
         &self.models[self.streams[k].model]
     }
 

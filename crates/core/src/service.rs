@@ -379,11 +379,6 @@ pub struct ServiceConfig {
     pub shard: Option<ShardConfig>,
     /// Ceiling on the exponential backoff, ticks.
     pub max_backoff_ticks: u32,
-    /// How [`compiled_streams`](PlanningService::compiled_streams) lowers
-    /// the incumbent to simulator inputs (ranked fallback menus, health /
-    /// blast-radius pricing). Defaults to the flat historical order.
-    #[serde(default)]
-    pub compile: crate::compiler::CompileOptions,
 }
 
 impl Default for ServiceConfig {
@@ -397,7 +392,6 @@ impl Default for ServiceConfig {
             ungoverned: false,
             shard: None,
             max_backoff_ticks: 64,
-            compile: crate::compiler::CompileOptions::default(),
         }
     }
 }
@@ -564,22 +558,6 @@ impl PlanningService {
     /// The incumbent solution (last good plan).
     pub fn solution(&self) -> &Solution {
         self.controller.solution()
-    }
-
-    /// Lower the incumbent to simulator streams under
-    /// [`ServiceConfig::compile`] — with `ranked_fallbacks` set, each
-    /// stream carries a fallback menu ordered by expected residual
-    /// latency under the configured health / blast-radius picture.
-    pub fn compiled_streams(&self) -> Vec<scalpel_sim::CompiledStream> {
-        let sol = self.controller.solution();
-        let problem = self.fleet.effective_problem(&self.base);
-        crate::compiler::compile_with(
-            &problem,
-            &self.evaluator,
-            &sol.assignment,
-            &sol.result,
-            &self.cfg.compile,
-        )
     }
 
     /// The incumbent assignment.
@@ -1081,11 +1059,30 @@ impl PlanningService {
         })
     }
 
+    /// Check that `trace` reaches the event cursor, so replay can resume
+    /// from it (a restored checkpoint may come from a longer log).
+    pub fn check_trace(&self, trace: &ChurnTrace) -> Result<(), ProblemError> {
+        if self.cursor > trace.events.len() {
+            return Err(ProblemError::ChurnCursorPastTrace {
+                cursor: self.cursor,
+                events: trace.events.len(),
+            });
+        }
+        Ok(())
+    }
+
     /// Service-in-the-loop harness: replay `trace` from the current
     /// cursor, slicing events into tick-sized batches, until `horizon_s`.
     /// Invalid batches count as rejections and engage the ladder exactly
-    /// as live ingest would. Returns every tick's outcome and status row.
-    pub fn drive_trace(&mut self, trace: &ChurnTrace, horizon_s: f64) -> DriveReport {
+    /// as live ingest would. Returns every tick's outcome and status row,
+    /// or [`ProblemError::ChurnCursorPastTrace`] if the trace ends before
+    /// the cursor.
+    pub fn drive_trace(
+        &mut self,
+        trace: &ChurnTrace,
+        horizon_s: f64,
+    ) -> Result<DriveReport, ProblemError> {
+        self.check_trace(trace)?;
         let mut outcomes = Vec::new();
         let mut statuses = Vec::new();
         let mut next = self.cursor;
@@ -1102,7 +1099,7 @@ impl PlanningService {
             outcomes.push(self.tick());
             statuses.push(self.status());
         }
-        DriveReport { outcomes, statuses }
+        Ok(DriveReport { outcomes, statuses })
     }
 }
 
@@ -1174,7 +1171,7 @@ mod tests {
         let p = small_problem();
         let trace = small_trace(&p);
         let mut svc = PlanningService::new(p, quick_cfg()).expect("valid base");
-        let report = svc.drive_trace(&trace, 30.0);
+        let report = svc.drive_trace(&trace, 30.0).expect("fresh cursor");
         let last = report.final_status().expect("non-empty drive");
         assert!(last.total_replans > 0, "no replans over a churning trace");
         assert_eq!(last.events_consumed, trace.events.len());
@@ -1241,7 +1238,7 @@ mod tests {
         let p = small_problem();
         let trace = small_trace(&p);
         let mut svc = PlanningService::new(p.clone(), quick_cfg()).expect("valid base");
-        svc.drive_trace(&trace, 12.0);
+        svc.drive_trace(&trace, 12.0).expect("fresh cursor");
         let text = svc.checkpoint_text();
         let restored =
             PlanningService::restore(p, quick_cfg(), &text).expect("checkpoint restores");
@@ -1315,14 +1312,14 @@ mod tests {
         let trace = small_trace(&p);
         let governed = {
             let mut svc = PlanningService::new(p.clone(), quick_cfg()).expect("valid base");
-            svc.drive_trace(&trace, 30.0);
+            svc.drive_trace(&trace, 30.0).expect("fresh cursor");
             svc.status().total_switches
         };
         let ungoverned = {
             let mut cfg = quick_cfg();
             cfg.ungoverned = true;
             let mut svc = PlanningService::new(p, cfg).expect("valid base");
-            svc.drive_trace(&trace, 30.0);
+            svc.drive_trace(&trace, 30.0).expect("fresh cursor");
             svc.status().total_switches
         };
         assert!(

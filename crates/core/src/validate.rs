@@ -191,6 +191,14 @@ pub enum ProblemError {
         /// The cursor the service had already advanced to, seconds.
         cursor_s: f64,
     },
+    /// The service's event cursor lies past the end of the trace it was
+    /// asked to replay — a checkpoint taken over a longer log.
+    ChurnCursorPastTrace {
+        /// Events the service had already consumed.
+        cursor: usize,
+        /// Events in the trace.
+        events: usize,
+    },
     /// A churn event carries a non-finite timestamp.
     ChurnBadTimestamp {
         /// The offending timestamp.
@@ -326,6 +334,12 @@ impl fmt::Display for ProblemError {
                 write!(
                     f,
                     "churn event: timestamp {at_s} s behind the event cursor ({cursor_s} s)"
+                )
+            }
+            ProblemError::ChurnCursorPastTrace { cursor, events } => {
+                write!(
+                    f,
+                    "churn trace: event cursor {cursor} is past the end of the {events}-event trace"
                 )
             }
             ProblemError::ChurnBadTimestamp { at_s } => {
@@ -679,7 +693,7 @@ pub fn validate_shard_config(
 /// their admissible range, and the timestamp must be finite and not
 /// regress behind `cursor_s` (the time the service has already consumed
 /// up to).
-pub fn validate_churn_event(
+fn validate_churn_event(
     p: &JointProblem,
     cursor_s: f64,
     event: &scalpel_sim::ChurnEvent,

@@ -37,7 +37,7 @@ pub struct DifficultyModel {
 impl DifficultyModel {
     /// Calibration for an ImageNet-class backbone with the given full-model
     /// top-1 accuracy.
-    pub fn imagenet(acc_full: f64) -> Self {
+    fn imagenet(acc_full: f64) -> Self {
         Self {
             gamma: 0.5,
             rho: 4.0,
@@ -57,7 +57,7 @@ impl DifficultyModel {
     }
 
     /// Accuracy of an exit classifier at depth `x` over *all* inputs.
-    pub fn exit_accuracy(&self, x: f64) -> f64 {
+    fn exit_accuracy(&self, x: f64) -> f64 {
         (self.acc_full - self.acc_drop * (1.0 - x).powf(self.eta)).clamp(0.0, 1.0)
     }
 
@@ -186,7 +186,8 @@ impl ExitBehavior {
 
     /// Expected number of exit heads evaluated per input (all heads up to
     /// the taken exit, or all of them on the full path).
-    pub fn expected_heads_evaluated(&self) -> f64 {
+    #[cfg(test)]
+    fn expected_heads_evaluated(&self) -> f64 {
         let mut e = 0.0;
         for (i, &p) in self.exit_probs.iter().enumerate() {
             e += p * (i + 1) as f64;

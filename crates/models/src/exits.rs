@@ -158,28 +158,19 @@ impl MultiExitModel {
 
     /// Backbone + all-head FLOPs if every exit head were evaluated and the
     /// input still ran to the end (the worst case).
-    pub fn worst_case_flops(&self) -> u64 {
+    #[cfg(test)]
+    fn worst_case_flops(&self) -> u64 {
         self.base.total_flops() + self.exits.iter().map(|e| e.head.flops).sum::<u64>()
     }
 
     /// Cumulative FLOPs for an input that leaves at exit index `i`
     /// (backbone prefix through the host + every head up to and including
     /// `i`, since earlier heads were evaluated and declined).
-    pub fn flops_to_exit(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    fn flops_to_exit(&self, i: usize) -> u64 {
         let e = &self.exits[i];
         self.base.prefix_flops(e.node + 1)
             + self.exits[..=i].iter().map(|x| x.head.flops).sum::<u64>()
-    }
-
-    /// Cumulative FLOPs spent on heads for an input that passes through the
-    /// first `k` exits without leaving (k may be `num_exits()`).
-    pub fn head_flops_through(&self, k: usize) -> u64 {
-        self.exits[..k].iter().map(|x| x.head.flops).sum()
-    }
-
-    /// Total head parameters added by surgery.
-    pub fn head_params(&self) -> u64 {
-        self.exits.iter().map(|e| e.head.params).sum()
     }
 
     /// The `(depth_fraction, threshold)` pairs consumed by the

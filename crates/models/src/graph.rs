@@ -55,7 +55,8 @@ pub struct CutPoint {
 
 impl CutPoint {
     /// The full-offload cut (raw input is transmitted).
-    pub fn is_full_offload(&self) -> bool {
+    #[cfg(test)]
+    fn is_full_offload(&self) -> bool {
         self.boundary == 0
     }
 }
@@ -76,7 +77,6 @@ pub struct ModelGraph {
     params: Vec<u64>,
     mem_bytes: Vec<u64>,
     prefix_flops: Vec<u64>,
-    prefix_mem: Vec<u64>,
 }
 
 impl ModelGraph {
@@ -102,7 +102,7 @@ impl ModelGraph {
 
     /// Serialized bytes of the tensor produced by `id` as it would cross a
     /// cut ([`INPUT`] uses the raw-input dtype).
-    pub fn tensor_bytes(&self, id: NodeId) -> usize {
+    fn tensor_bytes(&self, id: NodeId) -> usize {
         if id == INPUT {
             self.input_shape.bytes(self.input_dtype)
         } else {
@@ -164,11 +164,6 @@ impl ModelGraph {
         self.params.iter().sum()
     }
 
-    /// Total roofline memory traffic in bytes.
-    pub fn total_mem_bytes(&self) -> u64 {
-        self.prefix_mem.last().copied().unwrap_or(0)
-    }
-
     /// FLOPs of the prefix `0..boundary`.
     pub fn prefix_flops(&self, boundary: usize) -> u64 {
         if boundary == 0 {
@@ -183,20 +178,6 @@ impl ModelGraph {
         self.total_flops() - self.prefix_flops(boundary)
     }
 
-    /// Memory traffic of the prefix `0..boundary` in bytes.
-    pub fn prefix_mem_bytes(&self, boundary: usize) -> u64 {
-        if boundary == 0 {
-            0
-        } else {
-            self.prefix_mem[boundary - 1]
-        }
-    }
-
-    /// Memory traffic of the suffix `boundary..n` in bytes.
-    pub fn suffix_mem_bytes(&self, boundary: usize) -> u64 {
-        self.total_mem_bytes() - self.prefix_mem_bytes(boundary)
-    }
-
     /// Fraction of total FLOPs computed by the prefix `0..boundary`.
     pub fn depth_fraction(&self, boundary: usize) -> f64 {
         let total = self.total_flops();
@@ -209,7 +190,7 @@ impl ModelGraph {
     /// The set of producers whose tensors cross the boundary after
     /// position `boundary` (deduplicated, in ascending order, [`INPUT`]
     /// sorted first).
-    pub fn crossing_producers(&self, boundary: usize) -> Vec<NodeId> {
+    fn crossing_producers(&self, boundary: usize) -> Vec<NodeId> {
         let mut crossing: Vec<NodeId> = Vec::new();
         for node in &self.nodes[boundary..] {
             for &r in &node.inputs {
@@ -233,7 +214,7 @@ impl ModelGraph {
 
     /// Every boundary `0..=n` as a [`CutPoint`], including multi-tensor
     /// cuts. Boundary `n` (device-only) has no crossing tensor.
-    pub fn all_boundaries(&self) -> Vec<CutPoint> {
+    fn all_boundaries(&self) -> Vec<CutPoint> {
         (0..=self.nodes.len())
             .map(|b| {
                 let crossing = self.crossing_producers(b);
@@ -299,7 +280,8 @@ impl GraphBuilder {
     }
 
     /// Override the activation datatype used for byte accounting.
-    pub fn with_dtype(mut self, dtype: DType) -> Self {
+    #[cfg(test)]
+    fn with_dtype(mut self, dtype: DType) -> Self {
         self.dtype = dtype;
         self
     }
@@ -380,14 +362,10 @@ impl GraphBuilder {
             shapes.push(out);
         }
         let mut prefix_flops = Vec::with_capacity(n);
-        let mut prefix_mem = Vec::with_capacity(n);
         let mut acc_f = 0u64;
-        let mut acc_m = 0u64;
-        for i in 0..n {
-            acc_f += flops[i];
-            acc_m += mem_bytes[i];
+        for &f in &flops {
+            acc_f += f;
             prefix_flops.push(acc_f);
-            prefix_mem.push(acc_m);
         }
         Ok(ModelGraph {
             name: self.name,
@@ -400,7 +378,6 @@ impl GraphBuilder {
             params,
             mem_bytes,
             prefix_flops,
-            prefix_mem,
         })
     }
 }

@@ -29,9 +29,8 @@ pub struct ProcessorSpec {
 }
 
 impl ProcessorSpec {
-    /// Construct a spec directly (energy defaults to zero; use
-    /// [`ProcessorSpec::with_power_watts`] or the class presets for realistic
-    /// joules-per-FLOP figures).
+    /// Construct a spec directly (energy defaults to zero; the class
+    /// presets carry realistic joules-per-FLOP figures).
     pub fn new(
         name: impl Into<String>,
         flops_per_sec: f64,
@@ -49,21 +48,21 @@ impl ProcessorSpec {
     }
 
     /// Set the compute energy from a board-power figure in watts.
-    pub fn with_power_watts(mut self, watts: f64) -> Self {
+    fn with_power_watts(mut self, watts: f64) -> Self {
         assert!(watts >= 0.0);
         self.joules_per_flop = watts / self.flops_per_sec;
         self
     }
 
     /// Energy to execute `flops` FLOPs, joules.
-    #[inline]
-    pub fn compute_energy_j(&self, flops: f64) -> f64 {
+    #[cfg(test)]
+    fn compute_energy_j(&self, flops: f64) -> f64 {
         flops * self.joules_per_flop
     }
 
     /// Roofline time for one kernel of `flops` FLOPs touching `bytes` bytes.
     #[inline]
-    pub fn kernel_time(&self, flops: u64, bytes: u64) -> f64 {
+    fn kernel_time(&self, flops: u64, bytes: u64) -> f64 {
         let compute = flops as f64 / self.flops_per_sec;
         let memory = bytes as f64 / self.bytes_per_sec;
         compute.max(memory) + self.layer_overhead_s
@@ -200,12 +199,14 @@ impl LatencyModel {
     }
 
     /// Predicted seconds to run nodes `boundary..n`.
-    pub fn suffix_seconds(&self, boundary: usize) -> f64 {
+    #[cfg(test)]
+    fn suffix_seconds(&self, boundary: usize) -> f64 {
         self.total_seconds() - self.prefix_seconds(boundary)
     }
 
     /// Predicted seconds for the whole model.
-    pub fn total_seconds(&self) -> f64 {
+    #[cfg(test)]
+    fn total_seconds(&self) -> f64 {
         self.prefix_time.last().copied().unwrap_or(0.0)
     }
 

@@ -11,7 +11,7 @@
 //! two replays of the same trace are bit-identical.
 //!
 //! Traces travel as plain text (one event per line, [`ChurnEvent::to_line`]
-//! / [`ChurnEvent::parse_line`]): every `f64` is encoded as its exact bit
+//! / [`ChurnTrace::from_text`]): every `f64` is encoded as its exact bit
 //! pattern in hex, so a trace written to a file and read back — or
 //! streamed over stdin to `scalpel-serve` — reproduces the original
 //! events *bit-for-bit*. That exactness is what makes the service's
@@ -146,7 +146,7 @@ impl ChurnEvent {
     /// Parse one line of the canonical encoding. `line_no` is only used
     /// for error messages. Blank lines and `#` comment lines yield
     /// `Ok(None)`.
-    pub fn parse_line(line: &str, line_no: usize) -> Result<Option<ChurnEvent>, ChurnParseError> {
+    fn parse_line(line: &str, line_no: usize) -> Result<Option<ChurnEvent>, ChurnParseError> {
         let body = line.split('#').next().unwrap_or("").trim();
         if body.is_empty() {
             return Ok(None);

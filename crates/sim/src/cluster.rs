@@ -88,7 +88,8 @@ impl Cluster {
     }
 
     /// Ids of the devices attached to an AP.
-    pub fn devices_on_ap(&self, ap: usize) -> Vec<usize> {
+    #[cfg(test)]
+    fn devices_on_ap(&self, ap: usize) -> Vec<usize> {
         self.devices
             .iter()
             .filter(|d| d.ap == ap)

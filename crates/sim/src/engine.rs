@@ -355,7 +355,8 @@ impl<E: Copy> EventQueue<E> {
     }
 
     /// Schedule `event` after `delay_s` seconds of simulated time.
-    pub fn schedule_in(&mut self, delay_s: f64, event: E) -> EventKey {
+    #[cfg(test)]
+    fn schedule_in(&mut self, delay_s: f64, event: E) -> EventKey {
         let at = self.now.after_secs(delay_s);
         self.schedule(at, event)
     }

@@ -35,13 +35,13 @@ impl LatencyStats {
     }
 
     /// Compute from raw samples (consumed; sorted internally).
-    pub fn from_samples(mut samples: Vec<f64>) -> Self {
+    #[cfg(test)]
+    fn from_samples(mut samples: Vec<f64>) -> Self {
         Self::from_mut_slice(&mut samples)
     }
 
-    /// Like [`LatencyStats::from_samples`], but sorting the caller's
-    /// buffer in place — no allocation, same bits (the mean is summed
-    /// over the sorted order either way).
+    /// Compute from the caller's samples, sorting the buffer in place —
+    /// no allocation (the mean is summed over the sorted order).
     pub fn from_mut_slice(samples: &mut [f64]) -> Self {
         if samples.is_empty() {
             return Self::empty();
@@ -378,19 +378,6 @@ impl AccumCols {
     }
 }
 
-/// Display names of the simulator's event stations, indexed like the
-/// [`EventProfile`] counters.
-#[cfg(feature = "hotprof")]
-pub const PROF_STATIONS: [&str; 7] = [
-    "arrive",
-    "device_done",
-    "tx_done",
-    "server_check",
-    "fault",
-    "retry",
-    "telemetry",
-];
-
 /// Per-station cycle attribution of one simulator run (feature
 /// `hotprof`): the dispatch loop brackets every handler with `rdtsc`
 /// reads and charges the delta to the event's station. Cycles include
@@ -399,8 +386,8 @@ pub const PROF_STATIONS: [&str; 7] = [
 #[cfg(feature = "hotprof")]
 #[derive(Debug, Default, Clone)]
 pub struct EventProfile {
-    /// Cycles spent in each station's handler, indexed by
-    /// [`PROF_STATIONS`].
+    /// Cycles spent in each station's handler, in station order: arrive,
+    /// device_done, tx_done, server_check, fault, retry, telemetry.
     pub cycles: [u64; 7],
     /// Events delivered per station, same indexing.
     pub counts: [u64; 7],
@@ -412,28 +399,6 @@ impl EventProfile {
     pub fn reset(&mut self) {
         self.cycles = [0; 7];
         self.counts = [0; 7];
-    }
-
-    /// Render the breakdown as aligned text rows, highest share first.
-    pub fn table(&self) -> String {
-        let total: u64 = self.cycles.iter().sum::<u64>().max(1);
-        let mut rows: Vec<usize> = (0..PROF_STATIONS.len()).collect();
-        rows.sort_by_key(|&i| std::cmp::Reverse(self.cycles[i]));
-        let mut out = String::new();
-        for i in rows {
-            if self.counts[i] == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{:<13} {:>12} cycles  {:>5.1}%  {:>9} events  {:>7.0} cyc/event\n",
-                PROF_STATIONS[i],
-                self.cycles[i],
-                self.cycles[i] as f64 / total as f64 * 100.0,
-                self.counts[i],
-                self.cycles[i] as f64 / self.counts[i] as f64,
-            ));
-        }
-        out
     }
 }
 

@@ -41,7 +41,7 @@ impl LinkModel {
     }
 
     /// Mean signal-to-noise ratio (linear) over the allocated band.
-    pub fn mean_snr(&self) -> f64 {
+    fn mean_snr(&self) -> f64 {
         let path_loss_db = self.ref_loss_db + 10.0 * self.path_loss_exp * self.distance_m.log10();
         let rx_dbm = self.tx_power_dbm - path_loss_db;
         let noise_dbm = NOISE_DBM_PER_HZ + 10.0 * self.bandwidth_hz.log10();
@@ -50,7 +50,7 @@ impl LinkModel {
 
     /// Shannon rate in bits/s for a bandwidth `share ∈ (0,1]` under the
     /// instantaneous fading power multiplier (unit mean).
-    pub fn rate_bps(&self, share: f64, fading_power: f64) -> f64 {
+    fn rate_bps(&self, share: f64, fading_power: f64) -> f64 {
         debug_assert!((0.0..=1.0 + 1e-9).contains(&share));
         if share <= 0.0 {
             return 0.0;
@@ -96,15 +96,16 @@ impl LinkModel {
 pub struct CachedLink {
     /// Full AP spectrum in Hz (the share multiplies this).
     pub bandwidth_hz: f64,
-    /// Mean SNR (linear) over the allocated band — `LinkModel::mean_snr`.
+    /// Mean SNR (linear) over the allocated band.
     pub mean_snr: f64,
     /// Spectral efficiency at unit fading: `(1 + mean_snr).log2()`.
     unit_eff: f64,
 }
 
 impl CachedLink {
-    /// Shannon rate in bits/s; bit-identical to [`LinkModel::rate_bps`].
-    pub fn rate_bps(&self, share: f64, fading_power: f64) -> f64 {
+    /// Shannon rate in bits/s; bit-identical to the uncached
+    /// [`LinkModel`] rate.
+    fn rate_bps(&self, share: f64, fading_power: f64) -> f64 {
         debug_assert!((0.0..=1.0 + 1e-9).contains(&share));
         if share <= 0.0 {
             return 0.0;
@@ -158,10 +159,10 @@ impl LinkCols {
         }
     }
 
-    /// Shannon rate in bits/s of link `i`; bit-identical to
-    /// [`CachedLink::rate_bps`].
+    /// Shannon rate in bits/s of link `i`; bit-identical to the
+    /// [`CachedLink`] rate.
     #[inline]
-    pub fn rate_bps(&self, i: usize, share: f64, fading_power: f64) -> f64 {
+    fn rate_bps(&self, i: usize, share: f64, fading_power: f64) -> f64 {
         debug_assert!((0.0..=1.0 + 1e-9).contains(&share));
         if share <= 0.0 {
             return 0.0;

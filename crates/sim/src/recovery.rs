@@ -222,7 +222,8 @@ impl CircuitBreaker {
     /// Whether the breaker currently refuses traffic at `now_s`, without
     /// mutating it (an open breaker past its cooldown *would* admit a
     /// probe, so it does not count as refusing).
-    pub fn is_refusing(&self, now_s: f64) -> bool {
+    #[cfg(test)]
+    fn is_refusing(&self, now_s: f64) -> bool {
         self.state == BreakerState::Open && now_s - self.opened_at_s < self.cfg.open_cooldown_s
     }
 

@@ -110,7 +110,7 @@ fn tsc() -> u64 {
     0
 }
 
-/// [`crate::metrics::PROF_STATIONS`] index of an event.
+/// [`crate::metrics::EventProfile`] station index of an event.
 #[cfg(feature = "hotprof")]
 fn station_of(ev: &Ev) -> usize {
     match ev {
@@ -877,11 +877,6 @@ impl SimScratch {
     #[cfg(feature = "hotprof")]
     pub fn profile(&self) -> &crate::metrics::EventProfile {
         &self.prof
-    }
-
-    /// Events delivered (popped live) during the last run.
-    pub fn events_delivered(&self) -> u64 {
-        self.queue.delivered()
     }
 
     /// Timers cancelled before firing during the last run.

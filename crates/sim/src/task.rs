@@ -130,7 +130,8 @@ impl CompiledStream {
     }
 
     /// Probability a request completes on the device (early exit).
-    pub fn device_exit_prob(&self) -> f64 {
+    #[cfg(test)]
+    fn device_exit_prob(&self) -> f64 {
         if self.server.is_none() {
             1.0
         } else {

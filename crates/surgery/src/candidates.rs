@@ -100,7 +100,7 @@ pub struct PlanProfile {
 
 impl PlanProfile {
     /// The demand vector the Pareto filter minimizes.
-    pub fn demand_vector(&self) -> Vec<f64> {
+    fn demand_vector(&self) -> Vec<f64> {
         vec![
             self.expected_device_flops,
             self.tx_bytes * self.remain_prob,
@@ -119,9 +119,8 @@ pub struct CandidatePlan {
     pub profile: PlanProfile,
 }
 
-/// Build the profile of an explicit plan under `cfg` (used both by the
-/// generator and by baselines that construct plans by hand).
-pub fn profile_plan(model: &ModelGraph, plan: &SurgeryPlan, cfg: &CandidateConfig) -> PlanProfile {
+/// Build the profile of an explicit plan under `cfg`.
+fn profile_plan(model: &ModelGraph, plan: &SurgeryPlan, cfg: &CandidateConfig) -> PlanProfile {
     let classes = model.output_shape().c;
     let scale = plan.prune.flops_scale();
     let quant_cost = if plan.quantize_tx && plan.cut < model.len() {
@@ -186,7 +185,7 @@ pub fn profile_plan(model: &ModelGraph, plan: &SurgeryPlan, cfg: &CandidateConfi
 }
 
 /// Price a profile's expected latency under an environment (no queueing).
-pub fn reference_latency(profile: &PlanProfile, env: &ReferenceEnv) -> f64 {
+fn reference_latency(profile: &PlanProfile, env: &ReferenceEnv) -> f64 {
     let mut lat = 0.0;
     for (i, &p) in profile.behavior.exit_probs.iter().enumerate() {
         lat += p * profile.device_flops_to_exit[i] * env.device_sec_per_flop;

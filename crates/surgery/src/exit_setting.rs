@@ -213,7 +213,8 @@ fn solve_fixed_threshold(
 
 /// Exhaustive reference solver (small instances only; used by tests to
 /// certify the DP).
-pub fn solve_exhaustive(p: &ExitSettingProblem) -> ExitSettingSolution {
+#[cfg(test)]
+fn solve_exhaustive(p: &ExitSettingProblem) -> ExitSettingSolution {
     let m = p.hosts.len();
     assert!(m <= 16, "exhaustive solver is for small instances");
     let mut best = ExitSettingSolution {
@@ -245,7 +246,8 @@ pub fn solve_exhaustive(p: &ExitSettingProblem) -> ExitSettingSolution {
 /// Expected (latency, accuracy) of a selection with *per-exit* thresholds
 /// (`thresholds[i]` belongs to `sel[i]`). Coverage uses the running
 /// maximum, so non-monotone threshold patterns are handled consistently.
-pub fn evaluate_selection_multi(
+#[cfg(test)]
+fn evaluate_selection_multi(
     p: &ExitSettingProblem,
     sel: &[usize],
     thresholds: &[f64],
@@ -262,8 +264,8 @@ pub fn evaluate_selection_multi(
     evaluate_selection_cached(p, sel, &caches, thresholds, &thr_pows)
 }
 
-/// Core of [`evaluate_selection_multi`] over prebuilt per-exit depth
-/// caches and threshold powers (`caches[i]`/`thr_pows[i]` belong to
+/// Expected (latency, accuracy) of a selection with per-exit thresholds,
+/// over prebuilt per-exit depth caches and threshold powers (`caches[i]`/`thr_pows[i]` belong to
 /// `sel[i]`/`thresholds[i]`) — what the coordinate-ascent refinement
 /// calls in its inner loop with every transcendental already paid for.
 fn evaluate_selection_cached(
@@ -359,7 +361,8 @@ pub fn refine_thresholds(
 }
 
 /// Expected (latency, accuracy) of an explicit selection at threshold `t`.
-pub fn evaluate_selection(p: &ExitSettingProblem, sel: &[usize], t: f64) -> (f64, f64) {
+#[cfg(test)]
+fn evaluate_selection(p: &ExitSettingProblem, sel: &[usize], t: f64) -> (f64, f64) {
     // One `t^ρ` for the whole selection (depth-invariant).
     let thr_pow = p.difficulty.threshold_pow(t);
     let mut cost = 0.0;

@@ -86,16 +86,6 @@ impl SurgeryPlan {
         MultiExitModel::new(model.clone(), &self.exits, classes)
     }
 
-    /// Whether any computation stays on the device.
-    pub fn has_device_part(&self) -> bool {
-        self.cut > 0
-    }
-
-    /// Whether any computation is offloaded.
-    pub fn has_edge_part(&self, model: &ModelGraph) -> bool {
-        self.cut < model.len()
-    }
-
     /// Bytes crossing the cut (0 for device-only).
     pub fn tx_bytes(&self, model: &ModelGraph) -> usize {
         model.crossing_bytes(self.cut)

@@ -239,6 +239,7 @@ fn run(f: &ServeFlags) -> Result<(), String> {
     } else {
         PlanningService::new(problem, cfg).map_err(|e| e.to_string())?
     };
+    svc.check_trace(&trace).map_err(|e| e.to_string())?;
     let mut status_log: Option<std::fs::File> = match &f.status_log {
         Some(path) => Some(
             std::fs::OpenOptions::new()

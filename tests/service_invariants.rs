@@ -17,6 +17,7 @@ use scalpel::core::config::ScenarioConfig;
 use scalpel::core::evaluator::{Assignment, EvalResult};
 use scalpel::core::optimizer::{Budget, OptimizerConfig};
 use scalpel::core::service::{GovernorConfig, PlanningService, ServiceConfig, SwitchGovernor};
+use scalpel::core::validate::ProblemError;
 use scalpel::sim::{ChurnProfile, ChurnTrace};
 
 /// An incumbent pricing carrying only what the governor reads.
@@ -237,19 +238,25 @@ fn crash_restore_replay_is_bit_identical_and_pinned() {
     // The run that never stops.
     let mut uninterrupted =
         PlanningService::new(scenario.build(), cfg.clone()).expect("scenario validates");
-    let report = uninterrupted.drive_trace(&trace, horizon_s);
+    let report = uninterrupted
+        .drive_trace(&trace, horizon_s)
+        .expect("fresh cursor");
     let final_ckpt = uninterrupted.checkpoint_text();
 
     // The run that crashes at half-horizon and restores from its last
     // persisted checkpoint (WAL discipline: checkpoint, then next batch).
     let mut crashed =
         PlanningService::new(scenario.build(), cfg.clone()).expect("scenario validates");
-    crashed.drive_trace(&trace, horizon_s / 2.0);
+    crashed
+        .drive_trace(&trace, horizon_s / 2.0)
+        .expect("fresh cursor");
     let mid_ckpt = crashed.checkpoint_text();
     drop(crashed);
     let mut restored = PlanningService::restore(scenario.build(), cfg, &mid_ckpt)
         .expect("own checkpoint restores");
-    restored.drive_trace(&trace, horizon_s);
+    restored
+        .drive_trace(&trace, horizon_s)
+        .expect("restored cursor lies within the trace");
 
     assert_eq!(
         restored.checkpoint_text(),
@@ -325,21 +332,67 @@ fn crash_point_does_not_matter() {
     let (scenario, cfg, trace, horizon_s) = replay_setup();
     let mut uninterrupted =
         PlanningService::new(scenario.build(), cfg.clone()).expect("scenario validates");
-    uninterrupted.drive_trace(&trace, horizon_s);
+    uninterrupted
+        .drive_trace(&trace, horizon_s)
+        .expect("fresh cursor");
     let final_ckpt = uninterrupted.checkpoint_text();
 
     for crash_at in [cfg.tick_s * 2.0, cfg.tick_s * 5.0, cfg.tick_s * 9.0] {
         let mut crashed =
             PlanningService::new(scenario.build(), cfg.clone()).expect("scenario validates");
-        crashed.drive_trace(&trace, crash_at);
+        crashed.drive_trace(&trace, crash_at).expect("fresh cursor");
         let ckpt = crashed.checkpoint_text();
         let mut restored = PlanningService::restore(scenario.build(), cfg.clone(), &ckpt)
             .expect("own checkpoint restores");
-        restored.drive_trace(&trace, horizon_s);
+        restored
+            .drive_trace(&trace, horizon_s)
+            .expect("restored cursor lies within the trace");
         assert_eq!(
             restored.checkpoint_text(),
             final_ckpt,
             "replay diverged when crashing at t={crash_at}"
         );
     }
+}
+
+/// A checkpoint resumed on a trace that ends before its event cursor is
+/// rejected with a typed error before any event is sliced, and the
+/// rejected drive leaves the service untouched. A trace that ends
+/// exactly at the cursor still resumes.
+#[test]
+fn restore_past_the_end_of_the_trace_is_a_typed_error() {
+    let (scenario, cfg, trace, horizon_s) = replay_setup();
+    let mut crashed =
+        PlanningService::new(scenario.build(), cfg.clone()).expect("scenario validates");
+    crashed
+        .drive_trace(&trace, horizon_s / 2.0)
+        .expect("fresh cursor");
+    let cursor = crashed.cursor();
+    assert!(cursor > 0, "the first half of the trace consumed no events");
+    let ckpt = crashed.checkpoint_text();
+
+    let mut restored = PlanningService::restore(scenario.build(), cfg.clone(), &ckpt)
+        .expect("own checkpoint restores");
+    let short = ChurnTrace {
+        events: trace.events[..cursor - 1].to_vec(),
+    };
+    assert_eq!(
+        restored.drive_trace(&short, horizon_s),
+        Err(ProblemError::ChurnCursorPastTrace {
+            cursor,
+            events: cursor - 1,
+        })
+    );
+    assert_eq!(
+        restored.checkpoint_text(),
+        ckpt,
+        "a rejected drive must not tick"
+    );
+
+    let exact = ChurnTrace {
+        events: trace.events[..cursor].to_vec(),
+    };
+    let mut restored =
+        PlanningService::restore(scenario.build(), cfg, &ckpt).expect("own checkpoint restores");
+    assert!(restored.drive_trace(&exact, horizon_s).is_ok());
 }
