@@ -14,7 +14,7 @@ use crate::problem::JointProblem;
 use scalpel_alloc::bandwidth_alloc::BandwidthPolicy;
 use scalpel_alloc::compute_alloc::ComputePolicy;
 use scalpel_models::{ExitHead, LatencyModel};
-use scalpel_surgery::candidates::{self, CandidateConfig, CandidatePlan, ReferenceEnv};
+use scalpel_surgery::candidates::{CandidateConfig, CandidatePlan, MenuSkeleton, ReferenceEnv};
 use scalpel_surgery::SurgeryPlan;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -187,52 +187,68 @@ impl Evaluator {
             .sum();
         let mean_cap = total_cap / problem.cluster.servers.len() as f64;
         let streams_per_server = (n as f64 / problem.cluster.servers.len() as f64).max(1.0);
-        // Latency models cached per (model, device-proc name).
-        let mut lat_cache: HashMap<(usize, String), LatencyModel> = HashMap::new();
-        let mut menus = Vec::with_capacity(n);
+        let menu_cfg = menu_cfg.unwrap_or_default();
+        // Latency models cached per (model, device-proc name), the first
+        // stream of each pair supplying the processor.
+        let mut lat_cache: HashMap<(usize, &str), LatencyModel> = HashMap::new();
+        // Stream classes: a menu skeleton reads only the model, the device
+        // speed and the accuracy floor (the model's accuracy follows from
+        // its index), so streams agreeing on all three share one.
+        let mut class_of: HashMap<(usize, u64, u64), usize> = HashMap::new();
+        let mut classes: Vec<Vec<usize>> = Vec::new();
+        for (k, spec) in problem.streams.iter().enumerate() {
+            let proc = &problem.cluster.devices[spec.device].proc;
+            lat_cache
+                .entry((spec.model, proc.name.as_str()))
+                .or_insert_with(|| LatencyModel::new(&problem.models[spec.model], proc.clone()));
+            let key = (
+                spec.model,
+                proc.flops_per_sec.to_bits(),
+                spec.accuracy_floor.to_bits(),
+            );
+            let c = *class_of.entry(key).or_insert_with(|| {
+                classes.push(Vec::new());
+                classes.len() - 1
+            });
+            classes[c].push(k);
+        }
         let by_ap = problem.streams_by_ap();
         // Mean full-spectrum link rate cached per *device*: `mean_rate_bps`
         // walks the fading model (log2/powf), and streams sharing a device
         // share its link, so the transcendentals run once per device.
         let mut dev_rate_bps: Vec<Option<f64>> = vec![None; problem.cluster.devices.len()];
-        for spec in problem.streams.iter() {
-            let dev = &problem.cluster.devices[spec.device];
-            let rate = *dev_rate_bps[spec.device]
-                .get_or_insert_with(|| problem.cluster.link(spec.device).mean_rate_bps(1.0));
-            let peers_on_ap = by_ap[dev.ap].len().max(1) as f64;
-            let model = &problem.models[spec.model];
-            let lat = lat_cache
-                .entry((spec.model, dev.proc.name.clone()))
-                .or_insert_with(|| LatencyModel::new(model, dev.proc.clone()))
-                .clone();
-            let env = ReferenceEnv {
-                device_sec_per_flop: 1.0 / dev.proc.flops_per_sec,
-                tx_sec_per_byte: 8.0 * peers_on_ap / rate,
-                edge_sec_per_flop: streams_per_server / mean_cap,
-                rtt_s: problem.cluster.aps[dev.ap].rtt_s,
-            };
+        let mut menus: Vec<Vec<PlanPricing>> = vec![Vec::new(); n];
+        for members in &classes {
+            let first = &problem.streams[members[0]];
+            let model = &problem.models[first.model];
             let cfg = CandidateConfig {
-                accuracy_floor: spec.accuracy_floor,
-                acc_full: problem.model_accuracy[spec.model],
+                accuracy_floor: first.accuracy_floor,
+                acc_full: problem.model_accuracy[first.model],
                 difficulty: problem.difficulty.clone(),
-                ..menu_cfg.clone().unwrap_or_default()
+                ..menu_cfg.clone()
             };
-            let raw = candidates::generate(model, &env, &cfg);
-            let mut menu: Vec<PlanPricing> = raw
-                .into_iter()
-                .map(|c| Self::price_plan(model, &lat, &cfg, c))
-                .collect();
-            // Fill the per-plan full-spectrum transmission time now that
-            // the stream's link rate is known, so the hot path reads a
-            // cached field instead of re-dividing per demand gather.
-            for plan in &mut menu {
-                plan.tx_full_s = if plan.tx_bytes == 0.0 {
-                    0.0
-                } else {
-                    plan.tx_bytes * 8.0 / rate
+            let device_sec_per_flop =
+                1.0 / problem.cluster.devices[first.device].proc.flops_per_sec;
+            let skeleton = MenuSkeleton::new(model, device_sec_per_flop, &cfg);
+            for &k in members {
+                let spec = &problem.streams[k];
+                let dev = &problem.cluster.devices[spec.device];
+                let rate = *dev_rate_bps[spec.device]
+                    .get_or_insert_with(|| problem.cluster.link(spec.device).mean_rate_bps(1.0));
+                let peers_on_ap = by_ap[dev.ap].len().max(1) as f64;
+                let env = ReferenceEnv {
+                    device_sec_per_flop,
+                    tx_sec_per_byte: 8.0 * peers_on_ap / rate,
+                    edge_sec_per_flop: streams_per_server / mean_cap,
+                    rtt_s: problem.cluster.aps[dev.ap].rtt_s,
                 };
+                let lat = &lat_cache[&(spec.model, dev.proc.name.as_str())];
+                menus[k] = skeleton
+                    .menu(&env)
+                    .into_iter()
+                    .map(|c| Self::price_plan(model, lat, rate, c))
+                    .collect();
             }
-            menus.push(menu);
         }
         let device_of: Vec<usize> = problem.streams.iter().map(|s| s.device).collect();
         let num_devices = problem.cluster.devices.len();
@@ -283,50 +299,59 @@ impl Evaluator {
         }
     }
 
-    /// Price one candidate plan on one stream's device.
+    /// Price one candidate plan on one stream's device, whose link runs
+    /// at `rate_bps` with the full AP spectrum.
     fn price_plan(
         model: &scalpel_models::ModelGraph,
         lat: &LatencyModel,
-        cfg: &CandidateConfig,
+        rate_bps: f64,
         c: CandidatePlan,
     ) -> PlanPricing {
-        let scale = c.plan.prune.flops_scale();
+        let CandidatePlan { plan, profile } = c;
+        let scale = plan.prune.flops_scale();
         let classes = model.output_shape().c;
-        let mut dev_to_exit = Vec::with_capacity(c.plan.exits.len());
+        let mut dev_to_exit = Vec::with_capacity(plan.exits.len());
         let mut head_s = 0.0;
-        for &(host, _) in &c.plan.exits {
+        for &(host, _) in &plan.exits {
             let feature = model.shape(host);
             let head = ExitHead::standard(feature, classes);
             let head_bytes = feature.bytes(model.dtype()) as u64 + head.params * 4;
             head_s += lat.extra_kernel_seconds(head.flops, head_bytes);
             dev_to_exit.push(lat.prefix_seconds(host + 1) * scale + head_s);
         }
-        let dev_full = lat.prefix_seconds(c.plan.cut) * scale + head_s;
-        let mut exp_dev = c.profile.behavior.remain_prob * dev_full;
-        for (i, &p) in c.profile.behavior.exit_probs.iter().enumerate() {
+        let dev_full = lat.prefix_seconds(plan.cut) * scale + head_s;
+        let behavior = profile.behavior;
+        let mut exp_dev = behavior.remain_prob * dev_full;
+        for (i, &p) in behavior.exit_probs.iter().enumerate() {
             exp_dev += p * dev_to_exit[i];
         }
         // Second moment of the same mixture, accumulated in the exact
         // order the evaluator previously used per call (bit-identical).
-        let mut es2 = c.profile.behavior.remain_prob * dev_full * dev_full;
-        for (i, &q) in c.profile.behavior.exit_probs.iter().enumerate() {
+        let mut es2 = behavior.remain_prob * dev_full * dev_full;
+        for (i, &q) in behavior.exit_probs.iter().enumerate() {
             es2 += q * dev_to_exit[i] * dev_to_exit[i];
         }
-        let _ = cfg;
+        // The full-spectrum transmission time is cached here so the hot
+        // path reads a field instead of re-dividing per demand gather.
+        let tx_full_s = if profile.tx_bytes == 0.0 {
+            0.0
+        } else {
+            profile.tx_bytes * 8.0 / rate_bps
+        };
         PlanPricing {
             dev_to_exit,
             dev_full,
             exp_dev,
             es2,
-            tx_full_s: 0.0, // filled per stream below (depends on the link)
-            tx_bytes: c.profile.tx_bytes,
-            edge_flops: c.profile.edge_flops,
-            remain: c.profile.remain_prob,
-            behavior: c.profile.behavior.clone(),
-            acc_at_exit: c.profile.acc_at_exit.clone(),
-            acc_full: c.profile.acc_full,
-            exp_accuracy: c.profile.expected_accuracy,
-            plan: c.plan,
+            tx_full_s,
+            tx_bytes: profile.tx_bytes,
+            edge_flops: profile.edge_flops,
+            remain: profile.remain_prob,
+            behavior,
+            acc_at_exit: profile.acc_at_exit,
+            acc_full: profile.acc_full,
+            exp_accuracy: profile.expected_accuracy,
+            plan,
         }
     }
 
@@ -649,6 +674,117 @@ mod tests {
                 expect_tot
             );
         }
+    }
+
+    /// The 64-stream churn topology: 8 APs of 8 devices against 8
+    /// synthetic 1 TFLOP/s servers.
+    fn churn_topology() -> JointProblem {
+        ScenarioConfig {
+            num_aps: 8,
+            devices_per_ap: 8,
+            arrival_rate_hz: 4.0,
+            servers: crate::config::ServerMix::Synthetic {
+                count: 8,
+                mean_fps: 1e12,
+                cv: 0.3,
+            },
+            ..ScenarioConfig::default()
+        }
+        .build()
+    }
+
+    /// Every field of a pricing, as bits (plans compared separately).
+    fn pricing_bits(p: &PlanPricing) -> Vec<u64> {
+        let scalars = [
+            p.dev_full,
+            p.exp_dev,
+            p.es2,
+            p.tx_full_s,
+            p.tx_bytes,
+            p.edge_flops,
+            p.remain,
+            p.acc_full,
+            p.exp_accuracy,
+            p.behavior.remain_prob,
+            p.behavior.expected_accuracy,
+        ];
+        let vectors = [
+            &p.dev_to_exit,
+            &p.acc_at_exit,
+            &p.behavior.exit_probs,
+            &p.behavior.cum,
+        ];
+        scalars
+            .iter()
+            .chain(vectors.into_iter().flatten())
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// Every stream's menu equals, plan for plan and bit for bit, the
+    /// pricing of `candidates::generate` run for that stream alone: sharing
+    /// a class's skeleton moves nothing.
+    fn assert_menus_match_per_stream_generation(p: &JointProblem) {
+        use scalpel_surgery::candidates;
+        let ev = Evaluator::new(p, None);
+        let by_ap = p.streams_by_ap();
+        let caps: f64 = p.cluster.servers.iter().map(|s| s.proc.flops_per_sec).sum();
+        let mean_cap = caps / p.cluster.servers.len() as f64;
+        let per_server = (p.streams.len() as f64 / p.cluster.servers.len() as f64).max(1.0);
+        for (k, spec) in p.streams.iter().enumerate() {
+            let dev = &p.cluster.devices[spec.device];
+            let rate = p.cluster.link(spec.device).mean_rate_bps(1.0);
+            let env = ReferenceEnv {
+                device_sec_per_flop: 1.0 / dev.proc.flops_per_sec,
+                tx_sec_per_byte: 8.0 * by_ap[dev.ap].len().max(1) as f64 / rate,
+                edge_sec_per_flop: per_server / mean_cap,
+                rtt_s: p.cluster.aps[dev.ap].rtt_s,
+            };
+            let cfg = CandidateConfig {
+                accuracy_floor: spec.accuracy_floor,
+                acc_full: p.model_accuracy[spec.model],
+                difficulty: p.difficulty.clone(),
+                ..CandidateConfig::default()
+            };
+            let model = &p.models[spec.model];
+            let lat = LatencyModel::new(model, dev.proc.clone());
+            let alone: Vec<PlanPricing> = candidates::generate(model, &env, &cfg)
+                .into_iter()
+                .map(|c| Evaluator::price_plan(model, &lat, rate, c))
+                .collect();
+            let shared = ev.menu(k);
+            assert_eq!(shared.len(), alone.len(), "stream {k}: menu length");
+            for (i, (a, b)) in shared.iter().zip(&alone).enumerate() {
+                assert_eq!(a.plan, b.plan, "stream {k} plan {i}");
+                assert_eq!(pricing_bits(a), pricing_bits(b), "stream {k} plan {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_skeletons_price_like_per_stream_generation() {
+        let base = churn_topology();
+        assert_menus_match_per_stream_generation(&base);
+        // A drifted copy, scaled the way churn scales the fleet.
+        let mut fleet = crate::service::FleetState::nominal(&base);
+        for (i, f) in fleet.link_factor.iter_mut().enumerate() {
+            *f = 0.3 + 0.7 * ((i * 5 + 1) % 8) as f64 / 7.0;
+        }
+        for (i, f) in fleet.cap_factor.iter_mut().enumerate() {
+            *f = 0.3 + 0.7 * ((i * 3 + 2) % 8) as f64 / 7.0;
+        }
+        assert_menus_match_per_stream_generation(&fleet.effective_problem(&base));
+    }
+
+    #[test]
+    fn distinct_device_speeds_price_like_per_stream_generation() {
+        // No two streams share a class when every device has its own speed.
+        let mut p = churn_topology();
+        for (d, dev) in p.cluster.devices.iter_mut().enumerate() {
+            dev.proc.flops_per_sec *= 1.0 + d as f64 * 1e-3;
+            dev.proc.name = format!("{}-{d}", dev.proc.name);
+        }
+        assert_menus_match_per_stream_generation(&p);
     }
 
     #[test]

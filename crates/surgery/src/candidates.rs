@@ -6,8 +6,16 @@
 //! speed and its fair-share transmission/edge rates); the resulting plans
 //! are then reduced to the Pareto frontier over the environment-independent
 //! demand vector, because dominated plans cannot win under any allocation.
+//!
+//! Generation is split in two. A [`MenuSkeleton`] holds everything the
+//! transmission and edge rates never reach: the cuts, the exit hosts, their
+//! depth transcendentals and FLOPs, and the DP's Pareto fronts per (cut,
+//! prune) slot and threshold. Streams that share a model, device speed and
+//! accuracy floor share one skeleton. [`MenuSkeleton::menu`] then closes the
+//! fronts at one stream's rest time, refines thresholds and profiles the
+//! variants. [`generate`] is one skeleton and one menu.
 
-use crate::exit_setting::{self, ExitCandidate, ExitSettingProblem};
+use crate::exit_setting::{ExitCandidate, ExitFronts, ExitSettingProblem, Refined};
 use crate::partition::candidate_cuts;
 use crate::plan::SurgeryPlan;
 use crate::pruning::PruneLevel;
@@ -100,8 +108,8 @@ pub struct PlanProfile {
 
 impl PlanProfile {
     /// The demand vector the Pareto filter minimizes.
-    fn demand_vector(&self) -> Vec<f64> {
-        vec![
+    fn demand_vector(&self) -> [f64; 4] {
+        [
             self.expected_device_flops,
             self.tx_bytes * self.remain_prob,
             self.edge_flops * self.remain_prob,
@@ -119,7 +127,9 @@ pub struct CandidatePlan {
     pub profile: PlanProfile,
 }
 
-/// Build the profile of an explicit plan under `cfg`.
+/// Build the profile of an explicit plan under `cfg` from the model
+/// directly: the oracle [`MenuSkeleton`]'s cached profiles are pinned to.
+#[cfg(test)]
 fn profile_plan(model: &ModelGraph, plan: &SurgeryPlan, cfg: &CandidateConfig) -> PlanProfile {
     let classes = model.output_shape().c;
     let scale = plan.prune.flops_scale();
@@ -208,113 +218,311 @@ pub fn generate(
     env: &ReferenceEnv,
     cfg: &CandidateConfig,
 ) -> Vec<CandidatePlan> {
-    let cuts = candidate_cuts(model, cfg.max_cuts);
-    let interior: Vec<usize> = cuts
-        .iter()
-        .map(|c| c.boundary)
-        .filter(|&b| b != 0 && b != model.len())
-        .collect();
-    let classes = model.output_shape().c;
-    let mut out: Vec<CandidatePlan> = Vec::new();
-    for cut in &cuts {
-        for &prune in &cfg.prune_levels {
-            // Pruning a nonexistent prefix is meaningless.
-            if cut.boundary == 0 && prune != PruneLevel::None {
+    MenuSkeleton::new(model, env.device_sec_per_flop, cfg).menu(env)
+}
+
+/// The environment-free part of the menus of one stream class: one model
+/// on one device speed under one [`CandidateConfig`]. Build it once and
+/// call [`Self::menu`] per stream of the class.
+#[derive(Debug)]
+pub struct MenuSkeleton<'a> {
+    cfg: &'a CandidateConfig,
+    device_sec_per_flop: f64,
+    slots: Vec<Slot>,
+}
+
+/// One (cut, prune) slot of a skeleton.
+#[derive(Debug)]
+struct Slot {
+    cut: usize,
+    prune: PruneLevel,
+    /// Whether the cut is the device-only boundary (no rest time).
+    device_only: bool,
+    /// Bytes crossing the cut.
+    tx_bytes: f64,
+    /// Edge FLOPs past the cut.
+    edge_flops: f64,
+    /// Whether the int8-transmission variants are offered.
+    quantizable: bool,
+    /// Full-path accuracy of the plain and the int8 variants.
+    acc_full: [f64; 2],
+    /// Pruned prefix FLOPs through each exit host.
+    host_prefix_flops: Vec<f64>,
+    /// FLOPs of each exit host's head.
+    head_flops: Vec<f64>,
+    /// Pruned prefix FLOPs through the cut.
+    prefix_flops: f64,
+    /// The slot's exit-setting instance; its rest time is unused.
+    problem: ExitSettingProblem,
+    fronts: ExitFronts,
+}
+
+/// The transmission-independent half of a plan's profile: its exit
+/// behaviour and device FLOPs, shared by a plan and its int8 variant.
+#[derive(Debug)]
+struct ExitPart {
+    exit_probs: Vec<f64>,
+    cum: Vec<f64>,
+    remain_prob: f64,
+    acc_at_exit: Vec<f64>,
+    /// `Σ exit_probs[i] · acc_at_exit[i]`, the exits' share of expected
+    /// accuracy.
+    exit_acc: f64,
+    device_flops_to_exit: Vec<f64>,
+    device_flops_full: f64,
+    expected_device_flops: f64,
+}
+
+impl<'a> MenuSkeleton<'a> {
+    /// Build the skeleton of `model` on a device taking
+    /// `device_sec_per_flop` seconds per FLOP.
+    pub fn new(model: &ModelGraph, device_sec_per_flop: f64, cfg: &'a CandidateConfig) -> Self {
+        let cuts = candidate_cuts(model, cfg.max_cuts);
+        let interior: Vec<usize> = cuts
+            .iter()
+            .map(|c| c.boundary)
+            .filter(|&b| b != 0 && b != model.len())
+            .collect();
+        let classes = model.output_shape().c;
+        let mut slots = Vec::new();
+        for cut in &cuts {
+            // A plan validates when its cut does, its exits sit before the
+            // cut (true of every host below) and its thresholds lie in
+            // [0, 1), which `menu` checks.
+            if model.validate_cut(cut.boundary).is_err() {
                 continue;
             }
-            let scale = prune.flops_scale();
-            let acc_full = (cfg.acc_full - prune.accuracy_cost()).max(0.0);
-            // Exit hosts: interior single-tensor boundaries inside the prefix.
-            let mut hosts: Vec<ExitCandidate> = interior
-                .iter()
-                .filter(|&&b| b < cut.boundary)
-                .map(|&b| {
-                    let host = b - 1;
-                    let head = ExitHead::standard(model.shape(host), classes);
-                    ExitCandidate {
-                        node: host,
+            for &prune in &cfg.prune_levels {
+                // Pruning a nonexistent prefix is meaningless.
+                if cut.boundary == 0 && prune != PruneLevel::None {
+                    continue;
+                }
+                let scale = prune.flops_scale();
+                // Exit hosts: interior single-tensor boundaries inside the
+                // prefix.
+                let bounds: Vec<usize> = interior
+                    .iter()
+                    .copied()
+                    .filter(|&b| b < cut.boundary)
+                    .take(cfg.max_hosts)
+                    .collect();
+                let host_prefix_flops: Vec<f64> = bounds
+                    .iter()
+                    .map(|&b| model.prefix_flops(b) as f64 * scale)
+                    .collect();
+                let head_flops: Vec<f64> = bounds
+                    .iter()
+                    .map(|&b| ExitHead::standard(model.shape(b - 1), classes).flops as f64)
+                    .collect();
+                let hosts = bounds
+                    .iter()
+                    .zip(host_prefix_flops.iter().zip(&head_flops))
+                    .map(|(&b, (&prefix, &head))| ExitCandidate {
+                        node: b - 1,
                         depth_fraction: model.depth_fraction(b),
-                        time_to_host_s: model.prefix_flops(b) as f64
-                            * scale
-                            * env.device_sec_per_flop,
-                        head_time_s: head.flops as f64 * env.device_sec_per_flop,
-                    }
-                })
-                .collect();
-            hosts.truncate(cfg.max_hosts);
-            let rest_time_s = if cut.boundary == model.len() {
+                        time_to_host_s: prefix * device_sec_per_flop,
+                        head_time_s: head * device_sec_per_flop,
+                    })
+                    .collect();
+                let prefix_flops = model.prefix_flops(cut.boundary) as f64 * scale;
+                let acc_plain = (cfg.acc_full - prune.accuracy_cost()).max(0.0);
+                let problem = ExitSettingProblem {
+                    hosts,
+                    full_prefix_time_s: prefix_flops * device_sec_per_flop,
+                    rest_time_s: 0.0,
+                    max_exits: cfg.max_exits,
+                    accuracy_floor: cfg.accuracy_floor,
+                    acc_full: acc_plain,
+                    difficulty: cfg.difficulty.clone(),
+                    threshold_grid: cfg.threshold_grid.clone(),
+                };
+                let fronts = ExitFronts::new(&problem);
+                let device_only = cut.boundary == model.len();
+                slots.push(Slot {
+                    cut: cut.boundary,
+                    prune,
+                    device_only,
+                    tx_bytes: cut.bytes as f64,
+                    edge_flops: model.suffix_flops(cut.boundary) as f64,
+                    quantizable: cfg.allow_quantize && !device_only && cut.bytes > 0,
+                    acc_full: [
+                        acc_plain,
+                        (cfg.acc_full - prune.accuracy_cost() - crate::plan::QUANTIZE_TX_ACC_COST)
+                            .max(0.0),
+                    ],
+                    host_prefix_flops,
+                    head_flops,
+                    prefix_flops,
+                    problem,
+                    fronts,
+                });
+            }
+        }
+        Self {
+            cfg,
+            device_sec_per_flop,
+            slots,
+        }
+    }
+
+    /// The menu of one stream of the class in `env`, whose device speed
+    /// must be the skeleton's.
+    pub fn menu(&self, env: &ReferenceEnv) -> Vec<CandidatePlan> {
+        debug_assert_eq!(
+            env.device_sec_per_flop.to_bits(),
+            self.device_sec_per_flop.to_bits()
+        );
+        let mut out: Vec<CandidatePlan> = Vec::new();
+        for slot in &self.slots {
+            let rest_time_s = if slot.device_only {
                 0.0
             } else {
-                model.crossing_bytes(cut.boundary) as f64 * env.tx_sec_per_byte
+                slot.tx_bytes * env.tx_sec_per_byte
                     + env.rtt_s / 2.0
-                    + model.suffix_flops(cut.boundary) as f64 * env.edge_sec_per_flop
+                    + slot.edge_flops * env.edge_sec_per_flop
             };
-            let problem = ExitSettingProblem {
-                hosts: hosts.clone(),
-                full_prefix_time_s: model.prefix_flops(cut.boundary) as f64
-                    * scale
-                    * env.device_sec_per_flop,
-                rest_time_s,
-                max_exits: cfg.max_exits,
-                accuracy_floor: cfg.accuracy_floor,
-                acc_full,
-                difficulty: cfg.difficulty.clone(),
-                threshold_grid: cfg.threshold_grid.clone(),
-            };
-            let sol = exit_setting::solve(&problem);
+            let sol = slot.fronts.close(&slot.problem, rest_time_s);
             // Per-exit threshold refinement on top of the uniform-threshold
-            // DP solution (never worse; see exit_setting::refine_thresholds).
-            let (thresholds, _, _) = exit_setting::refine_thresholds(&problem, &sol);
-            let base_plan = SurgeryPlan {
-                cut: cut.boundary,
-                exits: sol
-                    .selected
-                    .iter()
-                    .zip(&thresholds)
-                    .map(|(&i, &t)| (hosts[i].node, t))
-                    .collect(),
-                prune,
-                quantize_tx: false,
-            };
-            if base_plan.validate(model).is_err() {
+            // DP solution (never worse; see `ExitFronts::refine`).
+            let refined = slot.fronts.refine(&slot.problem, rest_time_s, &sol);
+            if !refined.thresholds.iter().all(|t| (0.0..1.0).contains(t)) {
                 continue;
             }
+            let exits: Vec<(usize, f64)> = sol
+                .selected
+                .iter()
+                .zip(&refined.thresholds)
+                .map(|(&i, &t)| (slot.problem.hosts[i].node, t))
+                .collect();
+            let difficulty = &self.cfg.difficulty;
+            let part = slot.exit_part(difficulty, &sol.selected, &refined);
             // Offer, besides the DP-chosen exits: the exit-free variant
             // (what Neurosurgeon-style static partitioning uses — higher
             // accuracy, more compute, so it survives the Pareto filter)
             // and the int8-transmission variants. The filter keeps
             // whichever versions can win.
-            let mut variants = vec![base_plan.clone()];
-            if !base_plan.exits.is_empty() {
-                let mut plain = base_plan.clone();
-                plain.exits.clear();
-                variants.push(plain);
+            let mut variants = vec![(exits, part)];
+            if !sol.selected.is_empty() {
+                variants.push((
+                    Vec::new(),
+                    slot.exit_part(difficulty, &[], &Refined::default()),
+                ));
             }
-            if cfg.allow_quantize
-                && cut.boundary < model.len()
-                && model.crossing_bytes(cut.boundary) > 0
-            {
-                for i in 0..variants.len() {
-                    let mut q = variants[i].clone();
-                    q.quantize_tx = true;
-                    variants.push(q);
+            for quantize_tx in [false, true] {
+                if quantize_tx && !slot.quantizable {
+                    break;
                 }
-            }
-            for plan in variants {
-                let mut profile = profile_plan(model, &plan, cfg);
-                // Enforce the accuracy floor on the final profile as well.
-                if profile.expected_accuracy + 1e-9 < cfg.accuracy_floor {
-                    continue;
+                for (exits, part) in &variants {
+                    let mut profile = slot.profile(part, quantize_tx);
+                    // Enforce the accuracy floor on the final profile as well.
+                    if profile.expected_accuracy + 1e-9 < self.cfg.accuracy_floor {
+                        continue;
+                    }
+                    profile.reference_latency_s = reference_latency(&profile, env);
+                    let plan = SurgeryPlan {
+                        cut: slot.cut,
+                        exits: exits.clone(),
+                        prune: slot.prune,
+                        quantize_tx,
+                    };
+                    out.push(CandidatePlan { plan, profile });
                 }
-                profile.reference_latency_s = reference_latency(&profile, env);
-                out.push(CandidatePlan { plan, profile });
             }
         }
+        // The menu can legitimately come out empty (e.g. an accuracy floor no
+        // plan can clear); callers surface that as a typed validation error
+        // rather than asserting here.
+        crate::pareto::pareto_filter(out, |c| c.profile.demand_vector())
     }
-    // The menu can legitimately come out empty (e.g. an accuracy floor no
-    // plan can clear); callers surface that as a typed validation error
-    // rather than asserting here.
-    crate::pareto::pareto_filter(out, |c| c.profile.demand_vector())
+}
+
+impl Slot {
+    /// The exit half of the profile of this slot's plan with exits at
+    /// hosts `sel` under `refined`'s thresholds: `profile_plan`'s
+    /// arithmetic over the cached depth caches, threshold powers and
+    /// FLOPs.
+    fn exit_part(
+        &self,
+        difficulty: &DifficultyModel,
+        sel: &[usize],
+        refined: &Refined,
+    ) -> ExitPart {
+        let mut exit_probs = Vec::with_capacity(sel.len());
+        let mut cum = Vec::with_capacity(sel.len());
+        let mut running = 0.0f64;
+        for (j, &i) in sel.iter().enumerate() {
+            let s = difficulty.coverage_cached(self.fronts.depth(i), refined.thr_pows[j]);
+            let new_running = running.max(s);
+            exit_probs.push(new_running - running);
+            running = new_running;
+            cum.push(running);
+        }
+        let remain_prob = 1.0 - running;
+        let acc_at_exit: Vec<f64> = sel
+            .iter()
+            .zip(&refined.thresholds)
+            .map(|(&i, &t)| difficulty.conditional_accuracy_cached(self.fronts.depth(i), t))
+            .collect();
+        let exit_acc = exit_probs
+            .iter()
+            .zip(&acc_at_exit)
+            .map(|(&p, &a)| p * a)
+            .sum::<f64>();
+        let mut device_flops_to_exit = Vec::with_capacity(sel.len());
+        let mut heads_so_far = 0.0;
+        for &i in sel {
+            heads_so_far += self.head_flops[i];
+            device_flops_to_exit.push(self.host_prefix_flops[i] + heads_so_far);
+        }
+        let device_flops_full = self.prefix_flops + heads_so_far;
+        let mut expected_device_flops = remain_prob * device_flops_full;
+        for (i, &p) in exit_probs.iter().enumerate() {
+            expected_device_flops += p * device_flops_to_exit[i];
+        }
+        ExitPart {
+            exit_probs,
+            cum,
+            remain_prob,
+            acc_at_exit,
+            exit_acc,
+            device_flops_to_exit,
+            device_flops_full,
+            expected_device_flops,
+        }
+    }
+
+    /// The full profile of this slot's plan with exit half `part`, sent
+    /// int8-quantized or not (reference latency unset).
+    fn profile(&self, part: &ExitPart, quantize_tx: bool) -> PlanProfile {
+        let acc_full = self.acc_full[usize::from(quantize_tx)];
+        let expected_accuracy = if part.exit_probs.is_empty() {
+            acc_full
+        } else {
+            part.remain_prob * acc_full + part.exit_acc
+        };
+        let mut tx_bytes = self.tx_bytes;
+        if quantize_tx {
+            tx_bytes /= crate::plan::QUANTIZE_TX_SHRINK;
+        }
+        PlanProfile {
+            expected_device_flops: part.expected_device_flops,
+            device_flops_full: part.device_flops_full,
+            device_flops_to_exit: part.device_flops_to_exit.clone(),
+            tx_bytes,
+            edge_flops: self.edge_flops,
+            remain_prob: part.remain_prob,
+            behavior: ExitBehavior {
+                exit_probs: part.exit_probs.clone(),
+                cum: part.cum.clone(),
+                remain_prob: part.remain_prob,
+                expected_accuracy,
+            },
+            acc_at_exit: part.acc_at_exit.clone(),
+            acc_full,
+            expected_accuracy,
+            reference_latency_s: 0.0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -343,6 +551,89 @@ mod tests {
                 assert!(c.profile.reference_latency_s > 0.0);
             }
         }
+    }
+
+    /// `a` and `b` agree on every field, bit for bit.
+    fn assert_same_bits(what: &str, a: &PlanProfile, b: &PlanProfile) {
+        let scalars = |p: &PlanProfile| {
+            [
+                p.expected_device_flops,
+                p.device_flops_full,
+                p.tx_bytes,
+                p.edge_flops,
+                p.remain_prob,
+                p.behavior.remain_prob,
+                p.behavior.expected_accuracy,
+                p.acc_full,
+                p.expected_accuracy,
+                p.reference_latency_s,
+            ]
+            .map(f64::to_bits)
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(scalars(a), scalars(b), "{what}: scalar fields");
+        assert_eq!(
+            bits(&a.device_flops_to_exit),
+            bits(&b.device_flops_to_exit),
+            "{what}: device_flops_to_exit"
+        );
+        assert_eq!(
+            bits(&a.acc_at_exit),
+            bits(&b.acc_at_exit),
+            "{what}: acc_at_exit"
+        );
+        assert_eq!(
+            bits(&a.behavior.exit_probs),
+            bits(&b.behavior.exit_probs),
+            "{what}: exit_probs"
+        );
+        assert_eq!(bits(&a.behavior.cum), bits(&b.behavior.cum), "{what}: cum");
+    }
+
+    #[test]
+    fn cached_profiles_match_the_uncached_oracle_bit_for_bit() {
+        let cfgs = [
+            CandidateConfig::default(),
+            CandidateConfig {
+                accuracy_floor: 0.70,
+                ..Default::default()
+            },
+        ];
+        let (mut plans, mut with_exits, mut quantized) = (0, 0, 0);
+        for name in zoo::ALL_NAMES {
+            let g = zoo::by_name(name).expect("zoo model");
+            for cfg in &cfgs {
+                for device_fps in [2e9, 25e9, 200e9] {
+                    // One skeleton serves every environment of the class.
+                    let skeleton = MenuSkeleton::new(&g, 1.0 / device_fps, cfg);
+                    for tx_bps in [5e6, 50e6, 500e6] {
+                        for edge_fps in [1e11, 1e12, 1e13] {
+                            for rtt_s in [0.0, 2e-3, 20e-3] {
+                                let env = ReferenceEnv {
+                                    device_sec_per_flop: 1.0 / device_fps,
+                                    tx_sec_per_byte: 8.0 / tx_bps,
+                                    edge_sec_per_flop: 1.0 / edge_fps,
+                                    rtt_s,
+                                };
+                                for c in skeleton.menu(&env) {
+                                    let mut oracle = profile_plan(&g, &c.plan, cfg);
+                                    oracle.reference_latency_s = reference_latency(&oracle, &env);
+                                    let what = format!("{name} {:?} {env:?}", c.plan);
+                                    assert_same_bits(&what, &c.profile, &oracle);
+                                    plans += 1;
+                                    with_exits += usize::from(!c.plan.exits.is_empty());
+                                    quantized += usize::from(c.plan.quantize_tx);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            plans > 1000 && with_exits > 100 && quantized > 100,
+            "{plans} plans checked, {with_exits} with exits, {quantized} quantized"
+        );
     }
 
     #[test]

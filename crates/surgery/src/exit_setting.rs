@@ -73,7 +73,10 @@ pub struct ExitSettingSolution {
 struct Entry {
     cost: f64,
     acc: f64,
-    parent: Option<(usize, usize)>, // (host j, entry index in dp[j][k-1])
+    /// Host the selection ends at.
+    host: usize,
+    /// The state this one extends, an index into the same arena.
+    parent: Option<usize>,
 }
 
 /// Keep only Pareto-optimal `(cost ↓, acc ↑)` entries.
@@ -96,119 +99,279 @@ fn pareto_prune(mut entries: Vec<Entry>) -> Vec<Entry> {
 /// floor, returns the empty selection anyway — callers treat that plan as
 /// infeasible downstream).
 pub fn solve(p: &ExitSettingProblem) -> ExitSettingSolution {
-    let no_exit = ExitSettingSolution {
-        selected: Vec::new(),
-        threshold: 1.0,
-        expected_latency_s: p.full_prefix_time_s + p.rest_time_s,
-        expected_accuracy: p.acc_full,
-    };
-    if p.hosts.is_empty() || p.max_exits == 0 {
-        return no_exit;
-    }
-    let mut best = no_exit;
-    // The depth transcendentals (`x^γ`, `(1−x)^η`) are threshold-invariant:
-    // hoist them out of the grid sweep so each host pays for them once,
-    // not once per threshold.
-    let depth_caches: Vec<DepthCache> = p
-        .hosts
-        .iter()
-        .map(|h| p.difficulty.depth_cache(h.depth_fraction))
-        .collect();
-    for &t in &p.threshold_grid {
-        if let Some(sol) = solve_fixed_threshold(p, &depth_caches, t) {
-            let best_feasible = best.expected_accuracy + 1e-12 >= p.accuracy_floor;
-            if sol.expected_accuracy + 1e-12 >= p.accuracy_floor
-                && (!best_feasible || sol.expected_latency_s < best.expected_latency_s)
-            {
-                best = sol;
-            }
-        }
-    }
-    best
+    ExitFronts::new(p).close(p, p.rest_time_s)
 }
 
-/// DP for one threshold; returns the feasible min-latency selection if any
-/// non-empty selection is feasible.
-fn solve_fixed_threshold(
-    p: &ExitSettingProblem,
-    depth_caches: &[DepthCache],
-    t: f64,
-) -> Option<ExitSettingSolution> {
-    let m = p.hosts.len();
-    let e_max = p.max_exits.min(m);
-    // `t^ρ` is depth-invariant: one evaluation covers every host.
-    let thr_pow = p.difficulty.threshold_pow(t);
-    let cov: Vec<f64> = depth_caches
-        .iter()
-        .map(|&d| p.difficulty.coverage_cached(d, thr_pow))
-        .collect();
-    let acc: Vec<f64> = depth_caches
-        .iter()
-        .map(|&d| p.difficulty.conditional_accuracy_cached(d, t))
-        .collect();
-    // dp[i][k]: Pareto entries for selections of k exits ending at host i.
-    let mut dp: Vec<Vec<Vec<Entry>>> = vec![vec![Vec::new(); e_max + 1]; m];
-    for i in 0..m {
-        dp[i][1] = vec![Entry {
-            cost: cov[i] * (p.hosts[i].time_to_host_s + p.hosts[i].head_time_s)
-                + (1.0 - cov[i]) * p.hosts[i].head_time_s,
-            acc: cov[i] * acc[i],
-            parent: None,
-        }];
-        // equivalently: cov*t_i + head*1.0 — every input reaching exit i
-        // (here: all of them, it's the first exit) evaluates the head.
-        for k in 2..=e_max {
-            let mut entries = Vec::new();
-            for j in 0..i {
-                for (idx, e) in dp[j][k - 1].iter().enumerate() {
+/// A state of one threshold's DP that clears the accuracy floor once
+/// closed with the non-exiting tail. Its closed cost is
+/// `cost + remain · (full_prefix + rest)`; nothing else depends on the
+/// rest time.
+#[derive(Debug)]
+struct Closing {
+    /// Cost of the exits alone.
+    cost: f64,
+    /// Probability no selected exit fires.
+    remain: f64,
+    /// Expected accuracy of the closed state.
+    acc: f64,
+    /// The state, an index into the front's arena.
+    state: usize,
+}
+
+/// The DP of one grid threshold, run to its Pareto fronts.
+#[derive(Debug)]
+struct Front {
+    threshold: f64,
+    /// Every Pareto state, host by host and exit count by exit count (the
+    /// order the closing scan visits them).
+    arena: Vec<Entry>,
+    /// The feasible closings, in that same order.
+    closings: Vec<Closing>,
+}
+
+/// The part of [`solve`] that no rest time reaches. The rest time enters
+/// the DP only when a state is closed, `cost + remain · (full_prefix +
+/// rest)`; feasibility, `acc + remain · acc_full ≥ floor`, does not read
+/// it. So the fronts are built once per instance shape and closed per
+/// rest time, bit-identical to solving each instance afresh.
+#[derive(Debug)]
+pub(crate) struct ExitFronts {
+    /// Depth transcendentals of each host (`x^γ`, `(1−x)^η`).
+    depth: Vec<DepthCache>,
+    /// `t^ρ` of each grid threshold.
+    grid_pows: Vec<f64>,
+    /// One front per grid threshold, in grid order (empty when no exit
+    /// can be placed).
+    fronts: Vec<Front>,
+}
+
+/// Per-exit thresholds after [`ExitFronts::refine`] (empty for the empty
+/// selection).
+#[derive(Debug, Default)]
+pub(crate) struct Refined {
+    /// `thresholds[j]` belongs to `sol.selected[j]`.
+    pub(crate) thresholds: Vec<f64>,
+    /// `t^ρ` of each threshold.
+    pub(crate) thr_pows: Vec<f64>,
+}
+
+impl ExitFronts {
+    /// Run the DP of every grid threshold on `p`, ignoring
+    /// `p.rest_time_s`.
+    pub(crate) fn new(p: &ExitSettingProblem) -> Self {
+        // The depth transcendentals are threshold-invariant and `t^ρ` is
+        // depth-invariant: each is paid once, not once per (host,
+        // threshold) pair.
+        let depth: Vec<DepthCache> = p
+            .hosts
+            .iter()
+            .map(|h| p.difficulty.depth_cache(h.depth_fraction))
+            .collect();
+        let grid_pows: Vec<f64> = p
+            .threshold_grid
+            .iter()
+            .map(|&t| p.difficulty.threshold_pow(t))
+            .collect();
+        let fronts = if p.hosts.is_empty() || p.max_exits == 0 {
+            Vec::new()
+        } else {
+            p.threshold_grid
+                .iter()
+                .zip(&grid_pows)
+                .map(|(&t, &thr_pow)| Front::new(p, &depth, t, thr_pow))
+                .collect()
+        };
+        Self {
+            depth,
+            grid_pows,
+            fronts,
+        }
+    }
+
+    /// Depth cache of host `i`.
+    pub(crate) fn depth(&self, i: usize) -> DepthCache {
+        self.depth[i]
+    }
+
+    /// The solution of `p` with its rest time replaced by `rest_time_s`.
+    pub(crate) fn close(&self, p: &ExitSettingProblem, rest_time_s: f64) -> ExitSettingSolution {
+        let tail = p.full_prefix_time_s + rest_time_s;
+        // (cost, acc, (front, state)); `None` is the empty selection.
+        let mut best: (f64, f64, Option<(usize, usize)>) = (tail, p.acc_full, None);
+        for (f, front) in self.fronts.iter().enumerate() {
+            let mut win: Option<(f64, f64, usize)> = None;
+            for c in &front.closings {
+                let cost = c.cost + c.remain * tail;
+                if win.is_none_or(|(w, _, _)| cost < w) {
+                    win = Some((cost, c.acc, c.state));
+                }
+            }
+            let Some((cost, a, state)) = win else {
+                continue;
+            };
+            let best_feasible = best.1 + 1e-12 >= p.accuracy_floor;
+            if a + 1e-12 >= p.accuracy_floor && (!best_feasible || cost < best.0) {
+                best = (cost, a, Some((f, state)));
+            }
+        }
+        let (expected_latency_s, expected_accuracy, at) = best;
+        let Some((f, state)) = at else {
+            return ExitSettingSolution {
+                selected: Vec::new(),
+                threshold: 1.0,
+                expected_latency_s,
+                expected_accuracy,
+            };
+        };
+        // Only the winner's selection is reconstructed.
+        let front = &self.fronts[f];
+        let mut selected = Vec::new();
+        let mut at = Some(state);
+        while let Some(s) = at {
+            selected.push(front.arena[s].host);
+            at = front.arena[s].parent;
+        }
+        selected.reverse();
+        ExitSettingSolution {
+            selected,
+            threshold: front.threshold,
+            expected_latency_s,
+            expected_accuracy,
+        }
+    }
+
+    /// Refine a uniform-threshold solution of `p` (at `rest_time_s`) by
+    /// coordinate ascent on individual exit thresholds: each exit tries
+    /// every grid value while the others stay fixed, and only feasible
+    /// strict improvements are accepted. The result is never worse than
+    /// `sol`.
+    pub(crate) fn refine(
+        &self,
+        p: &ExitSettingProblem,
+        rest_time_s: f64,
+        sol: &ExitSettingSolution,
+    ) -> Refined {
+        if sol.selected.is_empty() {
+            return Refined::default();
+        }
+        let mut thresholds = vec![sol.threshold; sol.selected.len()];
+        let mut thr_pows = vec![p.difficulty.threshold_pow(sol.threshold); thresholds.len()];
+        let eval = |thresholds: &[f64], thr_pows: &[f64]| {
+            evaluate_selection_cached(
+                p,
+                rest_time_s,
+                &sol.selected,
+                &self.depth,
+                thresholds,
+                thr_pows,
+            )
+        };
+        let (mut best_cost, _) = eval(&thresholds, &thr_pows);
+        let max_rounds = 8;
+        for _ in 0..max_rounds {
+            let mut improved = false;
+            for i in 0..thresholds.len() {
+                let mut current = thresholds[i];
+                let mut current_pow = thr_pows[i];
+                for (g, &t) in p.threshold_grid.iter().enumerate() {
+                    if t == current {
+                        continue;
+                    }
+                    thresholds[i] = t;
+                    thr_pows[i] = self.grid_pows[g];
+                    let (cost, acc) = eval(&thresholds, &thr_pows);
+                    if acc + 1e-12 >= p.accuracy_floor && cost < best_cost - 1e-12 {
+                        best_cost = cost;
+                        current = t;
+                        current_pow = thr_pows[i];
+                        improved = true;
+                    } else {
+                        thresholds[i] = current;
+                        thr_pows[i] = current_pow;
+                    }
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        Refined {
+            thresholds,
+            thr_pows,
+        }
+    }
+}
+
+impl Front {
+    /// Run the DP for threshold `t` (`thr_pow` = `t^ρ`) to its Pareto
+    /// fronts and keep the states that close feasibly.
+    fn new(p: &ExitSettingProblem, depth: &[DepthCache], t: f64, thr_pow: f64) -> Self {
+        let m = p.hosts.len();
+        let e_max = p.max_exits.min(m);
+        let cov: Vec<f64> = depth
+            .iter()
+            .map(|&d| p.difficulty.coverage_cached(d, thr_pow))
+            .collect();
+        let acc: Vec<f64> = depth
+            .iter()
+            .map(|&d| p.difficulty.conditional_accuracy_cached(d, t))
+            .collect();
+        // spans[i * (e_max + 1) + k]: the arena range of the Pareto
+        // entries for selections of k exits ending at host i.
+        let mut spans: Vec<std::ops::Range<usize>> = vec![0..0; m * (e_max + 1)];
+        let mut arena: Vec<Entry> = Vec::new();
+        for i in 0..m {
+            let h = &p.hosts[i];
+            // Every input reaching the first exit evaluates its head.
+            let first = Entry {
+                cost: cov[i] * (h.time_to_host_s + h.head_time_s) + (1.0 - cov[i]) * h.head_time_s,
+                acc: cov[i] * acc[i],
+                host: i,
+                parent: None,
+            };
+            let start = arena.len();
+            arena.extend(pareto_prune(vec![first]));
+            spans[i * (e_max + 1) + 1] = start..arena.len();
+            for k in 2..=e_max {
+                let mut entries = Vec::new();
+                for j in 0..i {
                     let mass = (cov[i] - cov[j]).max(0.0);
                     let survivors = 1.0 - cov[j];
-                    entries.push(Entry {
-                        cost: e.cost
-                            + mass * p.hosts[i].time_to_host_s
-                            + survivors * p.hosts[i].head_time_s,
-                        acc: e.acc + mass * acc[i],
-                        parent: Some((j, idx)),
-                    });
+                    for idx in spans[j * (e_max + 1) + k - 1].clone() {
+                        let e = &arena[idx];
+                        entries.push(Entry {
+                            cost: e.cost + mass * h.time_to_host_s + survivors * h.head_time_s,
+                            acc: e.acc + mass * acc[i],
+                            host: i,
+                            parent: Some(idx),
+                        });
+                    }
                 }
+                let start = arena.len();
+                arena.extend(pareto_prune(entries));
+                spans[i * (e_max + 1) + k] = start..arena.len();
             }
-            dp[i][k] = pareto_prune(entries);
         }
-        dp[i][1] = pareto_prune(std::mem::take(&mut dp[i][1]));
-    }
-    // Close each state with the non-exiting tail and pick the feasible best.
-    let mut best: Option<(f64, f64, usize, usize, usize)> = None; // (cost, acc, i, k, idx)
-    for i in 0..m {
-        for (k, states) in dp[i].iter().enumerate().skip(1) {
-            for (idx, e) in states.iter().enumerate() {
-                let remain = 1.0 - cov[i];
-                let cost = e.cost + remain * (p.full_prefix_time_s + p.rest_time_s);
+        let closings = arena
+            .iter()
+            .enumerate()
+            .filter_map(|(state, e)| {
+                let remain = 1.0 - cov[e.host];
                 let a = e.acc + remain * p.acc_full;
-                if a + 1e-12 < p.accuracy_floor {
-                    continue;
-                }
-                if best.is_none_or(|(c, _, _, _, _)| cost < c) {
-                    best = Some((cost, a, i, k, idx));
-                }
-            }
+                (a + 1e-12 >= p.accuracy_floor).then_some(Closing {
+                    cost: e.cost,
+                    remain,
+                    acc: a,
+                    state,
+                })
+            })
+            .collect();
+        Self {
+            threshold: t,
+            arena,
+            closings,
         }
     }
-    let (cost, a, mut i, mut k, mut idx) = best?;
-    // Reconstruct the selection.
-    let mut selected = vec![i];
-    while let Some((j, pidx)) = dp[i][k].get(idx).and_then(|e| e.parent) {
-        selected.push(j);
-        i = j;
-        k -= 1;
-        idx = pidx;
-    }
-    selected.reverse();
-    Some(ExitSettingSolution {
-        selected,
-        threshold: t,
-        expected_latency_s: cost,
-        expected_accuracy: a,
-    })
 }
 
 /// Exhaustive reference solver (small instances only; used by tests to
@@ -253,25 +416,28 @@ fn evaluate_selection_multi(
     thresholds: &[f64],
 ) -> (f64, f64) {
     assert_eq!(sel.len(), thresholds.len());
-    let caches: Vec<DepthCache> = sel
+    let depth: Vec<DepthCache> = p
+        .hosts
         .iter()
-        .map(|&i| p.difficulty.depth_cache(p.hosts[i].depth_fraction))
+        .map(|h| p.difficulty.depth_cache(h.depth_fraction))
         .collect();
     let thr_pows: Vec<f64> = thresholds
         .iter()
         .map(|&t| p.difficulty.threshold_pow(t))
         .collect();
-    evaluate_selection_cached(p, sel, &caches, thresholds, &thr_pows)
+    evaluate_selection_cached(p, p.rest_time_s, sel, &depth, thresholds, &thr_pows)
 }
 
-/// Expected (latency, accuracy) of a selection with per-exit thresholds,
-/// over prebuilt per-exit depth caches and threshold powers (`caches[i]`/`thr_pows[i]` belong to
-/// `sel[i]`/`thresholds[i]`) — what the coordinate-ascent refinement
-/// calls in its inner loop with every transcendental already paid for.
+/// Expected (latency, accuracy) of a selection with per-exit thresholds
+/// at `rest_time_s`, over prebuilt per-host depth caches and per-exit
+/// threshold powers (`thr_pows[j]` belongs to `thresholds[j]`, which
+/// belongs to `sel[j]`) — what the coordinate-ascent refinement calls in
+/// its inner loop with every transcendental already paid for.
 fn evaluate_selection_cached(
     p: &ExitSettingProblem,
+    rest_time_s: f64,
     sel: &[usize],
-    caches: &[DepthCache],
+    depth: &[DepthCache],
     thresholds: &[f64],
     thr_pows: &[f64],
 ) -> (f64, f64) {
@@ -282,82 +448,32 @@ fn evaluate_selection_cached(
         let h = &p.hosts[i];
         let c = p
             .difficulty
-            .coverage_cached(caches[j], thr_pows[j])
+            .coverage_cached(depth[i], thr_pows[j])
             .max(cov_prev);
         let mass = c - cov_prev;
         let survivors_before = 1.0 - cov_prev;
         cost += mass * h.time_to_host_s + survivors_before * h.head_time_s;
         acc += mass
             * p.difficulty
-                .conditional_accuracy_cached(caches[j], thresholds[j]);
+                .conditional_accuracy_cached(depth[i], thresholds[j]);
         cov_prev = c;
     }
     let remain = 1.0 - cov_prev;
-    cost += remain * (p.full_prefix_time_s + p.rest_time_s);
+    cost += remain * (p.full_prefix_time_s + rest_time_s);
     acc += remain * p.acc_full;
     (cost, acc)
 }
 
-/// Refine a uniform-threshold solution by coordinate ascent on individual
-/// exit thresholds (each exit tries every grid value while the others stay
-/// fixed; accept only feasible strict improvements). Returns per-exit
-/// thresholds and the refined (latency, accuracy). The result is never
-/// worse than the input solution.
-pub fn refine_thresholds(
-    p: &ExitSettingProblem,
-    sol: &ExitSettingSolution,
-) -> (Vec<f64>, f64, f64) {
-    let mut thresholds = vec![sol.threshold; sol.selected.len()];
+/// [`ExitFronts::refine`] of `sol` on `p` as posed: per-exit thresholds
+/// and the refined (latency, accuracy).
+#[cfg(test)]
+fn refine_thresholds(p: &ExitSettingProblem, sol: &ExitSettingSolution) -> (Vec<f64>, f64, f64) {
+    let thresholds = ExitFronts::new(p).refine(p, p.rest_time_s, sol).thresholds;
     if sol.selected.is_empty() {
         return (thresholds, sol.expected_latency_s, sol.expected_accuracy);
     }
-    // Hoisted transcendentals: per-exit depth caches and one `t^ρ` per
-    // distinct grid value, computed before the ascent instead of inside
-    // every candidate evaluation.
-    let caches: Vec<DepthCache> = sol
-        .selected
-        .iter()
-        .map(|&i| p.difficulty.depth_cache(p.hosts[i].depth_fraction))
-        .collect();
-    let grid_pows: Vec<f64> = p
-        .threshold_grid
-        .iter()
-        .map(|&t| p.difficulty.threshold_pow(t))
-        .collect();
-    let mut thr_pows = vec![p.difficulty.threshold_pow(sol.threshold); thresholds.len()];
-    let (mut best_cost, mut best_acc) =
-        evaluate_selection_cached(p, &sol.selected, &caches, &thresholds, &thr_pows);
-    let max_rounds = 8;
-    for _ in 0..max_rounds {
-        let mut improved = false;
-        for i in 0..thresholds.len() {
-            let mut current = thresholds[i];
-            let mut current_pow = thr_pows[i];
-            for (g, &t) in p.threshold_grid.iter().enumerate() {
-                if t == current {
-                    continue;
-                }
-                thresholds[i] = t;
-                thr_pows[i] = grid_pows[g];
-                let (cost, acc) =
-                    evaluate_selection_cached(p, &sol.selected, &caches, &thresholds, &thr_pows);
-                if acc + 1e-12 >= p.accuracy_floor && cost < best_cost - 1e-12 {
-                    best_cost = cost;
-                    best_acc = acc;
-                    current = t;
-                    current_pow = thr_pows[i];
-                    improved = true;
-                } else {
-                    thresholds[i] = current;
-                    thr_pows[i] = current_pow;
-                }
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    (thresholds, best_cost, best_acc)
+    let (cost, acc) = evaluate_selection_multi(p, &sol.selected, &thresholds);
+    (thresholds, cost, acc)
 }
 
 /// Expected (latency, accuracy) of an explicit selection at threshold `t`.
@@ -603,6 +719,30 @@ mod tests {
                     dp.expected_latency_s, ex.expected_latency_s,
                     dp.selected, ex.selected
                 );
+            }
+
+            /// The split DP is certified the same way: fronts built once
+            /// and closed at several rest times match brute force at each.
+            #[test]
+            fn fronts_closed_at_any_rest_equal_exhaustive(
+                p in random_problem(),
+                rests in prop::collection::vec(0.0f64..2.0, 1..6),
+            ) {
+                let fronts = ExitFronts::new(&p);
+                for &rest in &rests {
+                    let closed = fronts.close(&p, rest);
+                    let at_rest = ExitSettingProblem { rest_time_s: rest, ..p.clone() };
+                    let ex = solve_exhaustive(&at_rest);
+                    prop_assert!(
+                        (closed.expected_latency_s - ex.expected_latency_s).abs() < 1e-9,
+                        "rest {rest}: closed {} vs exhaustive {} (sel {:?} vs {:?})",
+                        closed.expected_latency_s, ex.expected_latency_s,
+                        closed.selected, ex.selected
+                    );
+                    if ex.expected_accuracy + 1e-12 >= p.accuracy_floor {
+                        prop_assert!(closed.expected_accuracy + 1e-12 >= p.accuracy_floor);
+                    }
+                }
             }
 
             /// Solutions are always internally consistent and feasible

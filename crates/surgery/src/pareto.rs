@@ -9,9 +9,10 @@
 
 /// Keep the Pareto-minimal items under the metric vectors produced by
 /// `key` (all coordinates minimized). Stable: survivors keep their input
-/// order. Ties (exactly equal vectors) keep the first occurrence.
-pub fn pareto_filter<T>(items: Vec<T>, key: impl Fn(&T) -> Vec<f64>) -> Vec<T> {
-    let metrics: Vec<Vec<f64>> = items.iter().map(&key).collect();
+/// order. Ties (exactly equal vectors) keep the first occurrence. A key
+/// is any slice-like vector, so fixed-width keys need no allocation.
+pub fn pareto_filter<T, K: AsRef<[f64]>>(items: Vec<T>, key: impl Fn(&T) -> K) -> Vec<T> {
+    let metrics: Vec<K> = items.iter().map(&key).collect();
     let n = items.len();
     let mut keep = vec![true; n];
     for i in 0..n {
@@ -22,7 +23,8 @@ pub fn pareto_filter<T>(items: Vec<T>, key: impl Fn(&T) -> Vec<f64>) -> Vec<T> {
             if i == j || !keep[i] {
                 continue;
             }
-            if dominates(&metrics[j], &metrics[i]) || (j < i && metrics[j] == metrics[i]) {
+            let (a, b) = (metrics[j].as_ref(), metrics[i].as_ref());
+            if dominates(a, b) || (j < i && a == b) {
                 keep[i] = false;
             }
         }
