@@ -7,7 +7,7 @@
 //! *expected* per request (scaled by the probability the request reaches
 //! the uplink at all, i.e. did not exit on the device).
 
-use crate::convex::{self, AllocScratch, HyperbolicDemand};
+use crate::convex::{self, AllocScratch};
 use serde::{Deserialize, Serialize};
 
 /// Borrowed SoA view of per-device uplink demands — five parallel
@@ -45,66 +45,18 @@ impl BandwidthCols<'_> {
     }
 }
 
-/// One device's uplink demand on its AP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BandwidthDemand {
-    /// Device id (for reporting).
-    pub device: usize,
-    /// Expected seconds before transmission starts (device compute).
-    pub pre_tx_s: f64,
-    /// Transmission seconds at full AP spectrum (expected per request).
-    pub tx_s_full: f64,
-    /// Seconds after transmission (edge compute at the planned share).
-    pub post_tx_s: f64,
-    /// Relative importance.
-    pub weight: f64,
-    /// Relative deadline, seconds.
-    pub deadline_s: f64,
-}
-
 /// Allocation policy for an AP's spectrum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BandwidthPolicy {
     /// Equal split among devices that transmit.
     Equal,
-    /// KKT water-filling minimizing the weighted latency sum.
-    WeightedSum,
-    /// Min-max end-to-end latency.
-    MinMax,
-    /// Deadline minimums with min-max slack; weighted-sum fallback when
-    /// deadlines are jointly infeasible.
+    /// Deadline minimums + clipped water-filling of the slack;
+    /// weighted-sum water-filling when deadlines are jointly infeasible.
     DeadlineAware,
 }
 
-/// Compute per-device spectrum shares on one AP: the AoS entry point.
-/// Gathers the demand structs into SoA columns and defers to
-/// [`allocate_cols_into`] with fresh scratch.
-pub fn allocate(demands: &[BandwidthDemand], policy: BandwidthPolicy) -> Vec<f64> {
-    let pre: Vec<f64> = demands.iter().map(|d| d.pre_tx_s).collect();
-    let tx: Vec<f64> = demands.iter().map(|d| d.tx_s_full).collect();
-    let post: Vec<f64> = demands.iter().map(|d| d.post_tx_s).collect();
-    let weight: Vec<f64> = demands.iter().map(|d| d.weight).collect();
-    let deadline: Vec<f64> = demands.iter().map(|d| d.deadline_s).collect();
-    let mut out = Vec::new();
-    allocate_cols_into(
-        BandwidthCols {
-            pre_tx_s: &pre,
-            tx_s_full: &tx,
-            post_tx_s: &post,
-            weight: &weight,
-            deadline_s: &deadline,
-        },
-        policy,
-        &mut AllocScratch::default(),
-        &mut out,
-    );
-    out
-}
-
 /// Per-device shares over an SoA column view, written into a
-/// caller-owned buffer (cleared first) with reusable solver scratch — the
-/// hot-path entry point. Share values are bit-identical to [`allocate`]
-/// for every policy.
+/// caller-owned buffer (cleared first) with reusable solver scratch.
 pub fn allocate_cols_into(
     cols: BandwidthCols<'_>,
     policy: BandwidthPolicy,
@@ -129,30 +81,25 @@ pub fn allocate_cols_into(
                     .map(|&t| if t > 0.0 { 1.0 / n } else { 0.0 }),
             );
         }
-        BandwidthPolicy::WeightedSum => {
-            fill_cols(cols, len, scratch);
-            convex::weighted_sum_shares_cols(&scratch.scaled, &scratch.weights, out);
-        }
-        BandwidthPolicy::MinMax => {
-            let AllocScratch {
-                fixed,
-                scaled,
-                served_fixed,
-                served_scaled,
-                ..
-            } = scratch;
-            fill_fixed_scaled(cols, len, fixed, scaled);
-            convex::minmax_shares_cols(fixed, scaled, served_fixed, served_scaled, out);
-        }
         BandwidthPolicy::DeadlineAware => {
-            fill_cols(cols, len, scratch);
             let AllocScratch {
                 fixed,
                 scaled,
                 weights,
                 roots,
-                ..
             } = scratch;
+            // `fixed` is pre-tx + post-tx seconds, sanitized *after* the add.
+            fixed.clear();
+            fixed.extend(
+                cols.pre_tx_s[..len]
+                    .iter()
+                    .zip(cols.post_tx_s)
+                    .map(|(&a, &b)| convex::sanitize(a + b)),
+            );
+            scaled.clear();
+            scaled.extend(cols.tx_s_full[..len].iter().map(|&x| convex::sanitize(x)));
+            weights.clear();
+            weights.extend(cols.weight[..len].iter().map(|&w| convex::sanitize(w)));
             if !convex::deadline_shares_cols(
                 fixed,
                 scaled,
@@ -170,87 +117,38 @@ pub fn allocate_cols_into(
     convex::sanitize_shares(out);
 }
 
-fn fill_cols(cols: BandwidthCols<'_>, len: usize, scratch: &mut AllocScratch) {
-    let AllocScratch {
-        fixed,
-        scaled,
-        weights,
-        ..
-    } = scratch;
-    fill_fixed_scaled(cols, len, fixed, scaled);
-    weights.clear();
-    weights.extend(cols.weight[..len].iter().map(|&w| convex::sanitize(w)));
-}
-
-fn fill_fixed_scaled(
-    cols: BandwidthCols<'_>,
-    len: usize,
-    fixed: &mut Vec<f64>,
-    scaled: &mut Vec<f64>,
-) {
-    // `fixed` is pre-tx + post-tx seconds, sanitized *after* the add —
-    // exactly what `HyperbolicDemand::new(pre + post, tx)` produced.
-    fixed.clear();
-    fixed.extend(
-        cols.pre_tx_s[..len]
-            .iter()
-            .zip(cols.post_tx_s)
-            .map(|(&a, &b)| convex::sanitize(a + b)),
-    );
-    scaled.clear();
-    scaled.extend(cols.tx_s_full[..len].iter().map(|&x| convex::sanitize(x)));
-}
-
-/// Analytic end-to-end latency of each device's requests under shares.
-pub fn latencies(demands: &[BandwidthDemand], shares: &[f64]) -> Vec<f64> {
-    demands
-        .iter()
-        .zip(shares)
-        .map(|(d, &c)| HyperbolicDemand::new(d.pre_tx_s + d.post_tx_s, d.tx_s_full).latency(c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn demands() -> Vec<BandwidthDemand> {
-        vec![
-            BandwidthDemand {
-                device: 0,
-                pre_tx_s: 0.01,
-                tx_s_full: 0.004,
-                post_tx_s: 0.02,
-                weight: 1.0,
-                deadline_s: 0.2,
-            },
-            BandwidthDemand {
-                device: 1,
-                pre_tx_s: 0.00,
-                tx_s_full: 0.020,
-                post_tx_s: 0.01,
-                weight: 1.0,
-                deadline_s: 0.25,
-            },
-            BandwidthDemand {
-                device: 2,
-                pre_tx_s: 0.03,
-                tx_s_full: 0.0,
-                post_tx_s: 0.0,
-                weight: 1.0,
-                deadline_s: 0.1,
-            },
+    /// Three devices as columns: pre-tx s, tx s, post-tx s, weight,
+    /// deadline s. Device 2 does not transmit.
+    fn demands() -> [Vec<f64>; 5] {
+        [
+            vec![0.01, 0.00, 0.03],
+            vec![0.004, 0.020, 0.0],
+            vec![0.02, 0.01, 0.0],
+            vec![1.0, 1.0, 1.0],
+            vec![0.2, 0.25, 0.1],
         ]
+    }
+
+    fn allocate(d: &[Vec<f64>; 5], policy: BandwidthPolicy) -> Vec<f64> {
+        let cols = BandwidthCols {
+            pre_tx_s: &d[0],
+            tx_s_full: &d[1],
+            post_tx_s: &d[2],
+            weight: &d[3],
+            deadline_s: &d[4],
+        };
+        let mut out = Vec::new();
+        allocate_cols_into(cols, policy, &mut AllocScratch::default(), &mut out);
+        out
     }
 
     #[test]
     fn non_transmitting_devices_get_no_spectrum() {
-        for policy in [
-            BandwidthPolicy::Equal,
-            BandwidthPolicy::WeightedSum,
-            BandwidthPolicy::MinMax,
-            BandwidthPolicy::DeadlineAware,
-        ] {
+        for policy in [BandwidthPolicy::Equal, BandwidthPolicy::DeadlineAware] {
             let shares = allocate(&demands(), policy);
             assert_eq!(shares[2], 0.0, "{policy:?}");
             let total: f64 = shares.iter().sum();
@@ -266,26 +164,20 @@ mod tests {
     }
 
     #[test]
-    fn minmax_favors_heavier_transmitter() {
-        let shares = allocate(&demands(), BandwidthPolicy::MinMax);
-        assert!(shares[1] > shares[0], "{shares:?}");
-        let lats = latencies(&demands(), &shares);
-        assert!((lats[0] - lats[1]).abs() < 1e-6, "{lats:?}");
-    }
-
-    #[test]
     fn deadline_aware_meets_deadlines() {
-        let ds = demands();
-        let shares = allocate(&ds, BandwidthPolicy::DeadlineAware);
-        for (l, d) in latencies(&ds, &shares).iter().zip(&ds) {
-            if d.tx_s_full > 0.0 {
-                assert!(*l <= d.deadline_s + 1e-9);
+        let d = demands();
+        let shares = allocate(&d, BandwidthPolicy::DeadlineAware);
+        for (k, &c) in shares.iter().enumerate() {
+            if d[1][k] > 0.0 {
+                let latency = d[0][k] + d[2][k] + d[1][k] / c;
+                assert!(latency <= d[4][k] + 1e-9, "device {k} late: {latency}");
             }
         }
     }
 
     #[test]
     fn empty_is_empty() {
-        assert!(allocate(&[], BandwidthPolicy::Equal).is_empty());
+        let empty: [Vec<f64>; 5] = Default::default();
+        assert!(allocate(&empty, BandwidthPolicy::Equal).is_empty());
     }
 }

@@ -7,11 +7,12 @@
 //! seconds at full spectrum) alike. This crate solves those programs
 //! exactly:
 //!
-//! * [`convex`] — the shared math: KKT water-filling for weighted-sum
-//!   latency, bisection for min-max latency, deadline feasibility and
+//! * [`convex`] — the shared math over parallel columns: KKT
+//!   water-filling for weighted-sum latency, deadline feasibility and
 //!   slack-distributing deadline shares;
-//! * [`compute_alloc`] / [`bandwidth_alloc`] — thin, documented adapters
-//!   from streams to demand vectors (per server / per AP);
+//! * [`compute_alloc`] / [`bandwidth_alloc`] — one column door each
+//!   (`allocate_cols_into`, per server / per AP) with two policies:
+//!   `Equal` and `DeadlineAware`;
 //! * [`placement`] — stream→server assignment as a weighted congestion
 //!   game with an exact potential, plus greedy and balanced baselines.
 
@@ -26,8 +27,5 @@ pub mod placement;
 
 pub use bandwidth_alloc::BandwidthCols;
 pub use compute_alloc::ComputeCols;
-pub use convex::{
-    deadline_shares, minmax_shares, sanitize_shares, try_deadline_shares, try_weighted_sum_shares,
-    weighted_sum_shares, AllocError, AllocScratch, HyperbolicDemand,
-};
+pub use convex::{sanitize_shares, AllocScratch};
 pub use placement::{PlacementStrategy, ServerLoadModel};

@@ -3,49 +3,39 @@
 //! Every policy must survive adversarial demand vectors — NaN/negative
 //! timings, all-zero weights, single streams, and million-stream loads —
 //! returning shares that are finite, non-negative, and on (or under) the
-//! simplex. The SoA `allocate_cols_into` door with a reused scratch must
-//! agree bit-for-bit with a fresh `allocate`, so the hot path can keep its
+//! simplex. The `allocate_cols_into` door with a reused scratch must
+//! agree bit-for-bit with a fresh scratch, so the hot path can keep its
 //! scratch without behavioral drift.
 
-use scalpel_alloc::bandwidth_alloc::{self, BandwidthDemand, BandwidthPolicy};
-use scalpel_alloc::compute_alloc::{self, ComputeDemand, ComputePolicy};
+use scalpel_alloc::bandwidth_alloc::{self, BandwidthPolicy};
+use scalpel_alloc::compute_alloc::{self, ComputePolicy};
 use scalpel_alloc::convex::AllocScratch;
 use scalpel_alloc::{BandwidthCols, ComputeCols};
 
-const COMPUTE_POLICIES: [ComputePolicy; 5] = [
-    ComputePolicy::Equal,
-    ComputePolicy::Proportional,
-    ComputePolicy::WeightedSum,
-    ComputePolicy::MinMax,
-    ComputePolicy::DeadlineAware,
-];
+const COMPUTE_POLICIES: [ComputePolicy; 2] = [ComputePolicy::Equal, ComputePolicy::DeadlineAware];
 
-const BANDWIDTH_POLICIES: [BandwidthPolicy; 4] = [
-    BandwidthPolicy::Equal,
-    BandwidthPolicy::WeightedSum,
-    BandwidthPolicy::MinMax,
-    BandwidthPolicy::DeadlineAware,
-];
+const BANDWIDTH_POLICIES: [BandwidthPolicy; 2] =
+    [BandwidthPolicy::Equal, BandwidthPolicy::DeadlineAware];
 
-fn cd(stream: usize, pre: f64, edge: f64, weight: f64, deadline: f64) -> ComputeDemand {
-    ComputeDemand {
-        stream,
-        pre_edge_s: pre,
-        edge_s_full: edge,
-        weight,
-        deadline_s: deadline,
-    }
+/// One stream's compute demand: pre-edge s, edge s at full capacity,
+/// weight, deadline s.
+type ComputeRow = [f64; 4];
+
+/// One device's uplink demand: pre-tx s, tx s at full spectrum, post-tx
+/// s, weight, deadline s.
+type BandwidthRow = [f64; 5];
+
+fn cd(pre: f64, edge: f64, weight: f64, deadline: f64) -> ComputeRow {
+    [pre, edge, weight, deadline]
 }
 
-fn bd(device: usize, pre: f64, tx: f64, post: f64, weight: f64, deadline: f64) -> BandwidthDemand {
-    BandwidthDemand {
-        device,
-        pre_tx_s: pre,
-        tx_s_full: tx,
-        post_tx_s: post,
-        weight,
-        deadline_s: deadline,
-    }
+fn bd(pre: f64, tx: f64, post: f64, weight: f64, deadline: f64) -> BandwidthRow {
+    [pre, tx, post, weight, deadline]
+}
+
+/// Column `j` of a row-major demand table.
+fn col<const N: usize>(rows: &[[f64; N]], j: usize) -> Vec<f64> {
+    rows.iter().map(|r| r[j]).collect()
 }
 
 /// Shares must be finite, non-negative, and sum to at most 1 (+ slack).
@@ -59,17 +49,15 @@ fn assert_valid_shares(shares: &[f64], ctx: &str) {
     assert!(sum <= 1.0 + 1e-6, "{ctx}: shares sum to {sum} > 1");
 }
 
-/// The SoA hot path over caller-gathered columns with caller scratch.
+/// The column door over caller-gathered columns with caller scratch.
 fn compute_cols_into(
-    demands: &[ComputeDemand],
+    demands: &[ComputeRow],
     policy: ComputePolicy,
     scratch: &mut AllocScratch,
     out: &mut Vec<f64>,
 ) {
-    let pre: Vec<f64> = demands.iter().map(|d| d.pre_edge_s).collect();
-    let edge: Vec<f64> = demands.iter().map(|d| d.edge_s_full).collect();
-    let weight: Vec<f64> = demands.iter().map(|d| d.weight).collect();
-    let deadline: Vec<f64> = demands.iter().map(|d| d.deadline_s).collect();
+    let (pre, edge) = (col(demands, 0), col(demands, 1));
+    let (weight, deadline) = (col(demands, 2), col(demands, 3));
     let cols = ComputeCols {
         pre_edge_s: &pre,
         edge_s_full: &edge,
@@ -81,16 +69,13 @@ fn compute_cols_into(
 
 /// [`compute_cols_into`] for spectrum shares.
 fn bandwidth_cols_into(
-    demands: &[BandwidthDemand],
+    demands: &[BandwidthRow],
     policy: BandwidthPolicy,
     scratch: &mut AllocScratch,
     out: &mut Vec<f64>,
 ) {
-    let pre: Vec<f64> = demands.iter().map(|d| d.pre_tx_s).collect();
-    let tx: Vec<f64> = demands.iter().map(|d| d.tx_s_full).collect();
-    let post: Vec<f64> = demands.iter().map(|d| d.post_tx_s).collect();
-    let weight: Vec<f64> = demands.iter().map(|d| d.weight).collect();
-    let deadline: Vec<f64> = demands.iter().map(|d| d.deadline_s).collect();
+    let (pre, tx, post) = (col(demands, 0), col(demands, 1), col(demands, 2));
+    let (weight, deadline) = (col(demands, 3), col(demands, 4));
     let cols = BandwidthCols {
         pre_tx_s: &pre,
         tx_s_full: &tx,
@@ -99,6 +84,20 @@ fn bandwidth_cols_into(
         deadline_s: &deadline,
     };
     bandwidth_alloc::allocate_cols_into(cols, policy, scratch, out);
+}
+
+/// [`compute_cols_into`] with fresh scratch, returning the shares.
+fn compute_shares(demands: &[ComputeRow], policy: ComputePolicy) -> Vec<f64> {
+    let mut out = Vec::new();
+    compute_cols_into(demands, policy, &mut AllocScratch::default(), &mut out);
+    out
+}
+
+/// [`bandwidth_cols_into`] with fresh scratch, returning the shares.
+fn bandwidth_shares(demands: &[BandwidthRow], policy: BandwidthPolicy) -> Vec<f64> {
+    let mut out = Vec::new();
+    bandwidth_cols_into(demands, policy, &mut AllocScratch::default(), &mut out);
+    out
 }
 
 fn assert_bit_identical(a: &[f64], b: &[f64], ctx: &str) {
@@ -113,97 +112,88 @@ fn assert_bit_identical(a: &[f64], b: &[f64], ctx: &str) {
 }
 
 /// The adversarial demand vectors every policy is run against.
-fn poison_compute_cases() -> Vec<(&'static str, Vec<ComputeDemand>)> {
+fn poison_compute_cases() -> Vec<(&'static str, Vec<ComputeRow>)> {
     vec![
         ("empty", vec![]),
-        ("single", vec![cd(0, 0.01, 0.02, 1.0, 0.1)]),
-        ("single-zero-demand", vec![cd(0, 0.0, 0.0, 1.0, 0.1)]),
+        ("single", vec![cd(0.01, 0.02, 1.0, 0.1)]),
+        ("single-zero-demand", vec![cd(0.0, 0.0, 1.0, 0.1)]),
         (
             "zero-edge-demand",
-            vec![cd(0, 0.01, 0.0, 1.0, 0.1), cd(1, 0.0, 0.0, 2.0, 0.2)],
+            vec![cd(0.01, 0.0, 1.0, 0.1), cd(0.0, 0.0, 2.0, 0.2)],
         ),
         (
             "nan-demand",
-            vec![
-                cd(0, f64::NAN, f64::NAN, 1.0, 0.1),
-                cd(1, 0.01, 0.02, 1.0, 0.1),
-            ],
+            vec![cd(f64::NAN, f64::NAN, 1.0, 0.1), cd(0.01, 0.02, 1.0, 0.1)],
         ),
         (
             "negative-demand",
-            vec![cd(0, -0.5, -1.0, 1.0, 0.1), cd(1, 0.01, 0.02, 1.0, 0.1)],
+            vec![cd(-0.5, -1.0, 1.0, 0.1), cd(0.01, 0.02, 1.0, 0.1)],
         ),
         (
             "infinite-demand",
             vec![
-                cd(0, f64::INFINITY, f64::INFINITY, 1.0, 0.1),
-                cd(1, 0.01, 0.02, 1.0, 0.1),
+                cd(f64::INFINITY, f64::INFINITY, 1.0, 0.1),
+                cd(0.01, 0.02, 1.0, 0.1),
             ],
         ),
         (
             "all-zero-weights",
-            vec![cd(0, 0.01, 0.02, 0.0, 0.1), cd(1, 0.005, 0.03, 0.0, 0.2)],
+            vec![cd(0.01, 0.02, 0.0, 0.1), cd(0.005, 0.03, 0.0, 0.2)],
         ),
         (
             "nan-weights",
-            vec![
-                cd(0, 0.01, 0.02, f64::NAN, 0.1),
-                cd(1, 0.005, 0.03, -1.0, 0.2),
-            ],
+            vec![cd(0.01, 0.02, f64::NAN, 0.1), cd(0.005, 0.03, -1.0, 0.2)],
         ),
         (
             "poison-deadlines",
             vec![
-                cd(0, 0.01, 0.02, 1.0, f64::NAN),
-                cd(1, 0.005, 0.03, 1.0, -0.5),
-                cd(2, 0.002, 0.01, 1.0, 0.0),
+                cd(0.01, 0.02, 1.0, f64::NAN),
+                cd(0.005, 0.03, 1.0, -0.5),
+                cd(0.002, 0.01, 1.0, 0.0),
             ],
         ),
         (
             "huge-spread",
-            vec![cd(0, 1e-12, 1e-12, 1e-9, 1e-6), cd(1, 1e3, 1e6, 1e9, 1e12)],
+            vec![cd(1e-12, 1e-12, 1e-9, 1e-6), cd(1e3, 1e6, 1e9, 1e12)],
         ),
     ]
 }
 
-fn poison_bandwidth_cases() -> Vec<(&'static str, Vec<BandwidthDemand>)> {
+fn poison_bandwidth_cases() -> Vec<(&'static str, Vec<BandwidthRow>)> {
     vec![
         ("empty", vec![]),
-        ("single", vec![bd(0, 0.01, 0.004, 0.02, 1.0, 0.1)]),
-        ("single-no-tx", vec![bd(0, 0.01, 0.0, 0.02, 1.0, 0.1)]),
+        ("single", vec![bd(0.01, 0.004, 0.02, 1.0, 0.1)]),
+        ("single-no-tx", vec![bd(0.01, 0.0, 0.02, 1.0, 0.1)]),
         (
             "all-zero-tx",
-            vec![
-                bd(0, 0.01, 0.0, 0.0, 1.0, 0.1),
-                bd(1, 0.02, 0.0, 0.0, 1.0, 0.2),
-            ],
+            vec![bd(0.01, 0.0, 0.0, 1.0, 0.1), bd(0.02, 0.0, 0.0, 1.0, 0.2)],
         ),
         (
             "nan-demand",
             vec![
-                bd(0, f64::NAN, f64::NAN, f64::NAN, 1.0, 0.1),
-                bd(1, 0.01, 0.004, 0.02, 1.0, 0.1),
+                bd(f64::NAN, f64::NAN, f64::NAN, 1.0, 0.1),
+                bd(0.01, 0.004, 0.02, 1.0, 0.1),
             ],
         ),
         (
             "negative-demand",
             vec![
-                bd(0, -0.5, -1.0, -0.1, 1.0, 0.1),
-                bd(1, 0.01, 0.004, 0.02, 1.0, 0.1),
+                bd(-0.5, -1.0, -0.1, 1.0, 0.1),
+                bd(0.01, 0.004, 0.02, 1.0, 0.1),
             ],
         ),
         (
             "all-zero-weights",
             vec![
-                bd(0, 0.01, 0.004, 0.02, 0.0, 0.1),
-                bd(1, 0.0, 0.02, 0.01, 0.0, 0.2),
+                bd(0.01, 0.004, 0.02, 0.0, 0.1),
+                bd(0.0, 0.02, 0.01, 0.0, 0.2),
             ],
         ),
         (
             "poison-deadlines",
             vec![
-                bd(0, 0.01, 0.004, 0.02, 1.0, f64::NEG_INFINITY),
-                bd(1, 0.0, 0.02, 0.01, 1.0, 0.0),
+                bd(0.01, 0.004, 0.02, 1.0, f64::NEG_INFINITY),
+                bd(0.0, 0.02, 0.01, 1.0, 0.0),
             ],
         ),
     ]
@@ -214,7 +204,7 @@ fn compute_policies_survive_poisoned_demands() {
     for (name, demands) in poison_compute_cases() {
         for policy in COMPUTE_POLICIES {
             let ctx = format!("compute/{name}/{policy:?}");
-            let shares = compute_alloc::allocate(&demands, policy);
+            let shares = compute_shares(&demands, policy);
             assert_eq!(shares.len(), demands.len(), "{ctx}: arity");
             assert_valid_shares(&shares, &ctx);
         }
@@ -226,7 +216,7 @@ fn bandwidth_policies_survive_poisoned_demands() {
     for (name, demands) in poison_bandwidth_cases() {
         for policy in BANDWIDTH_POLICIES {
             let ctx = format!("bandwidth/{name}/{policy:?}");
-            let shares = bandwidth_alloc::allocate(&demands, policy);
+            let shares = bandwidth_shares(&demands, policy);
             assert_eq!(shares.len(), demands.len(), "{ctx}: arity");
             assert_valid_shares(&shares, &ctx);
         }
@@ -234,8 +224,8 @@ fn bandwidth_policies_survive_poisoned_demands() {
 }
 
 /// Reusing one scratch across differently-shaped calls must not leak state
-/// between calls: the SoA door with a reused scratch and output buffer
-/// stays bit-identical to a fresh `allocate`.
+/// between calls: the column door with a reused scratch and output buffer
+/// stays bit-identical to the same door on fresh scratch.
 #[test]
 fn scratch_reuse_does_not_leak_state() {
     let mut scratch = AllocScratch::default();
@@ -243,32 +233,15 @@ fn scratch_reuse_does_not_leak_state() {
     for (name, demands) in poison_compute_cases() {
         for policy in COMPUTE_POLICIES {
             compute_cols_into(&demands, policy, &mut scratch, &mut out);
-            let fresh = compute_alloc::allocate(&demands, policy);
+            let fresh = compute_shares(&demands, policy);
             assert_bit_identical(&out, &fresh, &format!("reuse/compute/{name}/{policy:?}"));
         }
     }
     for (name, demands) in poison_bandwidth_cases() {
         for policy in BANDWIDTH_POLICIES {
             bandwidth_cols_into(&demands, policy, &mut scratch, &mut out);
-            let fresh = bandwidth_alloc::allocate(&demands, policy);
+            let fresh = bandwidth_shares(&demands, policy);
             assert_bit_identical(&out, &fresh, &format!("reuse/bandwidth/{name}/{policy:?}"));
-        }
-    }
-}
-
-/// Latencies under sanitized shares never come back NaN, even for poisoned
-/// demands (a zero share on a positive demand is +inf, which is allowed).
-#[test]
-fn latencies_under_degenerate_shares_are_not_nan() {
-    for (name, demands) in poison_compute_cases() {
-        for policy in COMPUTE_POLICIES {
-            let shares = compute_alloc::allocate(&demands, policy);
-            for (i, l) in compute_alloc::latencies(&demands, &shares)
-                .iter()
-                .enumerate()
-            {
-                assert!(!l.is_nan(), "compute/{name}/{policy:?}: latency {i} is NaN");
-            }
         }
     }
 }
@@ -278,7 +251,7 @@ fn latencies_under_degenerate_shares_are_not_nan() {
 #[test]
 fn million_stream_stress_stays_on_simplex() {
     const N: usize = 1_000_000;
-    let demands: Vec<ComputeDemand> = (0..N)
+    let demands: Vec<ComputeRow> = (0..N)
         .map(|i| {
             // Deterministic pseudo-varied demands; a few poisoned entries.
             let x = (i % 97) as f64;
@@ -287,19 +260,14 @@ fn million_stream_stress_stays_on_simplex() {
             let weight = 1.0 + (i % 7) as f64;
             let deadline = 0.05 + ((i % 13) as f64) * 0.01;
             match i % 10_007 {
-                0 => cd(i, f64::NAN, edge, weight, deadline),
-                1 => cd(i, pre, -edge, weight, deadline),
-                _ => cd(i, pre, edge, weight, deadline),
+                0 => cd(f64::NAN, edge, weight, deadline),
+                1 => cd(pre, -edge, weight, deadline),
+                _ => cd(pre, edge, weight, deadline),
             }
         })
         .collect();
-    for policy in [
-        ComputePolicy::Equal,
-        ComputePolicy::Proportional,
-        ComputePolicy::WeightedSum,
-        ComputePolicy::MinMax,
-    ] {
-        let shares = compute_alloc::allocate(&demands, policy);
+    for policy in COMPUTE_POLICIES {
+        let shares = compute_shares(&demands, policy);
         assert_eq!(shares.len(), N);
         assert_valid_shares(&shares, &format!("stress/{policy:?}"));
     }

@@ -2,7 +2,7 @@
 //!
 //! The Joint solution is deployed once, then faces an identical seeded
 //! path-fault schedule (AP outages, link degradation, server throttling
-//! — see [`plan_with_unrecovered_tail`] for why device churn is left to
+//! — see `plan_with_unrecovered_tail` for why device churn is left to
 //! F16) under four recovery postures of escalating capability: no
 //! recovery at all, deadline-aware retries with exit-degradation,
 //! retries plus circuit breakers, and the full ladder (hedged re-offload

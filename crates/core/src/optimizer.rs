@@ -3,7 +3,7 @@
 //! allocation re-solved exactly at every step, plus an exhaustive
 //! reference for small instances (F9's optimality-gap measurement).
 //!
-//! All three searches run over an evaluation [`Engine`] with two
+//! All three searches run over an evaluation `Engine` with two
 //! interchangeable backends: the classic full re-evaluation per probe,
 //! and the incremental [`EvalContext`] that re-solves only the resource
 //! groups a single-coordinate move dirties. Both produce bit-identical
@@ -220,7 +220,7 @@ enum Engine<'a> {
 /// Full-path pricing with the diversity penalty folded in — the same
 /// `weight × integer-excess` add the incremental context applies after
 /// its pooled division, so both backends stay bit-identical.
-fn priced(
+pub(crate) fn priced(
     ev: &Evaluator,
     policies: AllocPolicies,
     div: &Option<DiversityConfig>,
@@ -459,26 +459,28 @@ pub fn placement_for(
     placement::place(&streams, &servers, strategy)
 }
 
+/// The cheap per-stream plan heuristic: the menu index with the lowest
+/// reference expected latency proxy for stream `k`.
+pub(crate) fn cheap_plan(ev: &Evaluator, k: usize) -> usize {
+    let menu = ev.menu(k);
+    (0..menu.len())
+        .min_by(|&a, &b| {
+            let score = |i: usize| {
+                let p = &menu[i];
+                p.exp_dev + p.remain * (ev.tx_full_seconds(k, p) * 4.0 + 1e-3)
+            };
+            score(a).total_cmp(&score(b))
+        })
+        // Validation guarantees non-empty menus; an empty one can only mean
+        // the caller bypassed ingest, so fall back to 0 rather than abort
+        // mid-solve.
+        .unwrap_or(0)
+}
+
 /// A reasonable starting point: per stream, the plan with the lowest
 /// reference expected latency proxy; placement by the chosen strategy.
 pub fn initial_assignment(ev: &Evaluator, strategy: PlacementStrategy) -> Assignment {
-    let plan_idx: Vec<usize> = (0..ev.num_streams())
-        .map(|k| {
-            let menu = ev.menu(k);
-            (0..menu.len())
-                .min_by(|&a, &b| {
-                    let score = |i: usize| {
-                        let p = &menu[i];
-                        p.exp_dev + p.remain * (ev.tx_full_seconds(k, p) * 4.0 + 1e-3)
-                    };
-                    score(a).total_cmp(&score(b))
-                })
-                // Validation guarantees non-empty menus; an empty one can
-                // only mean the caller bypassed ingest, so fall back to 0
-                // rather than abort mid-solve.
-                .unwrap_or(0)
-        })
-        .collect();
+    let plan_idx: Vec<usize> = (0..ev.num_streams()).map(|k| cheap_plan(ev, k)).collect();
     let placement = placement_for(ev, &plan_idx, strategy);
     Assignment {
         plan_idx,

@@ -407,28 +407,13 @@ struct TaskOut {
     solve: ShardSolve,
 }
 
-/// The cheap per-stream plan heuristic [`optimizer::initial_assignment`]
-/// uses, for one stream on the global menus (deadline-expired fallback).
-fn cheap_plan_pick(ev: &Evaluator, k: usize) -> usize {
-    let menu = ev.menu(k);
-    (0..menu.len())
-        .min_by(|&a, &b| {
-            let score = |i: usize| {
-                let p = &menu[i];
-                p.exp_dev + p.remain * (ev.tx_full_seconds(k, p) * 4.0 + 1e-3)
-            };
-            score(a).total_cmp(&score(b))
-        })
-        .unwrap_or(0)
-}
-
 /// Fill a shard from the global initial heuristic without building its
 /// evaluator — the degraded path once the wall deadline has passed.
 fn fallback_task(ev: &Evaluator, shard_idx: usize, shard: &Shard) -> TaskOut {
     let mut global_plans = Vec::with_capacity(shard.streams.len());
     let mut global_placement = Vec::with_capacity(shard.streams.len());
     for (j, &k) in shard.streams.iter().enumerate() {
-        global_plans.push(cheap_plan_pick(ev, k));
+        global_plans.push(optimizer::cheap_plan(ev, k));
         global_placement.push(if shard.servers.is_empty() {
             0
         } else {
@@ -678,13 +663,9 @@ pub fn solve_sharded_with(
     // The warm start joins the incumbent race: a sharded replan must
     // never adopt something worse than the assignment it started from.
     if let Some(w) = warm {
-        let mut wr = ev.evaluate(w, policies);
-        if let Some(d) = &cfg.opt.diversity {
-            // Price the warm point on the same penalized scale the race
-            // runs on, or a cap-violating incumbent would win unopposed.
-            wr.objective +=
-                diversity::penalty(diversity::assignment_excess(ev, w, d), d.penalty_weight);
-        }
+        // Price the warm point on the same penalized scale the race runs
+        // on, or a cap-violating incumbent would win unopposed.
+        let wr = optimizer::priced(ev, policies, &cfg.opt.diversity, w);
         trace.evaluations += 1;
         if wr.objective < best_obj {
             best_obj = wr.objective;
@@ -805,13 +786,7 @@ pub fn solve_sharded_with(
         // restores the hard guarantee before the result leaves the solver.
         repaired = diversity::repair(ev, &mut best_asg, d) > 0;
     }
-    let mut result = ev.evaluate(&best_asg, policies);
-    if let Some(d) = &cfg.opt.diversity {
-        result.objective += diversity::penalty(
-            diversity::assignment_excess(ev, &best_asg, d),
-            d.penalty_weight,
-        );
-    }
+    let result = optimizer::priced(ev, policies, &cfg.opt.diversity, &best_asg);
     if repaired {
         best_obj = result.objective;
     }

@@ -1,8 +1,8 @@
 //! # scalpel-kernels — hand-unrolled f64x4 hot-loop primitives
 //!
-//! The solver and simulator hot paths (KKT water-filling, clipped
-//! water-filling bisection, min-max bisection, pricing accumulation) are
-//! short reductions over flat f64 columns. Written as naive iterator
+//! The solver and simulator hot paths (KKT water-filling, the clipped
+//! water-filling bisection, processor-sharing drain and head selection)
+//! are short reductions over flat f64 columns. Written as naive iterator
 //! chains they serialize on one scalar add/divide per element; written as
 //! 4-lane unrolled loops the *elementwise* work (divide, multiply, sqrt,
 //! max) becomes independent across lanes — LLVM packs it into SSE2/AVX
@@ -11,43 +11,27 @@
 //!
 //! ## Bit-exactness contract
 //!
-//! Every kernel documents one of two guarantees:
-//!
-//! * **Bit-exact** — IEEE-754 elementwise operations (`*`, `/`, `sqrt`,
-//!   `max`) are exactly rounded, so computing four of them at once
-//!   changes nothing; the final accumulation is performed in the same
-//!   strict element order a naive scalar loop uses. Result: identical
-//!   bits to the reference loop, always. These kernels are safe inside
-//!   the solver paths whose outputs are pinned bitwise (trace parity,
-//!   golden snapshots).
-//! * **Re-associated** (`*_fast`) — four parallel accumulators combined
-//!   at the end. This changes the rounding order; callers must tolerate
-//!   [`KERNEL_REL_TOL`] and must not feed the result into a bit-pinned
-//!   comparison. `min_fast` is the exception: `min` is associative and
-//!   commutative exactly (for NaN-free inputs), so its lane-reduction is
-//!   still bitwise equal to the sequential fold.
+//! Every kernel is **bit-exact**: IEEE-754 elementwise operations (`*`,
+//! `/`, `sqrt`, `max`) are exactly rounded, so computing four of them at
+//! once changes nothing, and every sum is accumulated in the same strict
+//! element order a naive scalar loop uses. Result: identical bits to the
+//! reference loop, always, so the kernels are safe inside the solver
+//! paths whose outputs are pinned bitwise (trace parity, golden
+//! snapshots). [`min_fast`] splits its reduction across four lanes, but
+//! `min` is associative and commutative exactly (for NaN-free inputs), so
+//! it is still bitwise equal to the sequential fold.
 //!
 //! ## `kernel-xcheck`
 //!
 //! With the `kernel-xcheck` feature enabled, every kernel call also runs
-//! its scalar reference implementation and asserts agreement — bitwise
-//! for the bit-exact kernels, within [`KERNEL_REL_TOL`] for the
-//! re-associated ones. This is the allocation-layer analogue of the
-//! `eval-xcheck` oracle: turn it on in CI and any divergence between the
-//! unrolled and reference paths aborts loudly at the first call.
+//! its scalar reference implementation and asserts bitwise agreement.
+//! This is the allocation-layer analogue of the `eval-xcheck`
+//! oracle: turn it on in CI and any divergence between the unrolled and
+//! reference paths aborts loudly at the first call.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-/// Relative tolerance the re-associated (`*_fast`) reductions are allowed
-/// to diverge from the sequential reference by. A 4-way re-association of
-/// `n` same-sign terms differs from the sequential sum by at most
-/// ~`n·ε·Σ|x|`; for the column lengths this workspace reduces (≤ a few
-/// thousand) and machine ε ≈ 2.2e-16 that is well below `1e-12`
-/// relative. Mixed-sign cancellation can exceed this — callers feed
-/// non-negative columns (shares, weights, work remaining).
-pub const KERNEL_REL_TOL: f64 = 1e-12;
 
 const LANES: usize = 4;
 
@@ -57,16 +41,6 @@ fn xcheck_bits(kernel: &str, got: f64, reference: f64) {
     assert!(
         got.to_bits() == reference.to_bits(),
         "kernel-xcheck: {kernel} diverged from scalar reference: {got:?} vs {reference:?}"
-    );
-}
-
-#[cfg(feature = "kernel-xcheck")]
-#[inline]
-fn xcheck_tol(kernel: &str, got: f64, reference: f64) {
-    let scale = reference.abs().max(got.abs()).max(1.0);
-    assert!(
-        (got - reference).abs() <= KERNEL_REL_TOL * scale || got.to_bits() == reference.to_bits(),
-        "kernel-xcheck: {kernel} outside KERNEL_REL_TOL: {got:?} vs {reference:?}"
     );
 }
 
@@ -181,40 +155,6 @@ pub fn clipped_fill(roots: &[f64], mins: &[f64], nu: f64, out: &mut [f64]) {
     }
 }
 
-/// The min-max bisection objective `g(λ) = Σ_k num[k] / (λ − base[k])`
-/// over the common prefix, summed in strict element order. Callers pass
-/// the *served-streams-compacted* columns so no filter branch runs inside
-/// the 4-lane body. **Bit-exact.**
-pub fn ratio_sum(num: &[f64], base: &[f64], lambda: f64) -> f64 {
-    let n = num.len().min(base.len());
-    let mut acc = 0.0;
-    let mut i = 0;
-    while i + LANES <= n {
-        let q0 = num[i] / (lambda - base[i]);
-        let q1 = num[i + 1] / (lambda - base[i + 1]);
-        let q2 = num[i + 2] / (lambda - base[i + 2]);
-        let q3 = num[i + 3] / (lambda - base[i + 3]);
-        acc += q0;
-        acc += q1;
-        acc += q2;
-        acc += q3;
-        i += LANES;
-    }
-    while i < n {
-        acc += num[i] / (lambda - base[i]);
-        i += 1;
-    }
-    #[cfg(feature = "kernel-xcheck")]
-    {
-        let mut racc = 0.0;
-        for (&e, &a) in num.iter().zip(base.iter()).take(n) {
-            racc += e / (lambda - a);
-        }
-        xcheck_bits("ratio_sum", acc, racc);
-    }
-    acc
-}
-
 /// `out[i] /= d` elementwise — the simplex normalization after a
 /// water-filling or bisection solve. **Bit-exact** (division is exactly
 /// rounded per element; no reduction involved).
@@ -251,60 +191,6 @@ pub fn clipped_fill_inplace(roots: &[f64], nu: f64, mins_out: &mut [f64]) {
         mins_out[i] = (roots[i] / nu).max(mins_out[i]);
         i += 1;
     }
-}
-
-/// Re-associated 4-accumulator sum. **Not bit-exact** vs [`seq_sum`] —
-/// agrees within [`KERNEL_REL_TOL`] for same-sign inputs. Use only where
-/// the consumer is explicitly tolerance-gated.
-pub fn sum_fast(xs: &[f64]) -> f64 {
-    let n = xs.len();
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut i = 0;
-    while i + LANES <= n {
-        a0 += xs[i];
-        a1 += xs[i + 1];
-        a2 += xs[i + 2];
-        a3 += xs[i + 3];
-        i += LANES;
-    }
-    let mut acc = (a0 + a2) + (a1 + a3);
-    while i < n {
-        acc += xs[i];
-        i += 1;
-    }
-    #[cfg(feature = "kernel-xcheck")]
-    xcheck_tol("sum_fast", acc, seq_sum(xs));
-    acc
-}
-
-/// Re-associated 4-accumulator dot product `Σ a[i]·b[i]` over the common
-/// prefix. **Not bit-exact**; [`KERNEL_REL_TOL`] applies (same-sign
-/// inputs). Use only in tolerance-gated consumers.
-pub fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut i = 0;
-    while i + LANES <= n {
-        a0 += a[i] * b[i];
-        a1 += a[i + 1] * b[i + 1];
-        a2 += a[i + 2] * b[i + 2];
-        a3 += a[i + 3] * b[i + 3];
-        i += LANES;
-    }
-    let mut acc = (a0 + a2) + (a1 + a3);
-    while i < n {
-        acc += a[i] * b[i];
-        i += 1;
-    }
-    #[cfg(feature = "kernel-xcheck")]
-    {
-        let mut racc = 0.0;
-        for (&x, &y) in a.iter().zip(b.iter()).take(n) {
-            racc += x * y;
-        }
-        xcheck_tol("dot_fast", acc, racc);
-    }
-    acc
 }
 
 /// 4-lane minimum reduce; `+∞` for an empty slice. `min` is exactly
@@ -494,21 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn ratio_sum_is_bit_exact() {
-        for n in 0..=19 {
-            let e = col(n, 5);
-            let a = col(n, 6);
-            let lambda = 200.0; // strictly above every base value col() emits
-            let s = ratio_sum(&e, &a, lambda);
-            let mut racc = 0.0;
-            for i in 0..n {
-                racc += e[i] / (lambda - a[i]);
-            }
-            assert_eq!(s.to_bits(), racc.to_bits(), "n={n}");
-        }
-    }
-
-    #[test]
     fn scale_div_matches_scalar() {
         for n in 0..=19 {
             let mut xs = col(n, 8);
@@ -517,20 +388,6 @@ mod tests {
             for i in 0..n {
                 assert_eq!(xs[i].to_bits(), reference[i].to_bits());
             }
-        }
-    }
-
-    #[test]
-    fn fast_reductions_stay_within_tolerance() {
-        for n in [0, 1, 3, 4, 5, 8, 13, 100, 1000] {
-            let a = col(n, 9);
-            let b = col(n, 10);
-            let s = sum_fast(&a);
-            let reference = seq_sum(&a);
-            assert!((s - reference).abs() <= KERNEL_REL_TOL * reference.abs().max(1.0));
-            let d = dot_fast(&a, &b);
-            let dref: f64 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
-            assert!((d - dref).abs() <= KERNEL_REL_TOL * dref.abs().max(1.0));
         }
     }
 

@@ -592,9 +592,8 @@ impl FaultProfile {
                         FaultKind::ServerUp { server },
                     )
                 }
-                FaultClass::CorrelatedOutage => {
-                    unreachable!("correlated class is filtered out above")
-                }
+                // Filtered out above; skipping keeps the generator total.
+                FaultClass::CorrelatedOutage => continue,
             };
             plan.events.push(FaultEvent {
                 at_s: t,

@@ -46,7 +46,9 @@ impl LatencyStats {
         if samples.is_empty() {
             return Self::empty();
         }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        // Latencies are non-negative and never -0.0, so the total order
+        // sorts them exactly as the numeric order would.
+        samples.sort_by(f64::total_cmp);
         let count = samples.len();
         let mean = samples.iter().sum::<f64>() / count as f64;
         let q = |p: f64| -> f64 {
@@ -60,7 +62,7 @@ impl LatencyStats {
             p50: q(0.50),
             p95: q(0.95),
             p99: q(0.99),
-            max: *samples.last().expect("non-empty"),
+            max: samples[count - 1],
         }
     }
 }

@@ -75,7 +75,7 @@ impl LinkModel {
 
     /// Pre-evaluate the static channel math. `mean_snr` depends only on
     /// link constants (power, path loss, distance, spectrum), yet
-    /// [`LinkModel::rate_bps`] re-derives it — two `log10`s and a `powf`
+    /// `LinkModel::rate_bps` re-derives it — two `log10`s and a `powf`
     /// — on every call. A [`CachedLink`] pays that once, leaving at most
     /// one `log2` per transmission; the cached values are exactly the
     /// f64s the uncached path would recompute, so rates (and therefore

@@ -2,11 +2,11 @@
 //! processor-sharing edge server, driven by a deterministic event queue.
 //!
 //! The hot path is columnar (structure-of-arrays) and allocation-free in
-//! steady state: requests live in a parallel-column slab ([`FlightCols`])
-//! and move between device/uplink stations ([`LaneCols`]) as index links,
+//! steady state: requests live in a parallel-column slab (`FlightCols`)
+//! and move between device/uplink stations (`LaneCols`) as index links,
 //! the PS stations keep their virtual-finish tags in flat f64 columns
-//! ([`ServerCols`]) streamed by `scalpel-kernels` primitives, per-event
-//! stream constants come from the dense [`StreamCols`] hot block, events
+//! (`ServerCols`) streamed by `scalpel-kernels` primitives, per-event
+//! stream constants come from the dense `StreamCols` hot block, events
 //! carry [`EventKey`]s so superseded timers are cancelled (and eventually
 //! compacted) instead of popped lazily, and all per-run state lives in a
 //! reusable [`SimScratch`]. The always-compiled AoS oracle in

@@ -1,14 +1,17 @@
 //! Property-based invariants spanning crates (proptest).
 
 use proptest::prelude::*;
-use scalpel::alloc::convex::{self, HyperbolicDemand};
+use scalpel::alloc::convex;
 use scalpel::models::{zoo, DifficultyModel};
 use scalpel::surgery::pareto;
 use scalpel::surgery::plan::SurgeryPlan;
 use scalpel::surgery::pruning::PruneLevel;
 
-fn demand_strategy() -> impl Strategy<Value = HyperbolicDemand> {
-    (0.0f64..0.2, 0.0001f64..0.5).prop_map(|(fixed, scaled)| HyperbolicDemand::new(fixed, scaled))
+/// Hyperbolic demand columns `(fixed, scaled)`: stream k's latency at
+/// share `c` is `fixed[k] + scaled[k] / c`.
+fn demand_strategy(len: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    prop::collection::vec((0.0f64..0.2, 0.0001f64..0.5), len)
+        .prop_map(|rows| rows.into_iter().unzip())
 }
 
 proptest! {
@@ -18,19 +21,21 @@ proptest! {
     /// KKT stationarity condition (equal marginal costs).
     #[test]
     fn weighted_sum_shares_kkt(
-        demands in prop::collection::vec(demand_strategy(), 1..12),
+        demands in demand_strategy(1..12),
         weights in prop::collection::vec(0.1f64..5.0, 12),
     ) {
-        let weights = &weights[..demands.len()];
-        let shares = convex::weighted_sum_shares(&demands, weights);
+        let (_, scaled) = demands;
+        let weights = &weights[..scaled.len()];
+        let mut shares = Vec::new();
+        convex::weighted_sum_shares_cols(&scaled, weights, &mut shares);
         let total: f64 = shares.iter().sum();
         prop_assert!(total <= 1.0 + 1e-9);
-        let marginals: Vec<f64> = demands
+        let marginals: Vec<f64> = scaled
             .iter()
             .zip(weights)
             .zip(&shares)
-            .filter(|((d, _), &c)| d.scaled > 0.0 && c > 0.0)
-            .map(|((d, &w), &c)| w * d.scaled / (c * c))
+            .filter(|((&e, _), &c)| e > 0.0 && c > 0.0)
+            .map(|((&e, &w), &c)| w * e / (c * c))
             .collect();
         if marginals.len() >= 2 {
             let first = marginals[0];
@@ -41,39 +46,27 @@ proptest! {
         }
     }
 
-    /// Min-max allocation equalizes latencies of served streams and no
-    /// perturbation lowers the max.
-    #[test]
-    fn minmax_shares_equalize(
-        demands in prop::collection::vec(demand_strategy(), 2..10),
-    ) {
-        let (lambda, shares) = convex::minmax_shares(&demands);
-        let total: f64 = shares.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-6);
-        for (d, &c) in demands.iter().zip(&shares) {
-            let lat = d.latency(c);
-            prop_assert!((lat - lambda).abs() < 1e-4 * lambda.max(1e-9),
-                "latency {lat} vs lambda {lambda}");
-        }
-    }
-
     /// Deadline shares, when they exist, meet every deadline.
     #[test]
     fn deadline_shares_meet_deadlines(
-        demands in prop::collection::vec(demand_strategy(), 1..10),
+        demands in demand_strategy(1..10),
         slack in 1.5f64..20.0,
     ) {
+        let (fixed, scaled) = demands;
         // Construct comfortably feasible deadlines.
-        let n = demands.len() as f64;
-        let deadlines: Vec<f64> = demands
+        let n = fixed.len() as f64;
+        let deadlines: Vec<f64> = fixed
             .iter()
-            .map(|d| d.fixed + d.scaled * n * slack)
+            .zip(&scaled)
+            .map(|(&a, &e)| a + e * n * slack)
             .collect();
-        if let Some(shares) = convex::deadline_shares(&demands, &deadlines, &vec![1.0; demands.len()]) {
+        let weights = vec![1.0; fixed.len()];
+        let (mut roots, mut shares) = (Vec::new(), Vec::new());
+        if convex::deadline_shares_cols(&fixed, &scaled, &deadlines, &weights, &mut roots, &mut shares) {
             let total: f64 = shares.iter().sum();
             prop_assert!(total <= 1.0 + 1e-6);
-            for (d, (&c, &dl)) in demands.iter().zip(shares.iter().zip(&deadlines)) {
-                prop_assert!(d.latency(c) <= dl + 1e-6);
+            for k in 0..fixed.len() {
+                prop_assert!(fixed[k] + scaled[k] / shares[k] <= deadlines[k] + 1e-6);
             }
         }
     }
