@@ -160,12 +160,12 @@ impl Evaluator {
     /// construction, rejecting any stream whose candidate menu comes out
     /// empty (accuracy floor unsatisfiable at every cut/exit setting).
     /// Use this for inputs that did not already pass
-    /// [`crate::validate::validate_problem`].
+    /// [`JointProblem::validate`].
     pub fn try_new(
         problem: &JointProblem,
         menu_cfg: Option<CandidateConfig>,
     ) -> Result<Self, crate::validate::ProblemError> {
-        crate::validate::check_strict(problem)?;
+        problem.validate()?;
         let ev = Self::new(problem, menu_cfg);
         for (k, menu) in ev.menus.iter().enumerate() {
             if menu.is_empty() {

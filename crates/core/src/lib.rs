@@ -65,7 +65,4 @@ pub use shard::{
     partition, solve_sharded, Reachability, Shard, ShardConfig, ShardPlan, ShardSolve,
     ShardedOutcome,
 };
-pub use validate::{
-    validate_diversity, validate_problem, ProblemError, RepairAction, RepairReport,
-    ValidationPolicy,
-};
+pub use validate::{validate_diversity, ProblemError};

@@ -36,11 +36,12 @@ pub struct JointProblem {
 }
 
 impl JointProblem {
-    /// Validate cross-references and numerical sanity. Delegates to the
-    /// strict checks in [`crate::validate`]; use
-    /// [`crate::validate::validate_problem`] for the repairing variant.
+    /// Validate cross-references and numerical sanity: the one ingest
+    /// door for a problem instance. Returns the first defect as a typed
+    /// [`ProblemError`](crate::validate::ProblemError); a defective
+    /// instance is refused, never edited.
     pub fn validate(&self) -> Result<(), crate::validate::ProblemError> {
-        crate::validate::check_strict(self)
+        crate::validate::check_problem(self)
     }
 
     /// The backbone of stream `k`.

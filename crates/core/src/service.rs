@@ -49,7 +49,7 @@ use crate::online::{OnlineController, Proposal};
 use crate::optimizer::{Budget, OptimizerConfig, Solution};
 use crate::problem::JointProblem;
 use crate::shard::ShardConfig;
-use crate::validate::{validate_churn_batch, ProblemError};
+use crate::validate::{check_churn_factor, validate_churn_batch, ProblemError};
 use scalpel_sim::churn::FACTOR_FLOOR;
 use scalpel_sim::{ArrivalProcess, ChurnEvent, ChurnKind, ChurnTrace};
 use serde::{Deserialize, Serialize};
@@ -65,6 +65,99 @@ fn parse_hex(s: &str) -> Result<f64, String> {
     u64::from_str_radix(s, 16)
         .map(f64::from_bits)
         .map_err(|e| format!("bad f64 bits {s:?}: {e}"))
+}
+
+/// A whitespace-separated list of [`hex`] floats on checkpoint line `line`.
+fn parse_f64s(s: &str, line: usize) -> Result<Vec<f64>, CheckpointError> {
+    s.split_whitespace()
+        .map(|t| parse_hex(t).map_err(|reason| CheckpointError { line, reason }))
+        .collect()
+}
+
+/// Reads checkpoint records in the order
+/// [`PlanningService::checkpoint_text`] writes them; every error names
+/// the offending line.
+struct Records<'a> {
+    lines: std::iter::Peekable<std::iter::Enumerate<std::str::Lines<'a>>>,
+}
+
+impl<'a> Records<'a> {
+    /// The next record, which must be `key`: its 1-based line number and
+    /// the text after the key.
+    fn take(&mut self, key: &str) -> Result<(usize, &'a str), CheckpointError> {
+        let (i, text) = self.lines.next().ok_or_else(|| CheckpointError {
+            line: 0,
+            reason: format!("truncated checkpoint: no {key} record"),
+        })?;
+        let body = text.trim();
+        let (found, rest) = body.split_once(char::is_whitespace).unwrap_or((body, ""));
+        if found != key {
+            return Err(CheckpointError {
+                line: i + 1,
+                reason: format!("expected a {key} record, found {found:?}"),
+            });
+        }
+        Ok((i + 1, rest.trim()))
+    }
+
+    fn int<T: std::str::FromStr>(&mut self, key: &str) -> Result<T, CheckpointError>
+    where
+        T::Err: fmt::Display,
+    {
+        let (line, v) = self.take(key)?;
+        v.parse().map_err(|e| CheckpointError {
+            line,
+            reason: format!("{key} {v:?}: {e}"),
+        })
+    }
+
+    /// [`int`](Self::int) for a record older checkpoints lack.
+    fn optional_int(&mut self, key: &str) -> Result<Option<u64>, CheckpointError> {
+        let next_is_key = self
+            .lines
+            .peek()
+            .is_some_and(|(_, text)| text.split_whitespace().next() == Some(key));
+        if next_is_key {
+            self.int(key).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    fn ints(&mut self, key: &str) -> Result<Vec<usize>, CheckpointError> {
+        let (line, v) = self.take(key)?;
+        v.split_whitespace()
+            .map(|t| {
+                t.parse().map_err(|e| CheckpointError {
+                    line,
+                    reason: format!("{key} {t:?}: {e}"),
+                })
+            })
+            .collect()
+    }
+
+    fn f64(&mut self, key: &str) -> Result<(usize, f64), CheckpointError> {
+        let (line, v) = self.take(key)?;
+        let x = parse_hex(v).map_err(|reason| CheckpointError { line, reason })?;
+        Ok((line, x))
+    }
+
+    fn f64s(&mut self, key: &str) -> Result<(usize, Vec<f64>), CheckpointError> {
+        let (line, v) = self.take(key)?;
+        Ok((line, parse_f64s(v, line)?))
+    }
+
+    /// Drift factors, each inside the range a churn event may set.
+    fn factors(&mut self, key: &'static str) -> Result<Vec<f64>, CheckpointError> {
+        let (line, v) = self.f64s(key)?;
+        for &f in &v {
+            check_churn_factor(key, f).map_err(|e| CheckpointError {
+                line,
+                reason: e.to_string(),
+            })?;
+        }
+        Ok(v)
+    }
 }
 
 /// The service's current multiplicative view of the fleet: every churn
@@ -612,7 +705,7 @@ impl PlanningService {
             return Ok(0);
         }
         if let Err(e) = validate_churn_batch(&self.base, self.cursor_s, events) {
-            self.rejected_batches += 1;
+            self.rejected_batches = self.rejected_batches.saturating_add(1);
             self.fail();
             return Err(e);
         }
@@ -620,8 +713,8 @@ impl PlanningService {
             self.fleet.apply(ev);
             self.cursor_s = ev.at_s;
         }
-        self.cursor += events.len();
-        self.dirty += events.len();
+        self.cursor = self.cursor.saturating_add(events.len());
+        self.dirty = self.dirty.saturating_add(events.len());
         Ok(events.len())
     }
 
@@ -631,13 +724,13 @@ impl PlanningService {
     pub fn tick(&mut self) -> TickOutcome {
         let out = self.tick_inner();
         if out.degraded {
-            self.degraded_ticks += 1;
+            self.degraded_ticks = self.degraded_ticks.saturating_add(1);
         }
         out
     }
 
     fn tick_inner(&mut self) -> TickOutcome {
-        self.tick += 1;
+        self.tick = self.tick.saturating_add(1);
         // Multiplication, not accumulation: tick 1000's timestamp is the
         // same bit pattern whether or not the service restarted at 500.
         self.now_s = self.tick as f64 * self.cfg.tick_s;
@@ -651,7 +744,7 @@ impl PlanningService {
             self.backoff_ticks_remaining -= 1;
             if self.dirty >= self.cfg.debounce_events.max(1) {
                 // A replan was due but the ladder shed it.
-                self.shed_replans += 1;
+                self.shed_replans = self.shed_replans.saturating_add(1);
             }
             return idle(self);
         }
@@ -741,10 +834,14 @@ impl PlanningService {
         };
         self.evaluator = new_ev;
         self.dirty = 0;
-        self.total_replans += 1;
-        self.total_switches += delta.moves.len() as u64;
-        self.total_plan_changes += delta.plan_changes.len() as u64;
-        self.remap_misses += proposal.report.remap_misses as u64;
+        self.total_replans = self.total_replans.saturating_add(1);
+        self.total_switches = self.total_switches.saturating_add(delta.moves.len() as u64);
+        self.total_plan_changes = self
+            .total_plan_changes
+            .saturating_add(delta.plan_changes.len() as u64);
+        self.remap_misses = self
+            .remap_misses
+            .saturating_add(proposal.report.remap_misses as u64);
         self.succeed();
         TickOutcome {
             tick: self.tick,
@@ -778,7 +875,7 @@ impl PlanningService {
     }
 
     fn fail(&mut self) {
-        self.consecutive_failures += 1;
+        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
         let exp = (self.consecutive_failures - 1).min(16);
         self.backoff_ticks_remaining = (1u32 << exp).min(self.cfg.max_backoff_ticks.max(1));
         self.degraded = true;
@@ -845,146 +942,106 @@ impl PlanningService {
     /// same `base` and `cfg`. The restored instance re-prices the
     /// incumbent on the reconstructed effective problem — one evaluation,
     /// no search — and is then indistinguishable from the original.
+    ///
+    /// Restore accepts exactly what [`checkpoint_text`](Self::checkpoint_text)
+    /// writes: every record once, in order (`degraded_ticks` and
+    /// `shed_replans` may be absent, as in older checkpoints), one `win`
+    /// record per stream, nothing after `end`. It also refuses values no
+    /// run can reach: `degraded` other than 0 or 1, a `now` that is not
+    /// `tick × tick_s` bit for bit, a negative or non-finite `cursor_s`,
+    /// and drift factors outside the ranges churn events may set.
     pub fn restore(
         base: JointProblem,
         cfg: ServiceConfig,
         text: &str,
     ) -> Result<Self, CheckpointError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(CheckpointError {
-            line: 0,
-            reason: "empty checkpoint".into(),
-        })?;
-        if header.trim() != "scalpel-serve-checkpoint v1" {
+        let mut rec = Records {
+            lines: text.lines().enumerate().peekable(),
+        };
+        let (line, version) = rec.take("scalpel-serve-checkpoint")?;
+        if version != "v1" {
             return Err(CheckpointError {
-                line: 1,
-                reason: format!("bad header {header:?}"),
+                line,
+                reason: format!("unsupported checkpoint version {version:?}"),
             });
         }
-        let mut tick = 0u64;
-        let mut now_s = 0.0f64;
-        let mut cursor = 0usize;
-        let mut cursor_s = 0.0f64;
-        let mut dirty = 0usize;
-        let mut failures = 0u32;
-        let mut backoff = 0u32;
-        let mut degraded = false;
-        let mut rejected_batches = 0u64;
-        let mut total_replans = 0u64;
-        let mut total_switches = 0u64;
-        let mut total_plan_changes = 0u64;
-        let mut remap_misses = 0u64;
-        let mut degraded_ticks = 0u64;
-        let mut shed_replans = 0u64;
-        let mut plan: Option<Vec<usize>> = None;
-        let mut place: Option<Vec<usize>> = None;
-        let mut link: Option<Vec<f64>> = None;
-        let mut capf: Option<Vec<f64>> = None;
-        let mut load: Option<Vec<f64>> = None;
-        let mut up: Option<Vec<bool>> = None;
-        let mut dwell: Option<Vec<f64>> = None;
-        let mut wins: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut saw_end = false;
-        for (i, line) in lines {
-            let lineno = i + 1;
-            let err = |reason: String| CheckpointError {
-                line: lineno,
-                reason,
-            };
-            let body = line.trim();
-            if body.is_empty() {
-                continue;
-            }
-            if body == "end" {
-                saw_end = true;
-                continue;
-            }
-            let (key, rest) = body.split_once(' ').unwrap_or((body, ""));
-            let parse_usize_list = |s: &str| -> Result<Vec<usize>, CheckpointError> {
-                s.split_whitespace()
-                    .map(|t| t.parse::<usize>().map_err(|e| err(format!("{t:?}: {e}"))))
-                    .collect()
-            };
-            let parse_f64_list = |s: &str| -> Result<Vec<f64>, CheckpointError> {
-                s.split_whitespace()
-                    .map(|t| parse_hex(t).map_err(&err))
-                    .collect()
-            };
-            match key {
-                "tick" => tick = rest.trim().parse().map_err(|e| err(format!("{e}")))?,
-                "now" => now_s = parse_hex(rest.trim()).map_err(&err)?,
-                "cursor" => cursor = rest.trim().parse().map_err(|e| err(format!("{e}")))?,
-                "cursor_s" => cursor_s = parse_hex(rest.trim()).map_err(&err)?,
-                "dirty" => dirty = rest.trim().parse().map_err(|e| err(format!("{e}")))?,
-                "failures" => failures = rest.trim().parse().map_err(|e| err(format!("{e}")))?,
-                "backoff" => backoff = rest.trim().parse().map_err(|e| err(format!("{e}")))?,
-                "degraded" => degraded = rest.trim() == "1",
-                "rejected_batches" => {
-                    rejected_batches = rest.trim().parse().map_err(|e| err(format!("{e}")))?
-                }
-                "total_replans" => {
-                    total_replans = rest.trim().parse().map_err(|e| err(format!("{e}")))?
-                }
-                "total_switches" => {
-                    total_switches = rest.trim().parse().map_err(|e| err(format!("{e}")))?
-                }
-                "total_plan_changes" => {
-                    total_plan_changes = rest.trim().parse().map_err(|e| err(format!("{e}")))?
-                }
-                "remap_misses" => {
-                    remap_misses = rest.trim().parse().map_err(|e| err(format!("{e}")))?
-                }
-                // Absent in pre-blast-radius checkpoints; default 0.
-                "degraded_ticks" => {
-                    degraded_ticks = rest.trim().parse().map_err(|e| err(format!("{e}")))?
-                }
-                "shed_replans" => {
-                    shed_replans = rest.trim().parse().map_err(|e| err(format!("{e}")))?
-                }
-                "plan" => plan = Some(parse_usize_list(rest)?),
-                "place" => place = Some(parse_usize_list(rest)?),
-                "link" => link = Some(parse_f64_list(rest)?),
-                "cap" => capf = Some(parse_f64_list(rest)?),
-                "load" => load = Some(parse_f64_list(rest)?),
-                "up" => {
-                    up = Some(
-                        rest.split_whitespace()
-                            .map(|t| match t {
-                                "1" => Ok(true),
-                                "0" => Ok(false),
-                                other => Err(err(format!("bad liveness bit {other:?}"))),
-                            })
-                            .collect::<Result<Vec<bool>, _>>()?,
-                    )
-                }
-                "dwell" => dwell = Some(parse_f64_list(rest)?),
-                "win" => {
-                    let (idx, vals) = rest.split_once(' ').unwrap_or((rest, ""));
-                    let k: usize = idx
-                        .trim()
-                        .parse()
-                        .map_err(|e| err(format!("bad window index: {e}")))?;
-                    wins.push((k, parse_f64_list(vals)?));
-                }
-                other => return Err(err(format!("unknown key {other:?}"))),
-            }
-        }
-        if !saw_end {
+        let tick: u64 = rec.int("tick")?;
+        let (line, now_s) = rec.f64("now")?;
+        let tick_now = tick as f64 * cfg.tick_s;
+        if now_s.to_bits() != tick_now.to_bits() {
             return Err(CheckpointError {
-                line: 0,
-                reason: "truncated checkpoint (no end marker)".into(),
+                line,
+                reason: format!("now {now_s} s is not tick {tick} × {} s", cfg.tick_s),
+            });
+        }
+        let cursor: usize = rec.int("cursor")?;
+        let (line, cursor_s) = rec.f64("cursor_s")?;
+        if !(cursor_s.is_finite() && cursor_s >= 0.0) {
+            return Err(CheckpointError {
+                line,
+                reason: format!("cursor_s {cursor_s} is not a finite, non-negative time"),
+            });
+        }
+        let dirty: usize = rec.int("dirty")?;
+        let failures: u32 = rec.int("failures")?;
+        let backoff: u32 = rec.int("backoff")?;
+        let degraded = match rec.take("degraded")? {
+            (_, "0") => false,
+            (_, "1") => true,
+            (line, other) => {
+                return Err(CheckpointError {
+                    line,
+                    reason: format!("degraded {other:?} is neither 0 nor 1"),
+                })
+            }
+        };
+        let rejected_batches: u64 = rec.int("rejected_batches")?;
+        let total_replans: u64 = rec.int("total_replans")?;
+        let total_switches: u64 = rec.int("total_switches")?;
+        let total_plan_changes: u64 = rec.int("total_plan_changes")?;
+        let remap_misses: u64 = rec.int("remap_misses")?;
+        // Absent in pre-blast-radius checkpoints; default 0.
+        let degraded_ticks: u64 = rec.optional_int("degraded_ticks")?.unwrap_or(0);
+        let shed_replans: u64 = rec.optional_int("shed_replans")?.unwrap_or(0);
+        let plan = rec.ints("plan")?;
+        let place = rec.ints("place")?;
+        let link_factor = rec.factors("link")?;
+        let cap_factor = rec.factors("cap")?;
+        let load_factor = rec.factors("load")?;
+        let (line, bits) = rec.take("up")?;
+        let device_up = bits
+            .split_whitespace()
+            .map(|t| match t {
+                "1" => Ok(true),
+                "0" => Ok(false),
+                other => Err(CheckpointError {
+                    line,
+                    reason: format!("bad liveness bit {other:?}"),
+                }),
+            })
+            .collect::<Result<Vec<bool>, _>>()?;
+        let (_, last_switch_s) = rec.f64s("dwell")?;
+        let n = base.streams.len();
+        let mut windows = Vec::with_capacity(n);
+        for k in 0..n {
+            let (line, body) = rec.take("win")?;
+            let (idx, vals) = body.split_once(char::is_whitespace).unwrap_or((body, ""));
+            if idx != k.to_string() {
+                return Err(CheckpointError {
+                    line,
+                    reason: format!("expected the window of stream {k}, found {idx:?}"),
+                });
+            }
+            windows.push(parse_f64s(vals, line)?);
+        }
+        rec.take("end")?;
+        if let Some((i, extra)) = rec.lines.next() {
+            return Err(CheckpointError {
+                line: i + 1,
+                reason: format!("record after the end marker: {extra:?}"),
             });
         }
         let structural = |reason: String| CheckpointError { line: 0, reason };
-        let missing = |what: &str| structural(format!("missing {what} record"));
-        let plan = plan.ok_or_else(|| missing("plan"))?;
-        let place = place.ok_or_else(|| missing("place"))?;
-        let link_factor = link.ok_or_else(|| missing("link"))?;
-        let cap_factor = capf.ok_or_else(|| missing("cap"))?;
-        let load_factor = load.ok_or_else(|| missing("load"))?;
-        let device_up = up.ok_or_else(|| missing("up"))?;
-        let last_switch_s = dwell.ok_or_else(|| missing("dwell"))?;
-        let n = base.streams.len();
         if plan.len() != n
             || place.len() != n
             || load_factor.len() != n
@@ -996,13 +1053,6 @@ impl PlanningService {
             return Err(structural(
                 "checkpoint dimensions do not match the base problem".into(),
             ));
-        }
-        let mut windows = vec![Vec::new(); n];
-        for (k, w) in wins {
-            if k >= n {
-                return Err(structural(format!("window for unknown stream {k}")));
-            }
-            windows[k] = w;
         }
         let fleet = FleetState {
             link_factor,
@@ -1087,7 +1137,7 @@ impl PlanningService {
         let mut statuses = Vec::new();
         let mut next = self.cursor;
         while self.now_s + self.cfg.tick_s <= horizon_s + 1e-12 {
-            let boundary = (self.tick + 1) as f64 * self.cfg.tick_s;
+            let boundary = self.tick.saturating_add(1) as f64 * self.cfg.tick_s;
             let mut batch_end = next;
             while batch_end < trace.events.len() && trace.events[batch_end].at_s < boundary {
                 batch_end += 1;
@@ -1257,7 +1307,129 @@ mod tests {
         let truncated = good.replace("end\n", "");
         assert!(PlanningService::restore(p.clone(), quick_cfg(), &truncated).is_err());
         let off_menu = good.replace("plan ", "plan 9999 ");
-        assert!(PlanningService::restore(p, quick_cfg(), &off_menu).is_err());
+        assert!(PlanningService::restore(p.clone(), quick_cfg(), &off_menu).is_err());
+
+        // A checkpoint with live windows, factors and counters (tick 6).
+        let trace = small_trace(&p);
+        let mut svc = PlanningService::new(p.clone(), quick_cfg()).expect("valid base");
+        svc.drive_trace(&trace, 12.0).expect("fresh cursor");
+        let ckpt = svc.checkpoint_text();
+        let lines: Vec<&str> = ckpt.lines().collect();
+        let rebuild = |edit: &dyn Fn(usize, &str) -> Option<String>| -> String {
+            lines
+                .iter()
+                .enumerate()
+                .filter_map(|(i, l)| edit(i, l))
+                .map(|l| l + "\n")
+                .collect()
+        };
+        let set = |key: &str, value: &str| {
+            rebuild(&|_, l: &str| {
+                Some(if l.split(' ').next() == Some(key) {
+                    format!("{key} {value}")
+                } else {
+                    l.to_string()
+                })
+            })
+        };
+        let restore = |text: &str| PlanningService::restore(p.clone(), quick_cfg(), text);
+
+        // A missing record, and a value no run can reach, is refused.
+        let mut refused: Vec<(String, String)> = Vec::new();
+        for (i, l) in lines.iter().enumerate() {
+            let key = l.split(' ').next().unwrap_or("");
+            if key != "degraded_ticks" && key != "shed_replans" {
+                refused.push((
+                    format!("drop line {}", i + 1),
+                    rebuild(&|j, l| (j != i).then(|| l.to_string())),
+                ));
+            }
+        }
+        refused.push(("degraded x".into(), set("degraded", "x")));
+        refused.push(("degraded 2".into(), set("degraded", "2")));
+        for bad in ["7ff8000000000000", "7ff0000000000000", "fff0000000000000"] {
+            refused.push((format!("now {bad}"), set("now", bad)));
+            refused.push((format!("cursor_s {bad}"), set("cursor_s", bad)));
+        }
+        refused.push(("cursor_s -1".into(), set("cursor_s", "bff0000000000000")));
+        // Outside [FACTOR_FLOOR, 1] (link, cap) or [FACTOR_FLOOR, 16] (load).
+        for (key, bad, n) in [
+            ("link", "4000000000000000", p.cluster.aps.len()),
+            ("cap", "0000000000000000", p.cluster.servers.len()),
+            ("load", "4031000000000000", p.streams.len()),
+            ("load", "7ff8000000000000", p.streams.len()),
+        ] {
+            let value = vec![bad; n].join(" ");
+            refused.push((format!("{key} {bad}"), set(key, &value)));
+        }
+        refused.push((
+            "duplicate tick".into(),
+            ckpt.replacen("now ", "tick 6\nnow ", 1),
+        ));
+        refused.push(("record after end".into(), format!("{ckpt}tick 6\n")));
+        for (what, text) in &refused {
+            assert_ne!(&ckpt, text, "{what}: no corruption");
+            let e = restore(text)
+                .err()
+                .unwrap_or_else(|| panic!("{what}: restored"));
+            assert!(!e.to_string().is_empty());
+        }
+        // Older checkpoints lack the two blast-radius counters.
+        let old = rebuild(&|_, l: &str| {
+            (!l.starts_with("degraded_ticks ") && !l.starts_with("shed_replans "))
+                .then(|| l.to_string())
+        });
+        assert!(restore(&old).is_ok());
+
+        // The sweep: every byte-prefix truncation, every dropped line and
+        // every token swapped for a poison gives a typed error, or a
+        // restored service whose tail replay does not panic.
+        let poisons = [
+            "",
+            "x",
+            "-1",
+            "0",
+            "1",
+            "2",
+            "18446744073709551615",
+            "18446744073709551616",
+            "7ff8000000000000",
+            "7ff0000000000000",
+            "fff0000000000000",
+            "8000000000000000",
+        ];
+        let mut variants: Vec<String> = (0..ckpt.len()).map(|i| ckpt[..i].to_string()).collect();
+        for i in 0..lines.len() {
+            variants.push(rebuild(&|j, l| (j != i).then(|| l.to_string())));
+        }
+        for (i, l) in lines.iter().enumerate() {
+            let tokens: Vec<&str> = l.split(' ').collect();
+            for t in 0..tokens.len() {
+                for poison in poisons {
+                    let mut swapped = tokens.clone();
+                    swapped[t] = poison;
+                    let swapped = swapped.join(" ");
+                    variants.push(rebuild(&|j, l| {
+                        Some(if j == i {
+                            swapped.clone()
+                        } else {
+                            l.to_string()
+                        })
+                    }));
+                }
+            }
+        }
+        let mut restored_count = 0;
+        for text in &variants {
+            match restore(text) {
+                Ok(mut resumed) => {
+                    restored_count += 1;
+                    let _ = resumed.drive_trace(&trace, 16.0);
+                }
+                Err(e) => assert!(!e.to_string().is_empty()),
+            }
+        }
+        assert!(restored_count > 0 && restored_count < variants.len());
     }
 
     #[test]

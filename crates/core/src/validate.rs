@@ -1,13 +1,12 @@
-//! Ingest validation and repair for joint problem instances.
+//! Ingest validation for joint problem instances.
 //!
 //! Everything entering the solver stack passes through here once, so the
 //! optimizer, evaluator and simulator can assume structurally sound input
 //! and stay panic-free on the hot path. A [`ProblemError`] names each way
-//! ingest can fail; [`validate_problem`] either rejects with the first
-//! defect found ([`ValidationPolicy::Strict`]) or repairs what is
-//! repairable — clamping out-of-range scalars, dropping dead resources,
-//! reassigning orphaned devices — and reports every action taken
-//! ([`ValidationPolicy::Repair`]).
+//! ingest can fail. [`JointProblem::validate`] is the one door for a
+//! problem instance: it accepts the instance as measured or rejects it
+//! with the first defect found. Nothing is clamped, dropped or renumbered,
+//! so the solver never sees an instance other than the one submitted.
 
 use crate::problem::JointProblem;
 use scalpel_sim::SimError;
@@ -395,128 +394,9 @@ impl From<ProblemError> for String {
     }
 }
 
-/// How [`validate_problem`] treats a defective instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub enum ValidationPolicy {
-    /// Reject at the first defect with a precise [`ProblemError`].
-    #[default]
-    Strict,
-    /// Repair what can be repaired — clamp out-of-range scalars, drop
-    /// dead resources, reassign orphaned devices, discard unusable
-    /// streams — and reject only structural defects nothing can fix
-    /// (no servers left, no streams left, arity mismatches).
-    Repair {
-        /// Ceiling for device–AP distances when clamping non-finite or
-        /// oversized values, meters.
-        max_distance_m: f64,
-        /// Substitute deadline for streams whose recorded deadline is
-        /// non-finite or non-positive, seconds.
-        fallback_deadline_s: f64,
-    },
-}
-
-impl ValidationPolicy {
-    /// The repair preset with the default clamp ceilings.
-    pub fn repair() -> Self {
-        ValidationPolicy::Repair {
-            max_distance_m: 10_000.0,
-            fallback_deadline_s: 1.0,
-        }
-    }
-}
-
-/// One repair applied by [`validate_problem`] under
-/// [`ValidationPolicy::Repair`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum RepairAction {
-    /// A device's distance was clamped into `[0, max_distance_m]`.
-    ClampedDistance {
-        /// The repaired device.
-        device: usize,
-        /// Original value, meters.
-        from: f64,
-        /// Clamped value, meters.
-        to: f64,
-    },
-    /// An AP's RTT was clamped to a finite non-negative value.
-    ClampedRtt {
-        /// The repaired AP.
-        ap: usize,
-        /// Original value, seconds.
-        from: f64,
-        /// Clamped value, seconds.
-        to: f64,
-    },
-    /// A stream's deadline was replaced by the policy fallback.
-    ClampedDeadline {
-        /// The repaired stream.
-        stream: usize,
-        /// Original value, seconds.
-        from: f64,
-        /// Substitute value, seconds.
-        to: f64,
-    },
-    /// A stream's accuracy floor was clamped into `[0, 1]`.
-    ClampedAccuracyFloor {
-        /// The repaired stream.
-        stream: usize,
-        /// Original value.
-        from: f64,
-        /// Clamped value.
-        to: f64,
-    },
-    /// A published model accuracy was clamped into `[0, 1]`.
-    ClampedModelAccuracy {
-        /// The repaired model.
-        model: usize,
-        /// Original value.
-        from: f64,
-        /// Clamped value.
-        to: f64,
-    },
-    /// A zero-capacity server was removed (survivors renumbered).
-    DroppedServer {
-        /// The dropped server's original id.
-        server: usize,
-    },
-    /// A zero-bandwidth AP was removed (survivors renumbered).
-    DroppedAp {
-        /// The dropped AP's original id.
-        ap: usize,
-    },
-    /// A device whose AP was dropped or missing was moved to another AP.
-    ReassignedDevice {
-        /// The moved device.
-        device: usize,
-        /// Its original AP id.
-        from_ap: usize,
-        /// Its new AP id (post-renumbering).
-        to_ap: usize,
-    },
-    /// A stream that could not be repaired (dangling device/model
-    /// reference, invalid arrival process) was discarded.
-    DroppedStream {
-        /// The dropped stream's original index.
-        stream: usize,
-    },
-}
-
-/// Everything [`validate_problem`] changed while repairing an instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RepairReport {
-    /// Repairs in application order.
-    pub actions: Vec<RepairAction>,
-}
-
-impl RepairReport {
-    /// `true` when the instance passed untouched.
-    pub fn is_clean(&self) -> bool {
-        self.actions.is_empty()
-    }
-}
-
-/// Strict structural/numerical checks; first defect wins.
-pub(crate) fn check_strict(p: &JointProblem) -> Result<(), ProblemError> {
+/// Structural and numerical checks; first defect wins. The body of
+/// [`JointProblem::validate`].
+pub(crate) fn check_problem(p: &JointProblem) -> Result<(), ProblemError> {
     if p.models.is_empty() {
         return Err(ProblemError::NoModels);
     }
@@ -535,15 +415,8 @@ pub(crate) fn check_strict(p: &JointProblem) -> Result<(), ProblemError> {
     if p.cluster.aps.is_empty() {
         return Err(ProblemError::NoAps);
     }
-    p.cluster.validate().map_err(ProblemError::Topology)?;
-    for (i, d) in p.cluster.devices.iter().enumerate() {
-        if !d.distance_m.is_finite() || d.distance_m < 0.0 {
-            return Err(ProblemError::UnreachableDevice {
-                device: i,
-                distance_m: d.distance_m,
-            });
-        }
-    }
+    // APs before the topology check: `Cluster::validate` also rejects bad
+    // spectrum, but only as an untyped topology error.
     for (i, a) in p.cluster.aps.iter().enumerate() {
         if !a.bandwidth_hz.is_finite() || a.bandwidth_hz <= 0.0 {
             return Err(ProblemError::ZeroBandwidthAp {
@@ -555,6 +428,15 @@ pub(crate) fn check_strict(p: &JointProblem) -> Result<(), ProblemError> {
             return Err(ProblemError::InvalidRtt {
                 ap: i,
                 rtt_s: a.rtt_s,
+            });
+        }
+    }
+    p.cluster.validate().map_err(ProblemError::Topology)?;
+    for (i, d) in p.cluster.devices.iter().enumerate() {
+        if !d.distance_m.is_finite() || d.distance_m < 0.0 {
+            return Err(ProblemError::UnreachableDevice {
+                device: i,
+                distance_m: d.distance_m,
             });
         }
     }
@@ -698,7 +580,6 @@ fn validate_churn_event(
     cursor_s: f64,
     event: &scalpel_sim::ChurnEvent,
 ) -> Result<(), ProblemError> {
-    use scalpel_sim::churn::{FACTOR_FLOOR, MAX_LOAD_FACTOR};
     use scalpel_sim::ChurnKind;
     if !event.at_s.is_finite() {
         return Err(ProblemError::ChurnBadTimestamp { at_s: event.at_s });
@@ -716,34 +597,43 @@ fn validate_churn_event(
             Ok(())
         }
     };
-    let check_factor = |what: &'static str, factor: f64, lo: f64, hi: f64| {
-        if !factor.is_finite() || !(lo..=hi).contains(&factor) {
-            Err(ProblemError::ChurnFactorOutOfRange {
-                what,
-                factor,
-                lo,
-                hi,
-            })
-        } else {
-            Ok(())
-        }
-    };
     match event.kind {
         ChurnKind::DeviceDown { device } | ChurnKind::DeviceUp { device } => {
             check_index("device", device, p.cluster.devices.len())
         }
         ChurnKind::LinkDrift { ap, factor } => {
             check_index("ap", ap, p.cluster.aps.len())?;
-            check_factor("link", factor, FACTOR_FLOOR, 1.0)
+            check_churn_factor("link", factor)
         }
         ChurnKind::CapacityDrift { server, factor } => {
             check_index("server", server, p.cluster.servers.len())?;
-            check_factor("cap", factor, FACTOR_FLOOR, 1.0)
+            check_churn_factor("cap", factor)
         }
         ChurnKind::LoadDrift { stream, factor } => {
             check_index("stream", stream, p.streams.len())?;
-            check_factor("load", factor, FACTOR_FLOOR, MAX_LOAD_FACTOR)
+            check_churn_factor("load", factor)
         }
+    }
+}
+
+/// Check a drift factor against the range a churn event may set it to:
+/// `[FACTOR_FLOOR, MAX_LOAD_FACTOR]` for `"load"`, `[FACTOR_FLOOR, 1]`
+/// for `"link"` and `"cap"`. NaN and ±∞ fall outside both.
+pub(crate) fn check_churn_factor(what: &'static str, factor: f64) -> Result<(), ProblemError> {
+    use scalpel_sim::churn::{FACTOR_FLOOR, MAX_LOAD_FACTOR};
+    let (lo, hi) = match what {
+        "load" => (FACTOR_FLOOR, MAX_LOAD_FACTOR),
+        _ => (FACTOR_FLOOR, 1.0),
+    };
+    if (lo..=hi).contains(&factor) {
+        Ok(())
+    } else {
+        Err(ProblemError::ChurnFactorOutOfRange {
+            what,
+            factor,
+            lo,
+            hi,
+        })
     }
 }
 
@@ -765,182 +655,6 @@ pub fn validate_churn_batch(
     Ok(())
 }
 
-/// Validate a problem under `policy`.
-///
-/// Under [`ValidationPolicy::Strict`] the input is returned untouched (with
-/// an empty report) or rejected with the first defect found. Under
-/// [`ValidationPolicy::Repair`] a repaired copy is returned together with
-/// the list of repairs; only structurally unfixable instances (no streams
-/// or servers survive, arity mismatches) are rejected. The repaired copy
-/// always satisfies the strict checks.
-pub fn validate_problem(
-    problem: &JointProblem,
-    policy: &ValidationPolicy,
-) -> Result<(JointProblem, RepairReport), ProblemError> {
-    let (max_distance_m, fallback_deadline_s) = match policy {
-        ValidationPolicy::Strict => {
-            check_strict(problem)?;
-            return Ok((problem.clone(), RepairReport::default()));
-        }
-        ValidationPolicy::Repair {
-            max_distance_m,
-            fallback_deadline_s,
-        } => (*max_distance_m, *fallback_deadline_s),
-    };
-    let mut p = problem.clone();
-    let mut report = RepairReport::default();
-
-    // Structurally unfixable defects first.
-    if p.models.is_empty() {
-        return Err(ProblemError::NoModels);
-    }
-    if p.models.len() != p.model_accuracy.len() {
-        return Err(ProblemError::ModelAccuracyArity {
-            models: p.models.len(),
-            accuracies: p.model_accuracy.len(),
-        });
-    }
-
-    // --- Access points: drop dead spectrum, clamp RTT, renumber. ---
-    let mut ap_remap: Vec<Option<usize>> = Vec::with_capacity(p.cluster.aps.len());
-    let mut kept_aps = Vec::with_capacity(p.cluster.aps.len());
-    for (i, mut a) in p.cluster.aps.drain(..).enumerate() {
-        if !a.bandwidth_hz.is_finite() || a.bandwidth_hz <= 0.0 {
-            report.actions.push(RepairAction::DroppedAp { ap: i });
-            ap_remap.push(None);
-            continue;
-        }
-        if !a.rtt_s.is_finite() || a.rtt_s < 0.0 {
-            report.actions.push(RepairAction::ClampedRtt {
-                ap: i,
-                from: a.rtt_s,
-                to: 0.0,
-            });
-            a.rtt_s = 0.0;
-        }
-        a.id = kept_aps.len();
-        ap_remap.push(Some(a.id));
-        kept_aps.push(a);
-    }
-    if kept_aps.is_empty() {
-        return Err(ProblemError::NoAps);
-    }
-    p.cluster.aps = kept_aps;
-
-    // --- Devices: renumber, reattach orphans, clamp distances. ---
-    for (i, d) in p.cluster.devices.iter_mut().enumerate() {
-        d.id = i;
-        let new_ap = ap_remap.get(d.ap).copied().flatten();
-        match new_ap {
-            Some(ap) if ap == d.ap => {}
-            found => {
-                let to_ap = found.unwrap_or(0);
-                report.actions.push(RepairAction::ReassignedDevice {
-                    device: i,
-                    from_ap: d.ap,
-                    to_ap,
-                });
-                d.ap = to_ap;
-            }
-        }
-        if !d.distance_m.is_finite() || d.distance_m < 0.0 || d.distance_m > max_distance_m {
-            let to = if d.distance_m < 0.0 {
-                0.0
-            } else {
-                max_distance_m
-            };
-            report.actions.push(RepairAction::ClampedDistance {
-                device: i,
-                from: d.distance_m,
-                to,
-            });
-            d.distance_m = to;
-        }
-    }
-
-    // --- Servers: drop dead capacity, renumber. ---
-    let mut kept_servers = Vec::with_capacity(p.cluster.servers.len());
-    for (i, mut s) in p.cluster.servers.drain(..).enumerate() {
-        if !s.proc.flops_per_sec.is_finite() || s.proc.flops_per_sec <= 0.0 {
-            report
-                .actions
-                .push(RepairAction::DroppedServer { server: i });
-            continue;
-        }
-        s.id = kept_servers.len();
-        kept_servers.push(s);
-    }
-    if kept_servers.is_empty() {
-        return Err(ProblemError::NoServers);
-    }
-    p.cluster.servers = kept_servers;
-
-    // --- Model accuracies: clamp into [0, 1] (NaN pins to 0). ---
-    for (i, acc) in p.model_accuracy.iter_mut().enumerate() {
-        if !(0.0..=1.0).contains(acc) {
-            let to = if acc.is_finite() {
-                acc.clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            report.actions.push(RepairAction::ClampedModelAccuracy {
-                model: i,
-                from: *acc,
-                to,
-            });
-            *acc = to;
-        }
-    }
-
-    // --- Streams: clamp deadlines/floors, drop unfixable references. ---
-    let num_devices = p.cluster.devices.len();
-    let num_models = p.models.len();
-    let mut kept_streams = Vec::with_capacity(p.streams.len());
-    for (i, mut s) in p.streams.drain(..).enumerate() {
-        if s.device >= num_devices
-            || s.model >= num_models
-            || s.arrivals.validate().is_err()
-            || s.arrivals.mean_rate() > MAX_ARRIVAL_RATE_HZ
-        {
-            report
-                .actions
-                .push(RepairAction::DroppedStream { stream: i });
-            continue;
-        }
-        if !s.deadline_s.is_finite() || s.deadline_s <= 0.0 {
-            report.actions.push(RepairAction::ClampedDeadline {
-                stream: i,
-                from: s.deadline_s,
-                to: fallback_deadline_s,
-            });
-            s.deadline_s = fallback_deadline_s;
-        }
-        if !(0.0..=1.0).contains(&s.accuracy_floor) {
-            let to = if s.accuracy_floor.is_finite() {
-                s.accuracy_floor.clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            report.actions.push(RepairAction::ClampedAccuracyFloor {
-                stream: i,
-                from: s.accuracy_floor,
-                to,
-            });
-            s.accuracy_floor = to;
-        }
-        kept_streams.push(s);
-    }
-    if kept_streams.is_empty() {
-        return Err(ProblemError::NoStreams);
-    }
-    p.streams = kept_streams;
-
-    // A repaired instance must pass the strict gate; anything left over
-    // is a defect this policy cannot fix, so surface it.
-    check_strict(&p)?;
-    Ok((p, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -949,9 +663,7 @@ mod tests {
     #[test]
     fn strict_accepts_valid_instance_untouched() {
         let p = tiny_problem();
-        let (q, report) = validate_problem(&p, &ValidationPolicy::Strict).unwrap();
-        assert!(report.is_clean());
-        assert_eq!(q.streams.len(), p.streams.len());
+        assert_eq!(p.validate(), Ok(()));
     }
 
     #[test]
@@ -959,125 +671,56 @@ mod tests {
         let mut p = tiny_problem();
         p.streams[0].deadline_s = f64::NAN;
         assert!(matches!(
-            validate_problem(&p, &ValidationPolicy::Strict),
+            p.validate(),
             Err(ProblemError::NonPositiveDeadline { stream: 0, .. })
         ));
 
         let mut p = tiny_problem();
         p.cluster.servers[0].proc.flops_per_sec = 0.0;
         assert!(matches!(
-            validate_problem(&p, &ValidationPolicy::Strict),
+            p.validate(),
             Err(ProblemError::ZeroCapacityServer { server: 0, .. })
         ));
 
-        let mut p = tiny_problem();
-        p.cluster.aps[0].bandwidth_hz = f64::NAN;
-        assert!(matches!(
-            validate_problem(&p, &ValidationPolicy::Strict),
-            Err(ProblemError::ZeroBandwidthAp { ap: 0, .. })
-        ));
+        // Every spectrum that is not finite and positive gets the typed
+        // AP error, never the topology check's untyped one.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, -0.0] {
+            let mut p = tiny_problem();
+            p.cluster.aps.push(scalpel_sim::ApSpec {
+                id: 1,
+                bandwidth_hz: bad,
+                rtt_s: 2e-3,
+            });
+            assert!(
+                matches!(
+                    p.validate(),
+                    Err(ProblemError::ZeroBandwidthAp { ap: 1, .. })
+                ),
+                "bandwidth {bad}: {:?}",
+                p.validate()
+            );
+        }
 
         let mut p = tiny_problem();
         p.cluster.devices[1].distance_m = f64::INFINITY;
         assert!(matches!(
-            validate_problem(&p, &ValidationPolicy::Strict),
+            p.validate(),
             Err(ProblemError::UnreachableDevice { device: 1, .. })
         ));
 
         let mut p = tiny_problem();
         p.cluster.servers.clear();
-        assert!(matches!(
-            validate_problem(&p, &ValidationPolicy::Strict),
-            Err(ProblemError::NoServers)
-        ));
+        assert_eq!(p.validate(), Err(ProblemError::NoServers));
     }
 
     #[test]
-    fn repair_clamps_scalars_and_reports() {
-        let mut p = tiny_problem();
-        p.streams[0].deadline_s = -3.0;
-        p.streams[1].accuracy_floor = 1.7;
-        p.cluster.devices[0].distance_m = f64::NAN;
-        let (q, report) = validate_problem(&p, &ValidationPolicy::repair()).unwrap();
-        assert!(!report.is_clean());
-        assert_eq!(q.streams.len(), 2);
-        assert!(q.streams[0].deadline_s > 0.0);
-        assert!((0.0..=1.0).contains(&q.streams[1].accuracy_floor));
-        assert!(q.cluster.devices[0].distance_m.is_finite());
-        assert!(check_strict(&q).is_ok());
-    }
-
-    #[test]
-    fn repair_drops_dead_resources_and_reassigns() {
-        let mut p = tiny_problem();
-        // Second AP with no spectrum; move device 1 onto it.
-        p.cluster.aps.push(scalpel_sim::ApSpec {
-            id: 1,
-            bandwidth_hz: 0.0,
-            rtt_s: 1e-3,
-        });
-        p.cluster.devices[1].ap = 1;
-        let (q, report) = validate_problem(&p, &ValidationPolicy::repair()).unwrap();
-        assert_eq!(q.cluster.aps.len(), 1);
-        assert_eq!(q.cluster.devices[1].ap, 0);
-        assert!(report
-            .actions
-            .iter()
-            .any(|a| matches!(a, RepairAction::DroppedAp { ap: 1 })));
-        assert!(report
-            .actions
-            .iter()
-            .any(|a| matches!(a, RepairAction::ReassignedDevice { device: 1, .. })));
-        assert!(check_strict(&q).is_ok());
-    }
-
-    #[test]
-    fn repair_drops_unfixable_streams_but_rejects_empty_survivor_set() {
-        let mut p = tiny_problem();
-        p.streams[0].device = 99;
-        let (q, report) = validate_problem(&p, &ValidationPolicy::repair()).unwrap();
-        assert_eq!(q.streams.len(), 1);
-        assert!(report
-            .actions
-            .iter()
-            .any(|a| matches!(a, RepairAction::DroppedStream { stream: 0 })));
-
-        let mut p = tiny_problem();
-        for s in &mut p.streams {
-            s.model = 99;
-        }
-        assert!(matches!(
-            validate_problem(&p, &ValidationPolicy::repair()),
-            Err(ProblemError::NoStreams)
-        ));
-    }
-
-    #[test]
-    fn absurd_arrival_rates_are_rejected_or_dropped() {
-        // Finite, positive, and completely unsimulatable: strict rejects,
-        // repair drops the stream.
+    fn absurd_arrival_rates_are_rejected() {
+        // Finite, positive, and completely unsimulatable.
         let mut p = tiny_problem();
         p.streams[0].arrivals = scalpel_sim::ArrivalProcess::Poisson { rate_hz: 1e308 };
         assert!(matches!(
-            validate_problem(&p, &ValidationPolicy::Strict),
+            p.validate(),
             Err(ProblemError::ArrivalRateTooHigh { stream: 0, .. })
-        ));
-        let (q, report) = validate_problem(&p, &ValidationPolicy::repair()).unwrap();
-        assert_eq!(q.streams.len(), 1);
-        assert!(report
-            .actions
-            .iter()
-            .any(|a| matches!(a, RepairAction::DroppedStream { stream: 0 })));
-        assert!(check_strict(&q).is_ok());
-    }
-
-    #[test]
-    fn repair_rejects_when_no_server_survives() {
-        let mut p = tiny_problem();
-        p.cluster.servers[0].proc.flops_per_sec = f64::NAN;
-        assert!(matches!(
-            validate_problem(&p, &ValidationPolicy::repair()),
-            Err(ProblemError::NoServers)
         ));
     }
 

@@ -145,7 +145,7 @@ impl ChurnEvent {
 
     /// Parse one line of the canonical encoding. `line_no` is only used
     /// for error messages. Blank lines and `#` comment lines yield
-    /// `Ok(None)`.
+    /// `Ok(None)`; a non-finite timestamp is an error.
     fn parse_line(line: &str, line_no: usize) -> Result<Option<ChurnEvent>, ChurnParseError> {
         let body = line.split('#').next().unwrap_or("").trim();
         if body.is_empty() {
@@ -160,6 +160,10 @@ impl ChurnEvent {
             .next()
             .ok_or_else(|| err("missing timestamp".into()))?;
         let at_s = parse_f64_hex(t).map_err(&err)?;
+        // A NaN would also slip past the ordering check in `from_text`.
+        if !at_s.is_finite() {
+            return Err(err(format!("non-finite timestamp {at_s}")));
+        }
         let kind = parts.next().ok_or_else(|| err("missing kind".into()))?;
         let mut take_idx = |what: &str| -> Result<usize, ChurnParseError> {
             parts
@@ -447,6 +451,21 @@ mod tests {
         assert!(ChurnEvent::parse_line("3ff0000000000000 down 1 2", 6).is_err());
         let out_of_order = "3ff0000000000000 down 0\n3fe0000000000000 up 0\n";
         assert!(ChurnTrace::from_text(out_of_order).is_err());
+        // A non-finite timestamp (NaN, +inf, -inf) on a middle line is
+        // refused, and the error names that line.
+        let text = sample_trace().to_text();
+        let lines: Vec<&str> = text.lines().collect();
+        let mid = lines.len() / 2;
+        for bits in ["7ff8000000000000", "7ff0000000000000", "fff0000000000000"] {
+            let mut corrupt: Vec<String> = lines.iter().map(|l| l.to_string()).collect();
+            let (_, rest) = lines[mid].split_once(' ').expect("event line");
+            corrupt[mid] = format!("{bits} {rest}");
+            let Err(err) = ChurnTrace::from_text(&corrupt.join("\n")) else {
+                panic!("{bits} on line {} parsed", mid + 1);
+            };
+            assert_eq!(err.line, mid + 1, "{err}");
+            assert!(err.reason.contains("non-finite"), "{err}");
+        }
     }
 
     #[test]

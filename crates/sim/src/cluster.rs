@@ -50,7 +50,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Validate index integrity (device AP references, contiguous ids).
+    /// Validate index integrity (device AP references, contiguous ids) and
+    /// that every AP has finite, positive spectrum.
     pub fn validate(&self) -> Result<(), SimError> {
         let bad = |detail: String| SimError::InvalidTopology { detail };
         for (i, d) in self.devices.iter().enumerate() {
@@ -65,8 +66,11 @@ impl Cluster {
             if a.id != i {
                 return Err(bad(format!("ap {i} has id {}", a.id)));
             }
-            if a.bandwidth_hz <= 0.0 {
-                return Err(bad(format!("ap {i} has non-positive bandwidth")));
+            if !(a.bandwidth_hz.is_finite() && a.bandwidth_hz > 0.0) {
+                return Err(bad(format!(
+                    "ap {i} has invalid bandwidth {} Hz",
+                    a.bandwidth_hz
+                )));
             }
         }
         for (i, s) in self.servers.iter().enumerate() {
@@ -148,6 +152,15 @@ mod tests {
         let mut c = small_cluster();
         c.servers[0].id = 5;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_bandwidth_fails() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, -0.0] {
+            let mut c = small_cluster();
+            c.aps[0].bandwidth_hz = bad;
+            assert!(c.validate().is_err(), "bandwidth {bad} accepted");
+        }
     }
 
     #[test]

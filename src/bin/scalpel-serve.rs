@@ -252,7 +252,7 @@ fn run(f: &ServeFlags) -> Result<(), String> {
     };
     let mut next = svc.cursor();
     while svc.status().now_s + f.tick_s <= f.horizon_s + 1e-12 {
-        let boundary = (svc.status().tick + 1) as f64 * f.tick_s;
+        let boundary = svc.status().tick.saturating_add(1) as f64 * f.tick_s;
         let mut batch_end = next;
         while batch_end < trace.events.len() && trace.events[batch_end].at_s < boundary {
             batch_end += 1;

@@ -1,18 +1,22 @@
-//! Chaos harness for the solver stack: adversarial problem instances —
-//! NaN/negative latencies and distances, dead servers and APs, dangling
-//! references, unsatisfiable floors — thrown at ingest validation, both
-//! evaluation engines, and the anytime solver. The contract under test:
+//! Chaos harness for the solver stack. Ingest is strict: a problem
+//! instance is accepted as measured or refused, never edited. The
+//! harness checks both sides of that door.
 //!
-//! * **No panics.** Every adversarial instance is either rejected with a
-//!   typed [`ProblemError`] or repaired into a solvable one; nothing in
-//!   the validate → price → solve pipeline unwinds.
-//! * **Invariants.** Every produced solution has a finite objective,
-//!   finite non-negative shares, per-server compute-share sums ≤ 1 and
-//!   per-AP bandwidth-share sums ≤ 1.
-//! * **Budget adherence.** `solve_with_budget` honors evaluation budgets
-//!   to within one per-stream menu scan and wall budgets to within 10%.
-//! * **Conservation.** Repaired instances run in the discrete-event
-//!   simulator with every generated request accounted for.
+//! * **Refusal.** Healthy instances are poisoned at ten sites (distances,
+//!   bandwidths, RTTs, capacities, deadlines, floors, model accuracies,
+//!   dangling device and model references, arrival rates) with seven
+//!   poison values (NaN, ±∞, −1, 0, −0, 1e308). `JointProblem::validate`
+//!   refuses every poison that is a defect with the [`ProblemError`]
+//!   variant and index naming its site, and accepts the ones that are
+//!   legal there (a zero distance, a 1e308 capacity).
+//! * **Extreme but valid instances.** Instances built directly from legal
+//!   edge values run through both evaluation engines, the sharded solver
+//!   and the simulator. Nothing unwinds; every objective is finite;
+//!   shares are finite, non-negative and sum to ≤ 1 per server and per
+//!   AP; evaluation budgets hold to within one menu scan per solve phase;
+//!   every generated request is accounted for.
+//! * **Budget adherence.** `solve_with_budget` honors wall budgets to
+//!   within 10%, and a generous evaluation budget changes no bit.
 
 use proptest::prelude::*;
 use scalpel::core::compiler::CompileOptions;
@@ -22,7 +26,7 @@ use scalpel::core::optimizer::{self, Budget, EvalMode, OptimizerConfig, SolveOut
 use scalpel::core::problem::{JointProblem, StreamSpec};
 use scalpel::core::runner;
 use scalpel::core::shard::{self, ShardConfig};
-use scalpel::core::validate::{validate_problem, ProblemError, ValidationPolicy};
+use scalpel::core::validate::{ProblemError, MAX_ARRIVAL_RATE_HZ};
 use scalpel::models::{zoo, DifficultyModel, ProcessorClass};
 use scalpel::sim::{
     validate_fault_plan, ApSpec, ArrivalProcess, Cluster, CorrelatedProfile, DeviceSpec,
@@ -40,36 +44,24 @@ const BAD: [f64; 7] = [
     1e308,
 ];
 
-/// One corruption: which field family, which poison, which index.
-type Corruption = (u8, u8, u8);
-
-/// An adversarial problem instance: a small well-formed base topology
-/// with a batch of random corruptions applied.
-#[derive(Debug, Clone)]
-struct ChaosProblem {
+/// A small healthy topology: one stream per device.
+#[derive(Debug, Clone, Copy)]
+struct Topology {
     devices: usize,
     aps: usize,
     servers: usize,
-    corruptions: Vec<Corruption>,
 }
 
-fn chaos_strategy() -> impl Strategy<Value = ChaosProblem> {
-    (
-        1usize..4,
-        1usize..3,
-        1usize..3,
-        prop::collection::vec((0u8..10, 0u8..7, 0u8..4), 0..6),
-    )
-        .prop_map(|(devices, aps, servers, corruptions)| ChaosProblem {
-            devices,
-            aps,
-            servers,
-            corruptions,
-        })
+fn topology_strategy() -> impl Strategy<Value = Topology> {
+    (1usize..4, 1usize..3, 1usize..3).prop_map(|(devices, aps, servers)| Topology {
+        devices,
+        aps,
+        servers,
+    })
 }
 
-impl ChaosProblem {
-    /// Materialize the instance: valid base problem + corruptions.
+impl Topology {
+    /// The well-formed base instance.
     fn build(&self) -> JointProblem {
         let cluster = Cluster {
             devices: (0..self.devices)
@@ -98,7 +90,7 @@ impl ChaosProblem {
                 })
                 .collect(),
         };
-        let mut p = JointProblem {
+        JointProblem {
             cluster,
             models: vec![zoo::lenet5(10)],
             model_accuracy: vec![0.98],
@@ -112,31 +104,217 @@ impl ChaosProblem {
                 })
                 .collect(),
             difficulty: DifficultyModel::default(),
-        };
-        for &(site, poison, target) in &self.corruptions {
-            let bad = BAD[poison as usize % BAD.len()];
-            let d = target as usize % p.cluster.devices.len();
-            let a = target as usize % p.cluster.aps.len();
-            let s = target as usize % p.cluster.servers.len();
-            let k = target as usize % p.streams.len();
-            match site % 10 {
-                0 => p.cluster.devices[d].distance_m = bad,
-                1 => p.cluster.aps[a].bandwidth_hz = bad,
-                2 => p.cluster.aps[a].rtt_s = bad,
-                3 => p.cluster.servers[s].proc.flops_per_sec = bad,
-                4 => p.streams[k].deadline_s = bad,
-                5 => p.streams[k].accuracy_floor = if poison % 2 == 0 { bad } else { 2.0 },
-                6 => p.model_accuracy[0] = bad,
-                7 => p.streams[k].device = 99,
-                8 => p.streams[k].model = 7,
-                _ => p.streams[k].arrivals = ArrivalProcess::Poisson { rate_hz: bad },
+        }
+    }
+}
+
+/// One corruption: which site, which poison, which index.
+type Corruption = (u8, u8, u8);
+
+fn corruption_strategy() -> impl Strategy<Value = Corruption> {
+    (0u8..10, 0u8..7, 0u8..4)
+}
+
+/// Poison one site of `p`. Returns the site, the value written (NaN for
+/// the reference sites 7 and 8) and the index of the poisoned device,
+/// AP, server, stream or model.
+fn corrupt(p: &mut JointProblem, (site, poison, target): Corruption) -> (u8, f64, usize) {
+    let bad = BAD[poison as usize % BAD.len()];
+    let t = target as usize;
+    let d = t % p.cluster.devices.len();
+    let a = t % p.cluster.aps.len();
+    let s = t % p.cluster.servers.len();
+    let k = t % p.streams.len();
+    let site = site % 10;
+    match site {
+        0 => {
+            p.cluster.devices[d].distance_m = bad;
+            (site, bad, d)
+        }
+        1 => {
+            p.cluster.aps[a].bandwidth_hz = bad;
+            (site, bad, a)
+        }
+        2 => {
+            p.cluster.aps[a].rtt_s = bad;
+            (site, bad, a)
+        }
+        3 => {
+            p.cluster.servers[s].proc.flops_per_sec = bad;
+            (site, bad, s)
+        }
+        4 => {
+            p.streams[k].deadline_s = bad;
+            (site, bad, k)
+        }
+        5 => {
+            let floor = if poison % 2 == 0 { bad } else { 2.0 };
+            p.streams[k].accuracy_floor = floor;
+            (site, floor, k)
+        }
+        6 => {
+            p.model_accuracy[0] = bad;
+            (site, bad, 0)
+        }
+        7 => {
+            p.streams[k].device = 99;
+            (site, f64::NAN, k)
+        }
+        8 => {
+            p.streams[k].model = 7;
+            (site, f64::NAN, k)
+        }
+        _ => {
+            p.streams[k].arrivals = ArrivalProcess::Poisson { rate_hz: bad };
+            (site, bad, k)
+        }
+    }
+}
+
+/// Whether `v` is a legal value at `site` — the specification strict
+/// ingest is checked against.
+fn legal(site: u8, v: f64) -> bool {
+    match site {
+        0 | 2 => v.is_finite() && v >= 0.0,
+        1 | 3 | 4 => v.is_finite() && v > 0.0,
+        5 | 6 => (0.0..=1.0).contains(&v),
+        7 | 8 => false,
+        _ => v.is_finite() && v > 0.0 && v <= MAX_ARRIVAL_RATE_HZ,
+    }
+}
+
+/// Whether `e` is the variant that names `site`, at `index`.
+fn names_site(e: &ProblemError, site: u8, index: usize) -> bool {
+    use ProblemError as E;
+    match (site, e) {
+        (0, E::UnreachableDevice { device: i, .. })
+        | (1, E::ZeroBandwidthAp { ap: i, .. })
+        | (2, E::InvalidRtt { ap: i, .. })
+        | (3, E::ZeroCapacityServer { server: i, .. })
+        | (4, E::NonPositiveDeadline { stream: i, .. })
+        | (5, E::AccuracyFloorOutOfRange { stream: i, .. })
+        | (6, E::ModelAccuracyOutOfRange { model: i, .. })
+        | (7, E::MissingDevice { stream: i, .. })
+        | (8, E::MissingModel { stream: i, .. })
+        | (9, E::Arrival { stream: i, .. })
+        | (9, E::ArrivalRateTooHigh { stream: i, .. }) => *i == index,
+        _ => false,
+    }
+}
+
+/// Poison a healthy instance with `corruptions` and check what strict
+/// ingest answers: acceptance exactly when the last value written to
+/// every poisoned field is legal, otherwise a rejection that names one
+/// of the illegal fields and renders through `Display`.
+fn check_refusal(topo: Topology, corruptions: &[Corruption]) {
+    let mut p = topo.build();
+    let writes: Vec<(u8, f64, usize)> = corruptions.iter().map(|&c| corrupt(&mut p, c)).collect();
+    // A later write to the same field overrides an earlier one.
+    let last = |&(site, _, index): &(u8, f64, usize)| {
+        writes
+            .iter()
+            .rev()
+            .find(|w| w.0 == site && w.2 == index)
+            .copied()
+    };
+    let illegal: Vec<(u8, f64, usize)> = writes
+        .iter()
+        .filter_map(last)
+        .filter(|&(site, v, _)| !legal(site, v))
+        .collect();
+    match p.validate() {
+        Ok(()) => assert!(illegal.is_empty(), "accepted illegal {illegal:?}"),
+        Err(e) => {
+            assert!(
+                illegal
+                    .iter()
+                    .any(|&(site, _, index)| names_site(&e, site, index)),
+                "{e:?} names none of {illegal:?}"
+            );
+            assert!(!e.to_string().is_empty());
+        }
+    }
+}
+
+/// Legal extremes for sites 0–6 (distance, bandwidth, RTT, capacity,
+/// deadline, floor, model accuracy): the bounds of each legal range (a
+/// zero or signed-zero distance, RTT or accuracy; floors and accuracies
+/// of 0 and 1), the 10 km edge of radio range, a 1 s deadline, and the
+/// largest finite magnitudes (1e308).
+const EXTREMES: [&[f64]; 7] = [
+    &[0.0, -0.0, 10_000.0],
+    &[1e308],
+    &[0.0, -0.0, 1e308],
+    &[1e308],
+    &[1.0, 1e308],
+    &[0.0, 1.0],
+    &[0.0, -0.0, 1.0],
+];
+
+/// One legal edit: which site (7 drops a stream), which extreme, which
+/// index.
+type Edit = (u8, u8, u8);
+
+/// A healthy topology pushed to legal extremes.
+#[derive(Debug, Clone)]
+struct ExtremeProblem {
+    topo: Topology,
+    edits: Vec<Edit>,
+}
+
+fn extreme_strategy() -> impl Strategy<Value = ExtremeProblem> {
+    (
+        topology_strategy(),
+        prop::collection::vec((0u8..8, 0u8..3, 0u8..4), 0..6),
+    )
+        .prop_map(|(topo, edits)| ExtremeProblem { topo, edits })
+}
+
+impl ExtremeProblem {
+    fn build(&self) -> JointProblem {
+        let mut p = self.topo.build();
+        for &(site, pick, target) in &self.edits {
+            let t = target as usize;
+            let d = t % p.cluster.devices.len();
+            let a = t % p.cluster.aps.len();
+            let s = t % p.cluster.servers.len();
+            let k = t % p.streams.len();
+            let Some(values) = EXTREMES.get(site as usize) else {
+                // A device may carry no stream, but a problem needs one.
+                if p.streams.len() > 1 {
+                    p.streams.remove(k);
+                }
+                continue;
+            };
+            let v = values[pick as usize % values.len()];
+            match site {
+                0 => p.cluster.devices[d].distance_m = v,
+                1 => p.cluster.aps[a].bandwidth_hz = v,
+                2 => p.cluster.aps[a].rtt_s = v,
+                3 => p.cluster.servers[s].proc.flops_per_sec = v,
+                4 => p.streams[k].deadline_s = v,
+                5 => p.streams[k].accuracy_floor = v,
+                _ => p.model_accuracy[0] = v,
             }
         }
         p
     }
+
+    /// The instance and its evaluator, or `None` when candidate
+    /// generation admits no plan for some stream (a floor of 1, or a
+    /// model accuracy of 0 under a positive floor).
+    fn priced(&self) -> Option<(JointProblem, Evaluator)> {
+        let p = self.build();
+        assert_eq!(p.validate(), Ok(()), "extreme instance is legal");
+        match Evaluator::try_new(&p, None) {
+            Ok(ev) => Some((p, ev)),
+            Err(ProblemError::EmptyExitMenu { .. }) => None,
+            Err(e) => panic!("legal instance rejected: {e}"),
+        }
+    }
 }
 
-/// Solution invariants every engine must uphold on a repaired instance.
+/// Solution invariants every engine must uphold.
 fn check_invariants(problem: &JointProblem, ev: &Evaluator, outcome: &SolveOutcome) {
     let r = &outcome.solution.result;
     assert!(r.objective.is_finite(), "objective {}", r.objective);
@@ -162,32 +340,11 @@ fn check_invariants(problem: &JointProblem, ev: &Evaluator, outcome: &SolveOutco
     }
 }
 
-/// Validate → repair → price → solve one chaos instance on one engine.
-/// Returns whether a solve actually ran (instance wasn't rejected).
-fn drive(chaos: &ChaosProblem, mode: EvalMode) -> bool {
-    let raw = chaos.build();
-    // Strict either accepts or rejects with a typed error — never panics.
-    let strict = validate_problem(&raw, &ValidationPolicy::Strict);
-    let repaired = match validate_problem(&raw, &ValidationPolicy::repair()) {
-        Ok((p, report)) => {
-            // A repair pass that changed nothing implies strict acceptance.
-            if report.is_clean() {
-                assert!(strict.is_ok(), "clean repair but strict rejected");
-            }
-            p
-        }
-        Err(e) => {
-            // Unfixable: strict must also have rejected it, and the error
-            // must render (Display is part of the typed contract).
-            assert!(strict.is_err(), "repair rejected what strict accepted");
-            assert!(!e.to_string().is_empty());
-            return false;
-        }
-    };
-    let ev = match Evaluator::try_new(&repaired, None) {
-        Ok(ev) => ev,
-        Err(ProblemError::EmptyExitMenu { .. }) => return false,
-        Err(e) => panic!("repaired instance re-rejected: {e}"),
+/// Price and solve one extreme instance on one engine under a
+/// 60-evaluation budget. Returns whether a solve ran.
+fn drive(x: &ExtremeProblem, mode: EvalMode) -> bool {
+    let Some((problem, ev)) = x.priced() else {
+        return false;
     };
     let cfg = OptimizerConfig {
         rounds: 2,
@@ -197,7 +354,7 @@ fn drive(chaos: &ChaosProblem, mode: EvalMode) -> bool {
     };
     let cap = 60;
     let outcome = optimizer::solve_with_budget(&ev, &cfg, Budget::evals(cap));
-    check_invariants(&repaired, &ev, &outcome);
+    check_invariants(&problem, &ev, &outcome);
     let max_menu = (0..ev.num_streams())
         .map(|k| ev.menu(k).len())
         .max()
@@ -210,22 +367,15 @@ fn drive(chaos: &ChaosProblem, mode: EvalMode) -> bool {
     true
 }
 
-/// The same validate → repair → price pipeline, driven through the
-/// sharded solver: typed rejection or a finite, invariant-preserving,
-/// budget-respecting solution — never a panic.
-fn drive_sharded(chaos: &ChaosProblem) -> bool {
-    let raw = chaos.build();
-    let Ok((repaired, _)) = validate_problem(&raw, &ValidationPolicy::repair()) else {
+/// The same instance through the sharded solver: a typed rejection or a
+/// finite, invariant-preserving, budget-respecting solution.
+fn drive_sharded(x: &ExtremeProblem) -> bool {
+    let Some((problem, ev)) = x.priced() else {
         return false;
     };
-    let ev = match Evaluator::try_new(&repaired, None) {
-        Ok(ev) => ev,
-        Err(ProblemError::EmptyExitMenu { .. }) => return false,
-        Err(e) => panic!("repaired instance re-rejected: {e}"),
-    };
-    // The cap must admit the largest AP stream group of the *repaired*
-    // problem; anything smaller is a config error, not a chaos finding.
-    let largest_group = repaired
+    // The cap must admit the largest AP stream group; anything smaller is
+    // a config error, not a chaos finding.
+    let largest_group = problem
         .streams_by_ap()
         .iter()
         .map(Vec::len)
@@ -242,7 +392,7 @@ fn drive_sharded(chaos: &ChaosProblem) -> bool {
         ..ShardConfig::default()
     };
     let cap = 60;
-    let outcome = match shard::solve_sharded_with(&repaired, &ev, &cfg, Budget::evals(cap), None) {
+    let outcome = match shard::solve_sharded_with(&problem, &ev, &cfg, Budget::evals(cap), None) {
         Ok(o) => o,
         Err(e) => {
             // A typed rejection must render; it is an acceptable outcome.
@@ -250,7 +400,7 @@ fn drive_sharded(chaos: &ChaosProblem) -> bool {
             return false;
         }
     };
-    check_invariants(&repaired, &ev, &outcome.outcome);
+    check_invariants(&problem, &ev, &outcome.outcome);
     // Evaluation-budget adherence on the sharded path: every shard slice
     // may overshoot by one menu scan (the descent contract), the
     // reconcile pass by one probe, the polish by one more scan.
@@ -268,48 +418,62 @@ fn drive_sharded(chaos: &ChaosProblem) -> bool {
     true
 }
 
-/// Full chaos volume (1000+ instances per engine) runs in release — the
+/// Full chaos volume (1000+ instances per property) runs in release — the
 /// CI chaos job builds `--release`; debug tier-1 runs a 100-case smoke of
-/// the same generator so the harness still exercises on every `cargo test`.
+/// the same generators so the harness still exercises on every `cargo test`.
 const CHAOS_CASES: u32 = if cfg!(debug_assertions) { 100 } else { 1000 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CHAOS_CASES))]
 
-    /// Adversarial instances through the full-evaluation engine:
-    /// typed rejection or a valid, invariant-preserving solution.
+    /// One poison at one site: refused with the variant and index that
+    /// name the site, unless the poisoned value is legal there.
     #[test]
-    fn chaos_full_engine_never_panics(chaos in chaos_strategy()) {
-        drive(&chaos, EvalMode::Full);
+    fn chaos_single_poison_is_refused_at_its_site(
+        topo in topology_strategy(),
+        c in corruption_strategy(),
+    ) {
+        check_refusal(topo, &[c]);
     }
 
-    /// The same adversarial regime on the incremental engine.
+    /// Several poisons: a typed rejection naming one of them, unless
+    /// every poisoned field ends up legal.
     #[test]
-    fn chaos_incremental_engine_never_panics(chaos in chaos_strategy()) {
-        drive(&chaos, EvalMode::Incremental);
+    fn chaos_multi_poison_gets_a_typed_rejection(
+        topo in topology_strategy(),
+        cs in prop::collection::vec(corruption_strategy(), 2..6),
+    ) {
+        check_refusal(topo, &cs);
     }
 
-    /// The same adversarial regime through the sharded solver: partition,
-    /// parallel shard solves, reconciliation and polish all survive every
-    /// corruption the repair pass lets through.
+    /// Extreme but valid instances through the full-evaluation engine.
     #[test]
-    fn chaos_sharded_solver_never_panics(chaos in chaos_strategy()) {
-        drive_sharded(&chaos);
+    fn chaos_full_engine_never_panics(x in extreme_strategy()) {
+        drive(&x, EvalMode::Full);
+    }
+
+    /// The same instances on the incremental engine.
+    #[test]
+    fn chaos_incremental_engine_never_panics(x in extreme_strategy()) {
+        drive(&x, EvalMode::Incremental);
+    }
+
+    /// The same instances through the sharded solver: partition, parallel
+    /// shard solves, reconciliation and polish all survive.
+    #[test]
+    fn chaos_sharded_solver_never_panics(x in extreme_strategy()) {
+        drive_sharded(&x);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Repaired chaos instances execute end-to-end in the discrete-event
-    /// simulator with every generated request accounted for.
+    /// Extreme but valid instances execute end-to-end in the
+    /// discrete-event simulator with every generated request accounted for.
     #[test]
-    fn chaos_repaired_instances_conserve_requests(chaos in chaos_strategy()) {
-        let raw = chaos.build();
-        let Ok((repaired, _)) = validate_problem(&raw, &ValidationPolicy::repair()) else {
-            return;
-        };
-        let Ok(ev) = Evaluator::try_new(&repaired, None) else {
+    fn chaos_extreme_instances_conserve_requests(x in extreme_strategy()) {
+        let Some((problem, ev)) = x.priced() else {
             return;
         };
         let cfg = OptimizerConfig { rounds: 1, gibbs_iters: 0, ..Default::default() };
@@ -321,8 +485,8 @@ proptest! {
             ..SimConfig::default()
         };
         let opts = CompileOptions::default();
-        let report = runner::try_run_solution(&repaired, &ev, &sol.assignment, &sol.result, sim, &opts)
-            .expect("repaired instances compile into valid simulator streams");
+        let report = runner::try_run_solution(&problem, &ev, &sol.assignment, &sol.result, sim, &opts)
+            .expect("legal instances compile into valid simulator streams");
         prop_assert_eq!(report.generated, report.completed + report.faults.lost());
     }
 }
@@ -365,12 +529,8 @@ fn plan_poison_strategy() -> impl Strategy<Value = PlanPoison> {
 /// check `validate_fault_plan` answers with the matching typed error —
 /// or, for the untouched plan, that it validates and simulates with
 /// every request accounted for.
-fn chaos_fault_plan_case(chaos: &ChaosProblem, fault_seed: u64, poison: PlanPoison) {
-    let base = ChaosProblem {
-        corruptions: Vec::new(),
-        ..chaos.clone()
-    };
-    let problem = base.build();
+fn chaos_fault_plan_case(topo: Topology, fault_seed: u64, poison: PlanPoison) {
+    let problem = topo.build();
     let cluster = &problem.cluster;
     let horizon_s = 3.0;
     let domains = vec![
@@ -515,11 +675,11 @@ proptest! {
     /// every request accounted for.
     #[test]
     fn chaos_fault_plans_reject_poison_with_typed_errors(
-        chaos in chaos_strategy(),
+        topo in topology_strategy(),
         fault_seed in 1u64..500,
         poison in plan_poison_strategy(),
     ) {
-        chaos_fault_plan_case(&chaos, fault_seed, poison);
+        chaos_fault_plan_case(topo, fault_seed, poison);
     }
 }
 
