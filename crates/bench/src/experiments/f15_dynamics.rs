@@ -11,7 +11,7 @@ use crate::table::{ms, pct, Table};
 use scalpel_core::baselines::Method;
 use scalpel_core::compiler;
 use scalpel_core::config::ScenarioConfig;
-use scalpel_core::distributed::{self, DistributedConfig};
+use scalpel_core::distributed;
 use scalpel_core::evaluator::Evaluator;
 use scalpel_core::online::{remap_assignment, OnlineController};
 use scalpel_core::optimizer::OptimizerConfig;
@@ -116,7 +116,7 @@ pub fn run(quick: bool) {
             report.plans_changed.to_string(),
         ]);
         // (c) distributed best response, from scratch, for comparison.
-        let dist = distributed::solve_distributed(&ev, &DistributedConfig::default());
+        let dist = distributed::solve_distributed(&ev);
         let (dm, dd) = simulate(&scfg, &ev, &dist.solution.assignment, opt.policies);
         t.row(vec![
             format!("{mhz:.0}"),

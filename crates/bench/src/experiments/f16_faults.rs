@@ -17,7 +17,7 @@ use scalpel_core::baselines::{solve_with, Method};
 use scalpel_core::compiler;
 use scalpel_core::config::ScenarioConfig;
 use scalpel_core::evaluator::Evaluator;
-use scalpel_core::online::{FaultDetector, OnlineController};
+use scalpel_core::online::{degraded_problem, OnlineController};
 use scalpel_core::optimizer::{OptimizerConfig, Solution};
 use scalpel_core::runner;
 use scalpel_sim::{EdgeSim, FaultPlan, FaultProfile, RecoveryConfig, SimConfig};
@@ -109,7 +109,7 @@ pub fn run(quick: bool) {
         }
         // Joint + online adaptation, closed loop: a probe run of the
         // deployed Joint solution faces the faults with full recovery and
-        // telemetry on; the FaultDetector reads only the emitted health
+        // telemetry on; `degraded_problem` reads only the emitted health
         // snapshots (breaker states per epoch) and derates the problem
         // accordingly — no oracle access to the fault schedule. The
         // controller warm-starts against the derated problem and the
@@ -128,9 +128,8 @@ pub fn run(quick: bool) {
             let (_, trace) = EdgeSim::new(problem.cluster.clone(), probe_streams, probe_sim)
                 .expect("deployed streams validate")
                 .run_logged();
-            let degraded = FaultDetector::default()
-                .degraded_problem(&problem, &trace.health)
-                .unwrap_or_else(|| problem.clone());
+            let degraded =
+                degraded_problem(&problem, &trace.health).unwrap_or_else(|| problem.clone());
             let new_ev = Evaluator::new(&degraded, None);
             let mut ctl = OnlineController::bootstrap(&ev, opt.clone());
             ctl.adapt(&ev, &new_ev);

@@ -198,7 +198,6 @@ pub(crate) fn hedge_only() -> RecoveryConfig {
             failure_threshold: 1.0,
             open_cooldown_s: 1e9,
             miss_is_failure: false,
-            ..BreakerConfig::default()
         }),
         ..RecoveryConfig::full()
     }
@@ -228,10 +227,8 @@ pub(crate) fn correlated_rows(quick: bool) -> CorrelatedRows {
     let bounded_opt = OptimizerConfig {
         diversity: Some(DiversityConfig {
             max_server_frac: 1.0,
-            max_ap_frac: 1.0,
             max_domain_frac: DOMAIN_CAP,
             server_domain: server_domain.clone(),
-            ..DiversityConfig::default()
         }),
         ..opt
     };
@@ -240,11 +237,6 @@ pub(crate) fn correlated_rows(quick: bool) -> CorrelatedRows {
     let ranked_opts = CompileOptions {
         ranked_fallbacks: true,
         server_domain: Some(server_domain),
-        // Decisive blast-radius penalty: a fallback inside the primary's
-        // rack must sink below even the slowest out-of-rack server, no
-        // matter how fast its silicon looks in the catalog.
-        same_domain_penalty_s: 1e3,
-        ..CompileOptions::default()
     };
     let recovery = hedge_only();
     let rows = vec![

@@ -17,55 +17,30 @@ use serde::{Deserialize, Serialize};
 /// Options controlling how a priced solution lowers to simulator streams.
 /// The default reproduces the historical flat fallback order byte for
 /// byte; `ranked_fallbacks` switches to per-stream menus ordered by
-/// expected residual latency under the current health / blast-radius
-/// picture (the recovery path walks them rank first — see DESIGN.md
-/// §2.16).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// expected residual latency under the current blast-radius picture (the
+/// recovery path walks them rank first — see DESIGN.md §2.16).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CompileOptions {
     /// Rank each stream's fallback servers by expected residual latency
-    /// (transmission + half RTT + degraded-health edge time + spread
-    /// pressure + blast-radius penalty) instead of raw catalog capacity.
+    /// (transmission + half RTT + edge time + spread pressure +
+    /// blast-radius penalty) instead of raw catalog capacity.
     pub ranked_fallbacks: bool,
-    /// Per-server health in `[0, 1]` (1 = nominal); a breaker-tripped or
-    /// flapping server scores as proportionally slower. `None` = all
-    /// nominal. Extra entries are ignored; missing entries read 1.
-    #[serde(default)]
-    pub server_health: Option<Vec<f64>>,
     /// Failure domain of each server ([`NO_DOMAIN`] = none): a fallback
     /// sharing the primary's domain dies with it, so it pays
-    /// `same_domain_penalty_s` and sinks to the menu's tail.
+    /// `SAME_DOMAIN_PENALTY_S` and sinks to the menu's tail.
     #[serde(default)]
     pub server_domain: Option<Vec<usize>>,
-    /// Score penalty (seconds) for a fallback inside the primary's
-    /// failure domain.
-    #[serde(default = "default_same_domain_penalty")]
-    pub same_domain_penalty_s: f64,
-    /// Score increment (seconds) per stream that already chose a server
-    /// as its rank-1 fallback — saturating spread pressure so one fast
-    /// server does not become everyone's first hedge.
-    #[serde(default = "default_spread_weight")]
-    pub spread_weight_s: f64,
 }
 
-fn default_same_domain_penalty() -> f64 {
-    1.0
-}
+/// Score penalty (seconds) for a ranked fallback inside the primary's
+/// failure domain: decisive, so such a server sinks below even the
+/// slowest out-of-domain one.
+const SAME_DOMAIN_PENALTY_S: f64 = 1e3;
 
-fn default_spread_weight() -> f64 {
-    0.01
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        Self {
-            ranked_fallbacks: false,
-            server_health: None,
-            server_domain: None,
-            same_domain_penalty_s: default_same_domain_penalty(),
-            spread_weight_s: default_spread_weight(),
-        }
-    }
-}
+/// Score increment (seconds) per stream that already chose a server as
+/// its rank-1 fallback — saturating spread pressure so one fast server
+/// does not become everyone's first hedge.
+const SPREAD_WEIGHT_S: f64 = 0.01;
 
 /// Rank-1 counters saturate here: beyond this many streams preferring one
 /// server the spread pressure stops growing (the score stays bounded and
@@ -170,11 +145,11 @@ pub fn compile_with(
 }
 
 /// Rank stream `k`'s fallback servers by expected residual latency: full
-/// retransmission + half RTT + health-degraded edge compute, plus a
-/// blast-radius penalty for sharing the primary's failure domain and a
-/// saturating spread pressure on crowded rank-1 picks. Ties break to the
-/// lowest server index, so the menu is bitwise-stable for a given
-/// (assignment, options) pair.
+/// retransmission + half RTT + edge compute, plus a blast-radius penalty
+/// for sharing the primary's failure domain and a saturating spread
+/// pressure on crowded rank-1 picks. Ties break to the lowest server
+/// index, so the menu is bitwise-stable for a given (assignment, options)
+/// pair.
 fn rank_fallbacks(
     problem: &JointProblem,
     ev: &Evaluator,
@@ -191,13 +166,6 @@ fn rank_fallbacks(
             .copied()
             .unwrap_or(NO_DOMAIN)
     };
-    let health_of = |s: usize| {
-        opts.server_health
-            .as_ref()
-            .and_then(|h| h.get(s))
-            .copied()
-            .unwrap_or(1.0)
-    };
     let prim_dom = domain_of(primary);
     // A fallback re-ships the features and pays the remaining edge work
     // fresh — the same residual-latency shape the evaluator prices, so
@@ -207,12 +175,11 @@ fn rank_fallbacks(
         .filter(|&s| s != primary)
         .map(|s| {
             let edge = p.remain * p.edge_flops / ev.server_caps[s];
-            let health = health_of(s).clamp(1e-3, 1.0);
-            let mut score = resend + edge / health;
+            let mut score = resend + edge;
             if prim_dom != NO_DOMAIN && domain_of(s) == prim_dom {
-                score += opts.same_domain_penalty_s;
+                score += SAME_DOMAIN_PENALTY_S;
             }
-            score += opts.spread_weight_s * rank1_count[s].min(SPREAD_SATURATION) as f64;
+            score += SPREAD_WEIGHT_S * rank1_count[s].min(SPREAD_SATURATION) as f64;
             (score, s)
         })
         .collect();
@@ -361,8 +328,6 @@ mod tests {
         let opts = CompileOptions {
             ranked_fallbacks: true,
             server_domain: Some(server_domain),
-            same_domain_penalty_s: 100.0,
-            ..CompileOptions::default()
         };
         for s in compile_with(&p, &ev, &asg, &r, &opts) {
             if s.server.is_some() {
@@ -370,42 +335,6 @@ mod tests {
                     s.fallback_servers[0],
                     n_servers - 1,
                     "rank-1 fallback must sit outside the primary's domain"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn unhealthy_servers_sink_in_the_ranking() {
-        let (p, ev) = setup();
-        let n_servers = ev.num_servers();
-        let asg = Assignment {
-            plan_idx: vec![0; ev.num_streams()],
-            placement: vec![0; ev.num_streams()],
-        };
-        let r = ev.evaluate(&asg, AllocPolicies::optimal());
-        let healthy = CompileOptions {
-            ranked_fallbacks: true,
-            ..CompileOptions::default()
-        };
-        let base = compile_with(&p, &ev, &asg, &r, &healthy);
-        let victim = base
-            .iter()
-            .find(|s| s.server.is_some())
-            .map(|s| s.fallback_servers[0])
-            .expect("some offloaded stream");
-        let mut health = vec![1.0; n_servers];
-        health[victim] = 0.001;
-        let sick = CompileOptions {
-            ranked_fallbacks: true,
-            server_health: Some(health),
-            ..CompileOptions::default()
-        };
-        for s in compile_with(&p, &ev, &asg, &r, &sick) {
-            if s.server.is_some() {
-                assert_ne!(
-                    s.fallback_servers[0], victim,
-                    "a near-dead server must not stay anyone's first hedge"
                 );
             }
         }

@@ -22,33 +22,18 @@ use scalpel_alloc::placement::PlacementStrategy;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
-/// Knobs of the distributed dynamics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DistributedConfig {
-    /// Maximum best-response rounds (each round: every stream once).
-    pub max_rounds: usize,
-    /// Minimum per-stream relative improvement to accept a move.
-    pub improvement_tol: f64,
-    /// Allocation policies applied when pricing states.
-    pub policies: AllocPolicies,
-}
-
-impl Default for DistributedConfig {
-    fn default() -> Self {
-        Self {
-            max_rounds: 20,
-            improvement_tol: 1e-6,
-            policies: AllocPolicies::optimal(),
-        }
-    }
-}
+/// Maximum best-response rounds of [`solve_distributed`] (each round:
+/// every stream once).
+const MAX_ROUNDS: usize = 20;
+/// Minimum per-stream relative improvement to accept a move.
+const IMPROVEMENT_TOL: f64 = 1e-6;
 
 /// Outcome of the distributed dynamics.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DistributedOutcome {
     /// The converged solution.
     pub solution: Solution,
-    /// Rounds executed before convergence (== `max_rounds` if not
+    /// Rounds executed before convergence (== `MAX_ROUNDS`, 20, if not
     /// converged).
     pub rounds: usize,
     /// Whether a full round passed with no agent moving.
@@ -58,17 +43,18 @@ pub struct DistributedOutcome {
 }
 
 /// Run per-stream best-response dynamics from the naive initial point.
-pub fn solve_distributed(ev: &Evaluator, cfg: &DistributedConfig) -> DistributedOutcome {
+pub fn solve_distributed(ev: &Evaluator) -> DistributedOutcome {
+    let policies = AllocPolicies::optimal();
     let mut asg = initial_assignment(ev, PlacementStrategy::RoundRobin);
     let mut trace = SearchTrace::default();
-    let mut current = ev.evaluate(&asg, cfg.policies);
+    let mut current = ev.evaluate(&asg, policies);
     trace.evaluations += 1;
     trace.objective.push(current.objective);
     let n = ev.num_streams();
     let mut moves = 0usize;
     let mut rounds = 0usize;
     let mut converged = false;
-    for _ in 0..cfg.max_rounds {
+    for _ in 0..MAX_ROUNDS {
         rounds += 1;
         let mut any_move = false;
         for k in 0..n {
@@ -84,10 +70,10 @@ pub fn solve_distributed(ev: &Evaluator, cfg: &DistributedConfig) -> Distributed
                     }
                     asg.plan_idx[k] = plan;
                     asg.placement[k] = server;
-                    let r = ev.evaluate(&asg, cfg.policies);
+                    let r = ev.evaluate(&asg, policies);
                     trace.evaluations += 1;
                     let c = my_cost(&r);
-                    if c < best.2 * (1.0 - cfg.improvement_tol) {
+                    if c < best.2 * (1.0 - IMPROVEMENT_TOL) {
                         best = (plan, server, c);
                     }
                 }
@@ -98,7 +84,7 @@ pub fn solve_distributed(ev: &Evaluator, cfg: &DistributedConfig) -> Distributed
                 any_move = true;
                 moves += 1;
             }
-            current = ev.evaluate(&asg, cfg.policies);
+            current = ev.evaluate(&asg, policies);
             trace.evaluations += 1;
             trace.objective.push(current.objective);
         }
@@ -120,7 +106,7 @@ pub fn solve_distributed(ev: &Evaluator, cfg: &DistributedConfig) -> Distributed
 }
 
 /// Knobs of the cross-shard reconciliation pass (the budgeted, incremental
-/// cousin of [`DistributedConfig`] used by `core::shard`).
+/// cousin of [`solve_distributed`] used by `core::shard`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReconcileConfig {
     /// Maximum best-response rounds (each round: every stream once).
@@ -319,7 +305,7 @@ mod tests {
     #[test]
     fn dynamics_converge() {
         let ev = evaluator();
-        let out = solve_distributed(&ev, &DistributedConfig::default());
+        let out = solve_distributed(&ev);
         assert!(out.converged, "no equilibrium in {} rounds", out.rounds);
         assert!(out.rounds < 20);
         assert!(out.solution.result.objective.is_finite());
@@ -328,18 +314,18 @@ mod tests {
     #[test]
     fn equilibrium_is_unilaterally_stable() {
         let ev = evaluator();
-        let cfg = DistributedConfig::default();
-        let out = solve_distributed(&ev, &cfg);
+        let policies = AllocPolicies::optimal();
+        let out = solve_distributed(&ev);
         let mut asg = out.solution.assignment.clone();
         // No single stream can improve its own cost by more than tol.
         for k in 0..ev.num_streams() {
-            let base = ev.evaluate(&asg, cfg.policies).latency_s[k] / ev.deadline(k);
+            let base = ev.evaluate(&asg, policies).latency_s[k] / ev.deadline(k);
             let saved = (asg.plan_idx[k], asg.placement[k]);
             for plan in 0..ev.menu(k).len() {
                 for server in 0..ev.num_servers() {
                     asg.plan_idx[k] = plan;
                     asg.placement[k] = server;
-                    let c = ev.evaluate(&asg, cfg.policies).latency_s[k] / ev.deadline(k);
+                    let c = ev.evaluate(&asg, policies).latency_s[k] / ev.deadline(k);
                     assert!(
                         c >= base * (1.0 - 1e-5) - 1e-12,
                         "stream {k} deviates {saved:?} -> ({plan},{server}): {c} < {base}"
@@ -354,7 +340,7 @@ mod tests {
     #[test]
     fn distributed_is_close_to_centralized() {
         let ev = evaluator();
-        let dist = solve_distributed(&ev, &DistributedConfig::default());
+        let dist = solve_distributed(&ev);
         let central = optimizer::solve(&ev, &OptimizerConfig::default());
         // "Close-to-optimal": within 30% of the centralized objective on
         // this instance (typically much closer; the bound here just guards
@@ -384,7 +370,7 @@ mod tests {
             plan_idx: vec![0; n],
             placement: vec![0; n],
         };
-        let mut ctx = EvalContext::new(&ev, asg, AllocPolicies::optimal());
+        let mut ctx = EvalContext::new(&ev, asg.clone(), AllocPolicies::optimal());
         let before = ctx.objective();
         let mut trace = SearchTrace::default();
         let groups: Vec<Vec<usize>> = (0..ev.num_servers()).map(|s| vec![s]).collect();
@@ -395,6 +381,18 @@ mod tests {
             "no quiescence in {} rounds",
             report.rounds
         );
+        assert!(report.rounds > 1, "the first round moved nothing");
+        // The configured round cap is the whole pass: one round, then a
+        // stop that is neither quiescence nor a budget cut.
+        let one_round = ReconcileConfig {
+            max_rounds: 1,
+            ..rcfg.clone()
+        };
+        let mut ctx1 = EvalContext::new(&ev, asg, AllocPolicies::optimal());
+        let mut t1 = SearchTrace::default();
+        let r1 = reconcile_placement(&mut ctx1, &groups, None, &one_round, None, None, &mut t1);
+        assert_eq!(r1.rounds, 1);
+        assert!(!r1.converged && !r1.cut);
         assert!(report.moves > 0, "nothing moved off the overloaded server");
         assert!(report.probes >= report.moves);
         assert_eq!(
@@ -466,7 +464,7 @@ mod tests {
         // (selfishness), but convergence + stability (tested above) is the
         // contract. Here we simply check the trace is non-empty and finite.
         let ev = evaluator();
-        let out = solve_distributed(&ev, &DistributedConfig::default());
+        let out = solve_distributed(&ev);
         assert!(!out.solution.trace.objective.is_empty());
         assert!(out.solution.trace.objective.iter().all(|o| o.is_finite()));
     }

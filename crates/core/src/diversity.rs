@@ -5,12 +5,12 @@
 //! most of the fleet on one fast server — a single correlated outage (one
 //! rack losing power, one backhaul cut) then strands almost everything at
 //! once. This module bounds that blast radius: a [`DiversityConfig`] caps
-//! the fraction of the fleet any one server, AP, or failure domain may
-//! carry, and the search engines enforce it two ways:
+//! the fraction of the fleet any one server or failure domain may carry,
+//! and the search engines enforce it two ways:
 //!
 //! * **Pricing**: [`EvalContext`] keeps saturating concentration counters
-//!   (offloaded streams per server, per AP, per failure domain) and adds
-//!   `penalty_weight × total_excess` to the pooled objective. The excess
+//!   (offloaded streams per server and per failure domain) and adds
+//!   `PENALTY_WEIGHT × total_excess` to the pooled objective. The excess
 //!   is an integer, so the penalty is order-independent and bitwise
 //!   identical between the incremental and rebuild paths.
 //! * **Feasibility**: descent/Gibbs/exhaustive only consider moves whose
@@ -32,15 +32,13 @@ use serde::{Deserialize, Serialize};
 /// belongs to no failure domain (its per-domain counter never moves).
 pub const NO_DOMAIN: usize = usize::MAX;
 
-/// Concentration caps for diversity-bounded placement. All three `*_frac`
+/// Concentration caps for diversity-bounded placement. Both `*_frac`
 /// knobs bound the number of *offloaded* streams an entity may carry as a
 /// fraction of the total fleet size; a fraction ≥ 1 disables that axis.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DiversityConfig {
     /// Max fraction of the fleet offloaded to any single server.
     pub max_server_frac: f64,
-    /// Max fraction of the fleet offloading through any single AP.
-    pub max_ap_frac: f64,
     /// Max fraction of the fleet offloaded into any single failure
     /// domain (a rack / shared-backhaul group of servers).
     pub max_domain_frac: f64,
@@ -49,20 +47,14 @@ pub struct DiversityConfig {
     /// server (checked by [`crate::validate::validate_diversity`]).
     #[serde(default)]
     pub server_domain: Vec<usize>,
-    /// Objective penalty per stream of cap excess (pricing for states a
-    /// repair has not reached yet; the hard guarantee comes from the
-    /// engines' move filtering, not from this weight).
-    pub penalty_weight: f64,
 }
 
 impl Default for DiversityConfig {
     fn default() -> Self {
         Self {
             max_server_frac: 0.5,
-            max_ap_frac: 1.0,
             max_domain_frac: 0.5,
             server_domain: Vec::new(),
-            penalty_weight: 0.05,
         }
     }
 }
@@ -73,8 +65,6 @@ impl Default for DiversityConfig {
 pub struct ConcentrationCaps {
     /// Max offloaded streams on one server.
     pub server: usize,
-    /// Max offloading streams on one AP.
-    pub ap: usize,
     /// Max offloaded streams in one failure domain.
     pub domain: usize,
 }
@@ -94,7 +84,6 @@ impl DiversityConfig {
     pub fn caps(&self, n: usize) -> ConcentrationCaps {
         ConcentrationCaps {
             server: frac_cap(self.max_server_frac, n),
-            ap: frac_cap(self.max_ap_frac, n),
             domain: frac_cap(self.max_domain_frac, n),
         }
     }
@@ -152,8 +141,6 @@ pub fn server_domain_from(
 pub struct ConcentrationCounts {
     /// Offloaded streams per server.
     pub per_server: Vec<usize>,
-    /// Offloading streams per AP.
-    pub per_ap: Vec<usize>,
     /// Offloaded streams per failure domain.
     pub per_domain: Vec<usize>,
 }
@@ -167,7 +154,6 @@ fn count_assignment(
 ) -> ConcentrationCounts {
     let mut c = ConcentrationCounts {
         per_server: vec![0; ev.num_servers()],
-        per_ap: vec![0; ev.num_aps()],
         per_domain: vec![0; div.num_domains()],
     };
     for k in 0..ev.num_streams() {
@@ -176,7 +162,6 @@ fn count_assignment(
         }
         let srv = asg.placement[k];
         c.per_server[srv] += 1;
-        c.per_ap[ev.ap_of(k)] += 1;
         let d = div.domain_of(srv);
         if d != NO_DOMAIN {
             c.per_domain[d] += 1;
@@ -189,9 +174,7 @@ fn count_assignment(
 /// penalty prices. Zero iff every counter respects its cap.
 fn total_excess(counts: &ConcentrationCounts, caps: &ConcentrationCaps) -> usize {
     let sum = |xs: &[usize], cap: usize| xs.iter().map(|&x| x.saturating_sub(cap)).sum::<usize>();
-    sum(&counts.per_server, caps.server)
-        + sum(&counts.per_ap, caps.ap)
-        + sum(&counts.per_domain, caps.domain)
+    sum(&counts.per_server, caps.server) + sum(&counts.per_domain, caps.domain)
 }
 
 /// Saturating excess of one assignment (the Full-engine / oracle path).
@@ -219,59 +202,37 @@ pub fn plan_flip_within_caps(
     let caps = div.caps(ev.num_streams());
     let c = count_assignment(ev, asg, div);
     let srv = asg.placement[k];
-    if c.per_server[srv] >= caps.server || c.per_ap[ev.ap_of(k)] >= caps.ap {
+    if c.per_server[srv] >= caps.server {
         return false;
     }
     let d = div.domain_of(srv);
     d == NO_DOMAIN || c.per_domain[d] < caps.domain
 }
 
+/// Objective penalty per stream of cap excess (pricing for states a
+/// repair has not reached yet; the hard guarantee comes from the engines'
+/// move filtering, not from this weight).
+const PENALTY_WEIGHT: f64 = 0.05;
+
 /// The objective penalty for a given excess: one multiply of an exact
 /// integer, so identical excesses price to identical bits regardless of
 /// the path that computed them.
-pub fn penalty(excess: usize, weight: f64) -> f64 {
-    weight * excess as f64
+pub fn penalty(excess: usize) -> f64 {
+    PENALTY_WEIGHT * excess as f64
 }
 
-/// Deterministically restore `asg` to the caps. Two passes:
+/// Deterministically restore `asg` to the caps by greedy re-placement:
+/// streams are revisited in ascending index order; a placement that
+/// still fits (server and domain counters) is kept, otherwise the stream
+/// moves to the least-loaded feasible server (ties to the lowest index).
+/// When no server fits — the caps are infeasible for this fleet — the
+/// original placement stays and the penalty prices the excess.
 ///
-/// 1. **AP demotion** — for each AP over its cap, surplus offloaders
-///    (highest stream index first) fall back to the first device-only
-///    plan in their menu, if one exists (an AP's membership is physical,
-///    so the only lever is not offloading at all).
-/// 2. **Greedy re-placement** — streams are revisited in ascending index
-///    order; a placement that still fits (server and domain counters)
-///    is kept, otherwise the stream moves to the least-loaded feasible
-///    server (ties to the lowest index). When no server fits — the caps
-///    are infeasible for this fleet — the original placement stays and
-///    the penalty prices the excess.
-///
-/// Returns the number of changed coordinates (plan or placement).
+/// Returns the number of changed placements.
 pub fn repair(ev: &Evaluator, asg: &mut Assignment, div: &DiversityConfig) -> usize {
     let n = ev.num_streams();
     let caps = div.caps(n);
     let mut changed = 0usize;
-    // --- Pass 1: AP caps via device-only demotion.
-    if caps.ap != usize::MAX {
-        let mut per_ap = vec![0usize; ev.num_aps()];
-        for k in 0..n {
-            if !ev.menu(k)[asg.plan_idx[k]].is_device_only() {
-                per_ap[ev.ap_of(k)] += 1;
-            }
-        }
-        for k in (0..n).rev() {
-            let ap = ev.ap_of(k);
-            if per_ap[ap] <= caps.ap || ev.menu(k)[asg.plan_idx[k]].is_device_only() {
-                continue;
-            }
-            if let Some(idx) = ev.menu(k).iter().position(|p| p.is_device_only()) {
-                asg.plan_idx[k] = idx;
-                per_ap[ap] -= 1;
-                changed += 1;
-            }
-        }
-    }
-    // --- Pass 2: server + domain caps via greedy re-placement.
     let mut per_server = vec![0usize; ev.num_servers()];
     let mut per_domain = vec![0usize; div.num_domains()];
     let fits = |srv: usize, per_server: &[usize], per_domain: &[usize]| {
@@ -367,7 +328,6 @@ mod tests {
             max_server_frac: 0.25,
             server_domain: vec![0, 0, 1, 1],
             max_domain_frac: 0.5,
-            ..DiversityConfig::default()
         };
         let mut a = initial_assignment(&ev, cfg.placement);
         a.placement.iter_mut().for_each(|s| *s = 1);

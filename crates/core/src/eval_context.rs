@@ -311,8 +311,8 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Like [`new`], additionally pricing concentration caps: the pooled
-    /// objective gains `penalty_weight × total saturating excess` over the
-    /// per-server / per-AP / per-domain counters. With `None` this is
+    /// objective gains a penalty proportional to the total saturating
+    /// excess over the per-server and per-domain counters. With `None` this is
     /// exactly [`new`] — not a single float differs.
     ///
     /// [`new`]: EvalContext::new
@@ -365,7 +365,7 @@ impl<'a> EvalContext<'a> {
 
     /// Whether switching stream `k` to plan `idx` keeps every touched
     /// concentration counter within its cap. Only a device-only →
-    /// offloading toggle raises counters (`k`'s server, AP and domain);
+    /// offloading toggle raises counters (`k`'s server and domain);
     /// every other plan change — and diversity-off contexts — pass
     /// trivially. From a repaired start, filtering plan flips through
     /// this and placements through [`repair`] keeps the caps invariant.
@@ -380,16 +380,12 @@ impl<'a> EvalContext<'a> {
         if self.server_members[srv].len() >= d.caps.server {
             return false;
         }
-        if self.ap_offload[self.ev.ap_of[k]] >= d.caps.ap {
-            return false;
-        }
         let dm = d.cfg.domain_of(srv);
         dm == NO_DOMAIN || d.domain_load[dm] < d.caps.domain
     }
 
     /// Whether moving offloaded stream `k` to server `srv` keeps the
-    /// target server and its failure domain within their caps (the AP
-    /// counter is unaffected by a pure placement move).
+    /// target server and its failure domain within their caps.
     pub fn move_within_caps(&self, k: usize, srv: usize) -> bool {
         let Some(d) = &self.div else { return true };
         if !self.offloaded[k] || srv == self.placement[k] {
@@ -415,9 +411,6 @@ impl<'a> EvalContext<'a> {
             if dm != NO_DOMAIN {
                 d.domain_load[dm] += m.len();
             }
-        }
-        for &c in &self.ap_offload {
-            excess += c.saturating_sub(d.caps.ap);
         }
         for &c in &d.domain_load {
             excess += c.saturating_sub(d.caps.domain);
@@ -457,7 +450,6 @@ impl<'a> EvalContext<'a> {
                     d.caps.server,
                     true,
                 );
-                step(&mut ex, self.ap_offload[ev.ap_of[k]], d.caps.ap, true);
                 let dm = d.cfg.domain_of(new_srv);
                 if dm != NO_DOMAIN {
                     step(&mut ex, d.domain_load[dm], d.caps.domain, true);
@@ -471,7 +463,6 @@ impl<'a> EvalContext<'a> {
                     d.caps.server,
                     false,
                 );
-                step(&mut ex, self.ap_offload[ev.ap_of[k]], d.caps.ap, false);
                 let dm = d.cfg.domain_of(old_srv);
                 if dm != NO_DOMAIN {
                     step(&mut ex, d.domain_load[dm], d.caps.domain, false);
@@ -669,7 +660,7 @@ impl<'a> EvalContext<'a> {
         self.div_refresh();
         let (obj, misses) = self.sum_objective(|_| None);
         self.objective = match &self.div {
-            Some(d) => obj + diversity::penalty(d.excess, d.cfg.penalty_weight),
+            Some(d) => obj + diversity::penalty(d.excess),
             None => obj,
         };
         self.expected_misses = misses;
@@ -771,7 +762,7 @@ impl<'a> EvalContext<'a> {
             }
         });
         s.objective = match &self.div {
-            Some(d) => obj + diversity::penalty(self.patched_excess(mv), d.cfg.penalty_weight),
+            Some(_) => obj + diversity::penalty(self.patched_excess(mv)),
             None => obj,
         };
         s.misses = misses;

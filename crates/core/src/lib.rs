@@ -51,7 +51,7 @@ pub use config::{ScenarioConfig, ServerMix};
 pub use diversity::{ConcentrationCaps, DiversityConfig, NO_DOMAIN};
 pub use eval_context::{DeltaScratch, EvalContext};
 pub use evaluator::{EvalResult, Evaluator};
-pub use online::{DetectorConfig, FaultDetector, FaultDiagnosis, OnlineController};
+pub use online::OnlineController;
 pub use optimizer::{
     Budget, BudgetSpent, EvalMode, OptimizerConfig, SearchTrace, Solution, SolveOutcome,
 };

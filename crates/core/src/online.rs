@@ -10,6 +10,7 @@
 use crate::evaluator::{Assignment, EvalResult, Evaluator, PlanPricing};
 use crate::optimizer::{self, Budget, OptimizerConfig, Solution, SolveOutcome};
 use crate::problem::JointProblem;
+use crate::service::FleetState;
 use scalpel_sim::HealthSnapshot;
 use scalpel_surgery::SurgeryPlan;
 use serde::{Deserialize, Serialize};
@@ -124,147 +125,51 @@ pub fn remap_assignment_counted(
     )
 }
 
-/// Thresholds for turning simulator telemetry into a re-solve trigger.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct DetectorConfig {
-    /// An epoch counts as unhealthy when its SLO miss rate reaches this.
-    pub miss_rate_threshold: f64,
-    /// …or when it records at least this many retry timeouts.
-    pub timeout_threshold: usize,
-    /// A target must be breaker-open in at least this many epochs before
-    /// the detector derates it (filters single-epoch blips).
-    pub sustain_epochs: usize,
-    /// Derated capacities never drop below this fraction of nominal, so
-    /// the rebuilt problem always stays feasible to price.
-    pub derate_floor: f64,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        Self {
-            miss_rate_threshold: 0.5,
-            timeout_threshold: 3,
-            sustain_epochs: 2,
-            derate_floor: 0.1,
-        }
-    }
-}
-
-/// What the detector concluded from a telemetry window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FaultDiagnosis {
-    /// Whether any target was derated — i.e. whether a re-solve is worth
-    /// triggering at all.
-    pub triggered: bool,
-    /// Per-server capacity factor in `[derate_floor, 1]`.
-    pub server_derate: Vec<f64>,
-    /// Per-AP bandwidth factor in `[derate_floor, 1]`.
-    pub ap_derate: Vec<f64>,
-    /// Epochs whose miss rate or timeout count crossed the thresholds.
-    pub unhealthy_epochs: usize,
-}
+/// A target must be breaker-open in at least this many epochs before
+/// [`degraded_problem`] derates it (filters single-epoch blips).
+const SUSTAIN_EPOCHS: usize = 2;
+/// Derated capacities never drop below this fraction of nominal, so the
+/// rebuilt problem always stays feasible to price.
+const DERATE_FLOOR: f64 = 0.1;
 
 /// Telemetry-driven fault detection: the closed-loop replacement for an
-/// oracle that reads the injected fault schedule. The simulator emits [`HealthSnapshot`]s
-/// (per-epoch completions, misses, timeouts, and circuit-breaker states);
-/// the detector watches those signals and, when a server or AP has been
-/// breaker-open for a sustained stretch, derates its capacity in
-/// proportion to the fraction of epochs it spent open. The resulting
-/// problem is what the [`OnlineController`] warm-starts against — no
-/// knowledge of the injected fault schedule is used.
-#[derive(Debug, Clone, Default)]
-pub struct FaultDetector {
-    /// Detection thresholds.
-    pub cfg: DetectorConfig,
-}
-
-impl FaultDetector {
-    /// A detector with the given thresholds.
-    pub fn new(cfg: DetectorConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// Diagnose a telemetry window. Purely observational: derates come
-    /// only from breaker states the simulator actually reported, never
-    /// from the fault schedule.
-    fn assess(&self, health: &[HealthSnapshot]) -> FaultDiagnosis {
-        let epochs = health.len();
-        let n_servers = health
+/// oracle that reads the injected fault schedule. The simulator emits
+/// [`HealthSnapshot`]s (per-epoch completions, misses, timeouts, and
+/// circuit-breaker states); a server or AP that has been breaker-open for
+/// a sustained stretch is derated in proportion to the fraction of epochs
+/// it spent open, through the same [`FleetState`] scaling the planning
+/// service applies to churn. Misses and timeouts alone derate nothing:
+/// they name no target to blame. The result is what the
+/// [`OnlineController`] warm-starts against, or `None` when the telemetry
+/// shows nothing sustained enough to act on — no knowledge of the
+/// injected fault schedule is used.
+pub fn degraded_problem(base: &JointProblem, health: &[HealthSnapshot]) -> Option<JointProblem> {
+    // Target `i`'s capacity factor: 1 unless it was open in at least
+    // SUSTAIN_EPOCHS epochs, else the fraction it stayed closed, floored.
+    let factor = |open: fn(&HealthSnapshot) -> &[bool], i: usize| {
+        let n = health
             .iter()
-            .map(|h| h.server_open.len())
-            .max()
-            .unwrap_or(0);
-        let n_aps = health.iter().map(|h| h.ap_open.len()).max().unwrap_or(0);
-        let derate = |open_epochs: usize| -> f64 {
-            if epochs == 0 || open_epochs < self.cfg.sustain_epochs {
-                1.0
-            } else {
-                (1.0 - open_epochs as f64 / epochs as f64).max(self.cfg.derate_floor)
-            }
-        };
-        let server_derate: Vec<f64> = (0..n_servers)
-            .map(|s| {
-                derate(
-                    health
-                        .iter()
-                        .filter(|h| h.server_open.get(s).copied().unwrap_or(false))
-                        .count(),
-                )
-            })
-            .collect();
-        let ap_derate: Vec<f64> = (0..n_aps)
-            .map(|a| {
-                derate(
-                    health
-                        .iter()
-                        .filter(|h| h.ap_open.get(a).copied().unwrap_or(false))
-                        .count(),
-                )
-            })
-            .collect();
-        let unhealthy_epochs = health
-            .iter()
-            .filter(|h| {
-                h.miss_rate() >= self.cfg.miss_rate_threshold
-                    || h.timeouts >= self.cfg.timeout_threshold
-            })
+            .filter(|h| open(h).get(i) == Some(&true))
             .count();
-        let triggered = server_derate
-            .iter()
-            .chain(&ap_derate)
-            .any(|&f| f < 1.0 - 1e-12);
-        FaultDiagnosis {
-            triggered,
-            server_derate,
-            ap_derate,
-            unhealthy_epochs,
+        if n < SUSTAIN_EPOCHS {
+            1.0
+        } else {
+            (1.0 - n as f64 / health.len() as f64).max(DERATE_FLOOR)
         }
+    };
+    let mut fleet = FleetState::nominal(base);
+    for (ap, f) in fleet.link_factor.iter_mut().enumerate() {
+        *f = factor(|h| h.ap_open.as_slice(), ap);
     }
-
-    /// The problem the controller should re-solve against, or `None` when
-    /// the telemetry shows nothing sustained enough to act on.
-    pub fn degraded_problem(
-        &self,
-        base: &JointProblem,
-        health: &[HealthSnapshot],
-    ) -> Option<JointProblem> {
-        let d = self.assess(health);
-        if !d.triggered {
-            return None;
-        }
-        let mut degraded = base.clone();
-        for (ap, &f) in d.ap_derate.iter().enumerate() {
-            if let Some(spec) = degraded.cluster.aps.get_mut(ap) {
-                spec.bandwidth_hz *= f;
-            }
-        }
-        for (srv, &f) in d.server_derate.iter().enumerate() {
-            if let Some(spec) = degraded.cluster.servers.get_mut(srv) {
-                spec.proc.flops_per_sec *= f;
-            }
-        }
-        Some(degraded)
+    for (srv, f) in fleet.cap_factor.iter_mut().enumerate() {
+        *f = factor(|h| h.server_open.as_slice(), srv);
     }
+    let triggered = fleet
+        .link_factor
+        .iter()
+        .chain(&fleet.cap_factor)
+        .any(|&f| f < 1.0 - 1e-12);
+    triggered.then(|| fleet.effective_problem(base))
 }
 
 /// The online controller: owns the current solution for one environment.
@@ -432,7 +337,7 @@ mod tests {
     /// capacity by its deepest `ServerThrottle`. Transient churn (device and
     /// AP up/down cycles) is not representable in the static problem and is
     /// left to the simulator. The tests re-solve against it as the oracle
-    /// the telemetry-driven [`FaultDetector`] is compared with.
+    /// the telemetry-driven [`degraded_problem`] is compared with.
     fn faulted_problem(problem: &JointProblem, plan: &FaultPlan) -> JointProblem {
         let mut degraded = problem.clone();
         for ev in &plan.events {
@@ -636,53 +541,44 @@ mod tests {
 
     #[test]
     fn detector_ignores_healthy_telemetry_and_blips() {
-        let det = FaultDetector::default();
         let problem = scenario(20.0).build();
         // All-healthy window.
         let healthy: Vec<_> = (0..6)
             .map(|i| snapshot(i as f64, vec![false, false], vec![false]))
             .collect();
-        assert!(det.degraded_problem(&problem, &healthy).is_none());
-        // A single-epoch breaker blip is below sustain_epochs.
+        assert!(degraded_problem(&problem, &healthy).is_none());
+        // A single-epoch breaker blip is below SUSTAIN_EPOCHS.
         let mut blip = healthy.clone();
         blip[2].server_open[1] = true;
-        assert!(det.degraded_problem(&problem, &blip).is_none());
+        assert!(degraded_problem(&problem, &blip).is_none());
         // And an empty window trivially triggers nothing.
-        assert!(det.degraded_problem(&problem, &[]).is_none());
+        assert!(degraded_problem(&problem, &[]).is_none());
+        // Misses and timeouts alone never derate anything — there is no
+        // target to blame.
+        let mut noisy: Vec<_> = (0..4).map(|i| snapshot(i as f64, vec![], vec![])).collect();
+        noisy[0].slo_misses = 9; // 90 % miss rate
+        noisy[1].timeouts = 5;
+        assert!(degraded_problem(&problem, &noisy).is_none());
     }
 
     #[test]
     fn sustained_open_breaker_derates_the_target() {
-        let det = FaultDetector::default();
         let problem = scenario(20.0).build();
         // Server 0 open in half the epochs, AP 0 open in all of them.
         let health: Vec<_> = (0..8)
             .map(|i| snapshot(i as f64, vec![i % 2 == 0, false], vec![true]))
             .collect();
-        let d = det.assess(&health);
-        assert!(d.triggered);
-        assert!((d.server_derate[0] - 0.5).abs() < 1e-9);
-        assert!((d.server_derate[1] - 1.0).abs() < 1e-12);
-        // Fully open still floors at derate_floor so the problem prices.
-        assert!((d.ap_derate[0] - det.cfg.derate_floor).abs() < 1e-9);
-        let degraded = det.degraded_problem(&problem, &health).expect("triggered");
+        let degraded = degraded_problem(&problem, &health).expect("triggered");
+        // Fully open still floors at DERATE_FLOOR so the problem prices.
         let b0 = problem.cluster.aps[0].bandwidth_hz;
-        assert!((degraded.cluster.aps[0].bandwidth_hz - b0 * det.cfg.derate_floor).abs() < 1e-3);
+        assert!((degraded.cluster.aps[0].bandwidth_hz - b0 * DERATE_FLOOR).abs() < 1e-3);
         let c0 = problem.cluster.servers[0].proc.flops_per_sec;
         assert!((degraded.cluster.servers[0].proc.flops_per_sec - c0 * 0.5).abs() < 1.0);
+        assert_eq!(
+            degraded.cluster.servers[1].proc.flops_per_sec,
+            problem.cluster.servers[1].proc.flops_per_sec
+        );
         assert!(degraded.validate().is_ok());
-    }
-
-    #[test]
-    fn detector_counts_unhealthy_epochs_from_misses_and_timeouts() {
-        let det = FaultDetector::default();
-        let mut health: Vec<_> = (0..4).map(|i| snapshot(i as f64, vec![], vec![])).collect();
-        health[0].slo_misses = 9; // 90 % miss rate
-        health[1].timeouts = 5;
-        let d = det.assess(&health);
-        assert_eq!(d.unhealthy_epochs, 2);
-        // Misses alone never derate anything — there is no target to blame.
-        assert!(!d.triggered);
     }
 
     #[test]
@@ -692,11 +588,10 @@ mod tests {
         // worse than re-pricing the stale solution — same contract the
         // oracle-driven path satisfies, without reading the fault plan.
         let problem = scenario(20.0).build();
-        let det = FaultDetector::default();
         let health: Vec<_> = (0..10)
             .map(|i| snapshot(i as f64, vec![false], vec![i >= 2]))
             .collect();
-        let degraded = det.degraded_problem(&problem, &health).expect("sustained");
+        let degraded = degraded_problem(&problem, &health).expect("sustained");
         let old_ev = Evaluator::new(&problem, None);
         let new_ev = Evaluator::new(&degraded, None);
         let mut ctl = OnlineController::bootstrap(&old_ev, OptimizerConfig::default());

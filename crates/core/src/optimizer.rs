@@ -39,10 +39,6 @@ pub struct OptimizerConfig {
     pub rounds: usize,
     /// Gibbs-sampling refinement iterations after descent.
     pub gibbs_iters: usize,
-    /// Initial Boltzmann temperature (objective units).
-    pub init_temperature: f64,
-    /// Multiplicative cooling per Gibbs iteration.
-    pub cooling: f64,
     /// RNG seed for the Gibbs chain.
     pub seed: u64,
     /// Allocation policies used while pricing.
@@ -65,8 +61,6 @@ impl Default for OptimizerConfig {
         Self {
             rounds: 6,
             gibbs_iters: 200,
-            init_temperature: 0.5,
-            cooling: 0.985,
             seed: 11,
             policies: AllocPolicies::optimal(),
             placement: PlacementStrategy::BestResponse,
@@ -228,8 +222,7 @@ pub(crate) fn priced(
 ) -> EvalResult {
     let mut r = ev.evaluate(asg, policies);
     if let Some(d) = div {
-        r.objective +=
-            diversity::penalty(diversity::assignment_excess(ev, asg, d), d.penalty_weight);
+        r.objective += diversity::penalty(diversity::assignment_excess(ev, asg, d));
     }
     r
 }
@@ -620,6 +613,11 @@ pub fn refine_from_with_budget(
     }
 }
 
+/// Initial Boltzmann temperature of the Gibbs chain (objective units).
+const INIT_TEMPERATURE: f64 = 0.5;
+/// Multiplicative cooling per Gibbs iteration.
+const COOLING: f64 = 0.985;
+
 /// Budget-aware Gibbs body; see [`descent_impl`] for the parity argument.
 /// The chain tracks its best-visited assignment separately, so a budget
 /// cut simply materializes the incumbent early.
@@ -642,7 +640,7 @@ fn gibbs_impl(
     let mut eng = Engine::new(ev, cfg, start.assignment.clone());
     let mut best_asg = start.assignment;
     let mut best_obj = eng.objective();
-    let mut temp = cfg.init_temperature;
+    let mut temp = INIT_TEMPERATURE;
     for it in 0..cfg.gibbs_iters {
         if tracker.check(trace.evaluations) {
             break;
@@ -692,7 +690,7 @@ fn gibbs_impl(
             best_asg = eng.assignment();
         }
         trace.objective.push(best_obj);
-        temp *= cfg.cooling;
+        temp *= COOLING;
         // Periodically re-run placement.
         if it % 50 == 49 {
             let np = capped_placement(ev, cfg, eng.plan_indices(), cfg.placement);

@@ -50,27 +50,29 @@ use crate::optimizer::{Budget, OptimizerConfig, Solution};
 use crate::problem::JointProblem;
 use crate::shard::ShardConfig;
 use crate::validate::{check_churn_factor, validate_churn_batch, ProblemError};
-use scalpel_sim::churn::FACTOR_FLOOR;
+use scalpel_sim::churn::{f64_hex, parse_f64_hex, FACTOR_FLOOR};
 use scalpel_sim::{ArrivalProcess, ChurnEvent, ChurnKind, ChurnTrace};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
-/// Exact text encoding of an `f64` for checkpoints: IEEE-754 bits in hex.
-fn hex(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
+/// Ceiling on the degraded ladder's exponential backoff, ticks.
+const MAX_BACKOFF_TICKS: u32 = 64;
+
+/// The backoff a failure sets: `2^(failures − 1)` ticks, capped at
+/// `MAX_BACKOFF_TICKS`; 0 when nothing has failed.
+fn backoff_after(failures: u32) -> u32 {
+    match failures {
+        0 => 0,
+        f => (1u32 << (f - 1).min(16)).min(MAX_BACKOFF_TICKS),
+    }
 }
 
-fn parse_hex(s: &str) -> Result<f64, String> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad f64 bits {s:?}: {e}"))
-}
-
-/// A whitespace-separated list of [`hex`] floats on checkpoint line `line`.
+/// A whitespace-separated list of [`f64_hex`] floats on checkpoint line
+/// `line`.
 fn parse_f64s(s: &str, line: usize) -> Result<Vec<f64>, CheckpointError> {
     s.split_whitespace()
-        .map(|t| parse_hex(t).map_err(|reason| CheckpointError { line, reason }))
+        .map(|t| parse_f64_hex(t).map_err(|reason| CheckpointError { line, reason }))
         .collect()
 }
 
@@ -78,7 +80,7 @@ fn parse_f64s(s: &str, line: usize) -> Result<Vec<f64>, CheckpointError> {
 /// [`PlanningService::checkpoint_text`] writes them; every error names
 /// the offending line.
 struct Records<'a> {
-    lines: std::iter::Peekable<std::iter::Enumerate<std::str::Lines<'a>>>,
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
 }
 
 impl<'a> Records<'a> {
@@ -111,19 +113,6 @@ impl<'a> Records<'a> {
         })
     }
 
-    /// [`int`](Self::int) for a record older checkpoints lack.
-    fn optional_int(&mut self, key: &str) -> Result<Option<u64>, CheckpointError> {
-        let next_is_key = self
-            .lines
-            .peek()
-            .is_some_and(|(_, text)| text.split_whitespace().next() == Some(key));
-        if next_is_key {
-            self.int(key).map(Some)
-        } else {
-            Ok(None)
-        }
-    }
-
     fn ints(&mut self, key: &str) -> Result<Vec<usize>, CheckpointError> {
         let (line, v) = self.take(key)?;
         v.split_whitespace()
@@ -138,7 +127,7 @@ impl<'a> Records<'a> {
 
     fn f64(&mut self, key: &str) -> Result<(usize, f64), CheckpointError> {
         let (line, v) = self.take(key)?;
-        let x = parse_hex(v).map_err(|reason| CheckpointError { line, reason })?;
+        let x = parse_f64_hex(v).map_err(|reason| CheckpointError { line, reason })?;
         Ok((line, x))
     }
 
@@ -470,8 +459,6 @@ pub struct ServiceConfig {
     /// Solve via [`crate::shard::solve_sharded_with`] instead of global
     /// descent — the fleet-scale path.
     pub shard: Option<ShardConfig>,
-    /// Ceiling on the exponential backoff, ticks.
-    pub max_backoff_ticks: u32,
 }
 
 impl Default for ServiceConfig {
@@ -484,7 +471,6 @@ impl Default for ServiceConfig {
             tick_s: 1.0,
             ungoverned: false,
             shard: None,
-            max_backoff_ticks: 64,
         }
     }
 }
@@ -696,14 +682,16 @@ impl PlanningService {
         }
     }
 
-    /// Ingest one atomic event batch. On success every event is folded
-    /// into the fleet view and the cursor advances past the batch; on
-    /// validation failure *nothing* is applied, the batch counts as
-    /// rejected, and the degraded ladder engages.
+    /// Ingest one atomic event batch. The cursor advances past the batch
+    /// either way: a rejected batch is consumed from the log (it will
+    /// never become valid by waiting). On success every event is folded
+    /// into the fleet view; on validation failure *nothing* is applied,
+    /// the batch counts as rejected, and the degraded ladder engages.
     pub fn offer_batch(&mut self, events: &[ChurnEvent]) -> Result<usize, ProblemError> {
         if events.is_empty() {
             return Ok(0);
         }
+        self.cursor = self.cursor.saturating_add(events.len());
         if let Err(e) = validate_churn_batch(&self.base, self.cursor_s, events) {
             self.rejected_batches = self.rejected_batches.saturating_add(1);
             self.fail();
@@ -713,9 +701,18 @@ impl PlanningService {
             self.fleet.apply(ev);
             self.cursor_s = ev.at_s;
         }
-        self.cursor = self.cursor.saturating_add(events.len());
         self.dirty = self.dirty.saturating_add(events.len());
         Ok(events.len())
+    }
+
+    /// The events of `trace` the next tick ingests: from the cursor up to,
+    /// not including, the first event at or past the tick's boundary
+    /// (empty once the cursor has reached the trace's end).
+    pub fn next_batch<'t>(&self, trace: &'t ChurnTrace) -> &'t [ChurnEvent] {
+        let boundary = self.tick.saturating_add(1) as f64 * self.cfg.tick_s;
+        let rest = trace.events.get(self.cursor..).unwrap_or_default();
+        let len = rest.iter().take_while(|e| e.at_s < boundary).count();
+        &rest[..len]
     }
 
     /// Advance one tick. Replans only when at least `debounce_events`
@@ -876,8 +873,7 @@ impl PlanningService {
 
     fn fail(&mut self) {
         self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-        let exp = (self.consecutive_failures - 1).min(16);
-        self.backoff_ticks_remaining = (1u32 << exp).min(self.cfg.max_backoff_ticks.max(1));
+        self.backoff_ticks_remaining = backoff_after(self.consecutive_failures);
         self.degraded = true;
     }
 
@@ -895,9 +891,9 @@ impl PlanningService {
         let mut s = String::with_capacity(1024);
         s.push_str("scalpel-serve-checkpoint v1\n");
         s.push_str(&format!("tick {}\n", self.tick));
-        s.push_str(&format!("now {}\n", hex(self.now_s)));
+        s.push_str(&format!("now {}\n", f64_hex(self.now_s)));
         s.push_str(&format!("cursor {}\n", self.cursor));
-        s.push_str(&format!("cursor_s {}\n", hex(self.cursor_s)));
+        s.push_str(&format!("cursor_s {}\n", f64_hex(self.cursor_s)));
         s.push_str(&format!("dirty {}\n", self.dirty));
         s.push_str(&format!("failures {}\n", self.consecutive_failures));
         s.push_str(&format!("backoff {}\n", self.backoff_ticks_remaining));
@@ -915,7 +911,7 @@ impl PlanningService {
                 .collect::<Vec<_>>()
                 .join(" ")
         };
-        let join_f = |v: &[f64]| v.iter().map(|&x| hex(x)).collect::<Vec<_>>().join(" ");
+        let join_f = |v: &[f64]| v.iter().map(|&x| f64_hex(x)).collect::<Vec<_>>().join(" ");
         s.push_str(&format!("plan {}\n", join_us(&sol.assignment.plan_idx)));
         s.push_str(&format!("place {}\n", join_us(&sol.assignment.placement)));
         s.push_str(&format!("link {}\n", join_f(&self.fleet.link_factor)));
@@ -944,19 +940,23 @@ impl PlanningService {
     /// no search — and is then indistinguishable from the original.
     ///
     /// Restore accepts exactly what [`checkpoint_text`](Self::checkpoint_text)
-    /// writes: every record once, in order (`degraded_ticks` and
-    /// `shed_replans` may be absent, as in older checkpoints), one `win`
-    /// record per stream, nothing after `end`. It also refuses values no
-    /// run can reach: `degraded` other than 0 or 1, a `now` that is not
-    /// `tick × tick_s` bit for bit, a negative or non-finite `cursor_s`,
-    /// and drift factors outside the ranges churn events may set.
+    /// writes: every record once, in order, one `win` record per stream,
+    /// nothing after `end`. It also refuses values no run can reach:
+    /// `degraded` other than 0 or 1, or other than "some failure is
+    /// outstanding"; a `backoff` above what the last failure sets
+    /// (`2^(failures − 1)` ticks, capped at `MAX_BACKOFF_TICKS`, 0 without
+    /// failures); a `now` that is not `tick × tick_s` bit for bit; a
+    /// negative or non-finite `cursor_s`; drift factors outside the ranges
+    /// churn events may set; a `dwell` time that is NaN or later than
+    /// `now`; and a `win` record holding a NaN or more samples than the
+    /// governor's window keeps.
     pub fn restore(
         base: JointProblem,
         cfg: ServiceConfig,
         text: &str,
     ) -> Result<Self, CheckpointError> {
         let mut rec = Records {
-            lines: text.lines().enumerate().peekable(),
+            lines: text.lines().enumerate(),
         };
         let (line, version) = rec.take("scalpel-serve-checkpoint")?;
         if version != "v1" {
@@ -985,24 +985,34 @@ impl PlanningService {
         let dirty: usize = rec.int("dirty")?;
         let failures: u32 = rec.int("failures")?;
         let backoff: u32 = rec.int("backoff")?;
-        let degraded = match rec.take("degraded")? {
-            (_, "0") => false,
-            (_, "1") => true,
-            (line, other) => {
+        let (line, flag) = rec.take("degraded")?;
+        let degraded = match flag {
+            "0" => false,
+            "1" => true,
+            other => {
                 return Err(CheckpointError {
                     line,
                     reason: format!("degraded {other:?} is neither 0 nor 1"),
                 })
             }
         };
+        // `fail` counts a failure, sets its backoff and degrades; ticks
+        // only drain the backoff; `succeed` clears all three.
+        if degraded != (failures > 0) || backoff > backoff_after(failures) {
+            return Err(CheckpointError {
+                line,
+                reason: format!(
+                    "unreachable ladder: failures {failures}, backoff {backoff}, degraded {flag}"
+                ),
+            });
+        }
         let rejected_batches: u64 = rec.int("rejected_batches")?;
         let total_replans: u64 = rec.int("total_replans")?;
         let total_switches: u64 = rec.int("total_switches")?;
         let total_plan_changes: u64 = rec.int("total_plan_changes")?;
         let remap_misses: u64 = rec.int("remap_misses")?;
-        // Absent in pre-blast-radius checkpoints; default 0.
-        let degraded_ticks: u64 = rec.optional_int("degraded_ticks")?.unwrap_or(0);
-        let shed_replans: u64 = rec.optional_int("shed_replans")?.unwrap_or(0);
+        let degraded_ticks: u64 = rec.int("degraded_ticks")?;
+        let shed_replans: u64 = rec.int("shed_replans")?;
         let plan = rec.ints("plan")?;
         let place = rec.ints("place")?;
         let link_factor = rec.factors("link")?;
@@ -1020,7 +1030,13 @@ impl PlanningService {
                 }),
             })
             .collect::<Result<Vec<bool>, _>>()?;
-        let (_, last_switch_s) = rec.f64s("dwell")?;
+        let (line, last_switch_s) = rec.f64s("dwell")?;
+        if let Some(t) = last_switch_s.iter().find(|t| t.is_nan() || **t > now_s) {
+            return Err(CheckpointError {
+                line,
+                reason: format!("dwell time {t} s is not at or before now ({now_s} s)"),
+            });
+        }
         let n = base.streams.len();
         let mut windows = Vec::with_capacity(n);
         for k in 0..n {
@@ -1032,7 +1048,15 @@ impl PlanningService {
                     reason: format!("expected the window of stream {k}, found {idx:?}"),
                 });
             }
-            windows.push(parse_f64s(vals, line)?);
+            let window = parse_f64s(vals, line)?;
+            let keep = cfg.governor.window.max(1);
+            if window.len() > keep || window.iter().any(|x| x.is_nan()) {
+                return Err(CheckpointError {
+                    line,
+                    reason: format!("window of stream {k} holds a NaN or over {keep} samples"),
+                });
+            }
+            windows.push(window);
         }
         rec.take("end")?;
         if let Some((i, extra)) = rec.lines.next() {
@@ -1135,17 +1159,10 @@ impl PlanningService {
         self.check_trace(trace)?;
         let mut outcomes = Vec::new();
         let mut statuses = Vec::new();
-        let mut next = self.cursor;
         while self.now_s + self.cfg.tick_s <= horizon_s + 1e-12 {
-            let boundary = self.tick.saturating_add(1) as f64 * self.cfg.tick_s;
-            let mut batch_end = next;
-            while batch_end < trace.events.len() && trace.events[batch_end].at_s < boundary {
-                batch_end += 1;
-            }
-            // A rejected batch is consumed from the log (it will never
-            // become valid by waiting) but is not applied to the fleet.
-            let _ = self.offer_batch(&trace.events[next..batch_end]);
-            next = batch_end;
+            // A rejected batch is consumed but not applied; the ladder
+            // has already recorded it.
+            let _ = self.offer_batch(self.next_batch(trace));
             outcomes.push(self.tick());
             statuses.push(self.status());
         }
@@ -1323,30 +1340,73 @@ mod tests {
                 .map(|l| l + "\n")
                 .collect()
         };
-        let set = |key: &str, value: &str| {
+        let set_all = |edits: &[(&str, &str)]| {
             rebuild(&|_, l: &str| {
-                Some(if l.split(' ').next() == Some(key) {
-                    format!("{key} {value}")
+                let key = l.split(' ').next();
+                Some(match edits.iter().find(|(k, _)| key == Some(*k)) {
+                    Some((k, v)) => format!("{k} {v}"),
+                    None => l.to_string(),
+                })
+            })
+        };
+        let set = |key: &str, value: &str| set_all(&[(key, value)]);
+        let restore = |text: &str| PlanningService::restore(p.clone(), quick_cfg(), text);
+
+        // A missing record, and a value no run can reach, is refused.
+        let mut refused: Vec<(String, String)> = Vec::new();
+        for i in 0..lines.len() {
+            refused.push((
+                format!("drop line {}", i + 1),
+                rebuild(&|j, l| (j != i).then(|| l.to_string())),
+            ));
+        }
+        refused.push(("degraded x".into(), set("degraded", "x")));
+        refused.push(("degraded 2".into(), set("degraded", "2")));
+        // The ladder: `degraded` is exactly "a failure is outstanding",
+        // and the backoff never exceeds what the last failure set.
+        assert!(ckpt.contains("\nfailures 0\nbackoff 0\ndegraded 0\n"));
+        for (ladder, reachable) in [
+            (["1", "1", "1"], true),
+            (["1", "0", "1"], true),
+            (["3", "4", "1"], true),
+            (["20", "64", "1"], true),
+            (["0", "0", "1"], false),
+            (["1", "1", "0"], false),
+            (["0", "1", "0"], false),
+            (["1", "2", "1"], false),
+            (["3", "5", "1"], false),
+            (["20", "65", "1"], false),
+        ] {
+            let keys = ["failures", "backoff", "degraded"];
+            let text = set_all(&[0, 1, 2].map(|i| (keys[i], ladder[i])));
+            if reachable {
+                assert!(restore(&text).is_ok(), "ladder {ladder:?}");
+            } else {
+                refused.push((format!("ladder {ladder:?}"), text));
+            }
+        }
+        // Dwell times are never NaN and never later than `now`.
+        let n = p.streams.len();
+        for bad in ["7ff8000000000000", "7ff0000000000000", "4040000000000000"] {
+            let value = vec![bad; n].join(" ");
+            refused.push((format!("dwell {bad}"), set("dwell", &value)));
+        }
+        // A governor window holds at most `window` samples, none NaN.
+        let win0 = |samples: &str| {
+            rebuild(&|_, l: &str| {
+                Some(if l.starts_with("win 0 ") {
+                    format!("win 0 {samples}")
                 } else {
                     l.to_string()
                 })
             })
         };
-        let restore = |text: &str| PlanningService::restore(p.clone(), quick_cfg(), text);
-
-        // A missing record, and a value no run can reach, is refused.
-        let mut refused: Vec<(String, String)> = Vec::new();
-        for (i, l) in lines.iter().enumerate() {
-            let key = l.split(' ').next().unwrap_or("");
-            if key != "degraded_ticks" && key != "shed_replans" {
-                refused.push((
-                    format!("drop line {}", i + 1),
-                    rebuild(&|j, l| (j != i).then(|| l.to_string())),
-                ));
-            }
-        }
-        refused.push(("degraded x".into(), set("degraded", "x")));
-        refused.push(("degraded 2".into(), set("degraded", "2")));
+        let long = vec!["3f50624dd2f1a9fc"; quick_cfg().governor.window + 1].join(" ");
+        refused.push(("win 0, too long".into(), win0(&long)));
+        refused.push((
+            "win 0, NaN".into(),
+            win0("3f50624dd2f1a9fc 7ff8000000000000"),
+        ));
         for bad in ["7ff8000000000000", "7ff0000000000000", "fff0000000000000"] {
             refused.push((format!("now {bad}"), set("now", bad)));
             refused.push((format!("cursor_s {bad}"), set("cursor_s", bad)));
@@ -1374,12 +1434,6 @@ mod tests {
                 .unwrap_or_else(|| panic!("{what}: restored"));
             assert!(!e.to_string().is_empty());
         }
-        // Older checkpoints lack the two blast-radius counters.
-        let old = rebuild(&|_, l: &str| {
-            (!l.starts_with("degraded_ticks ") && !l.starts_with("shed_replans "))
-                .then(|| l.to_string())
-        });
-        assert!(restore(&old).is_ok());
 
         // The sweep: every byte-prefix truncation, every dropped line and
         // every token swapped for a poison gives a typed error, or a

@@ -97,8 +97,6 @@ pub struct ShardConfig {
     pub menu: Option<CandidateConfig>,
     /// Cross-shard best-response reconciliation knobs.
     pub reconcile: ReconcileConfig,
-    /// Global descent rounds after reconciliation (0 disables polish).
-    pub polish_rounds: usize,
     /// Global Gibbs iterations after the polish descent (0 disables).
     pub polish_gibbs: usize,
 }
@@ -111,7 +109,6 @@ impl Default for ShardConfig {
             opt: OptimizerConfig::default(),
             menu: None,
             reconcile: ReconcileConfig::default(),
-            polish_rounds: 2,
             polish_gibbs: 0,
         }
     }
@@ -562,6 +559,9 @@ pub fn solve_sharded(
     solve_sharded_with(problem, &ev, cfg, budget, None)
 }
 
+/// Global descent rounds of the polish that follows reconciliation.
+const POLISH_ROUNDS: usize = 2;
+
 /// Sharded solve against a prebuilt global evaluator, optionally
 /// warm-started from a previous global assignment (shard solves then run
 /// descent-only from the remapped warm point, and the warm point itself
@@ -708,70 +708,67 @@ pub fn solve_sharded_with(
         best_asg = ctx.assignment();
     }
 
-    // --- Global polish from the reconciled point.
-    let mut polish_converged = true;
-    if cfg.polish_rounds > 0 {
-        let evals_left = budget
-            .max_evals
-            .map(|m| m.saturating_sub(trace.evaluations));
-        let wall_left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        if evals_left == Some(0) || wall_left == Some(Duration::ZERO) {
-            polish_converged = false;
-        } else {
-            let mut pcfg = cfg.opt.clone();
-            pcfg.rounds = cfg.polish_rounds;
-            pcfg.gibbs_iters = 0;
-            let d = optimizer::descent_from_with_budget(
-                ev,
-                &pcfg,
-                ctx.assignment(),
-                Budget {
-                    wall_time: wall_left,
-                    max_evals: evals_left,
-                },
-            );
-            polish_converged = d.converged;
-            trace.evaluations += d.solution.trace.evaluations;
-            trace
-                .objective
-                .extend_from_slice(&d.solution.trace.objective);
-            if d.solution.result.objective < best_obj {
-                best_obj = d.solution.result.objective;
-                best_asg = d.solution.assignment.clone();
-            }
-            if cfg.polish_gibbs > 0 && d.converged {
-                let evals_left = budget
-                    .max_evals
-                    .map(|m| m.saturating_sub(trace.evaluations));
-                let wall_left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                if evals_left == Some(0) || wall_left == Some(Duration::ZERO) {
-                    polish_converged = false;
-                } else {
-                    let mut gcfg = cfg.opt.clone();
-                    gcfg.gibbs_iters = cfg.polish_gibbs;
-                    let descended = Solution {
-                        assignment: d.solution.assignment.clone(),
-                        result: d.solution.result.clone(),
-                        trace: SearchTrace::default(),
-                    };
-                    let g = optimizer::refine_from_with_budget(
-                        ev,
-                        &gcfg,
-                        descended,
-                        Budget {
-                            wall_time: wall_left,
-                            max_evals: evals_left,
-                        },
-                    );
-                    polish_converged &= g.converged;
-                    trace.evaluations += g.spent.evaluations;
-                    trace
-                        .objective
-                        .extend_from_slice(&g.solution.trace.objective);
-                    if g.solution.result.objective < best_obj {
-                        best_obj = g.solution.result.objective;
-                        best_asg = g.solution.assignment.clone();
-                    }
+    // --- Global polish (`POLISH_ROUNDS` of descent) from the reconciled
+    // point.
+    let evals_left = budget
+        .max_evals
+        .map(|m| m.saturating_sub(trace.evaluations));
+    let wall_left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+    let mut polish_converged = false;
+    if evals_left != Some(0) && wall_left != Some(Duration::ZERO) {
+        let mut pcfg = cfg.opt.clone();
+        pcfg.rounds = POLISH_ROUNDS;
+        pcfg.gibbs_iters = 0;
+        let d = optimizer::descent_from_with_budget(
+            ev,
+            &pcfg,
+            ctx.assignment(),
+            Budget {
+                wall_time: wall_left,
+                max_evals: evals_left,
+            },
+        );
+        polish_converged = d.converged;
+        trace.evaluations += d.solution.trace.evaluations;
+        trace
+            .objective
+            .extend_from_slice(&d.solution.trace.objective);
+        if d.solution.result.objective < best_obj {
+            best_obj = d.solution.result.objective;
+            best_asg = d.solution.assignment.clone();
+        }
+        if cfg.polish_gibbs > 0 && d.converged {
+            let evals_left = budget
+                .max_evals
+                .map(|m| m.saturating_sub(trace.evaluations));
+            let wall_left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if evals_left == Some(0) || wall_left == Some(Duration::ZERO) {
+                polish_converged = false;
+            } else {
+                let mut gcfg = cfg.opt.clone();
+                gcfg.gibbs_iters = cfg.polish_gibbs;
+                let descended = Solution {
+                    assignment: d.solution.assignment.clone(),
+                    result: d.solution.result.clone(),
+                    trace: SearchTrace::default(),
+                };
+                let g = optimizer::refine_from_with_budget(
+                    ev,
+                    &gcfg,
+                    descended,
+                    Budget {
+                        wall_time: wall_left,
+                        max_evals: evals_left,
+                    },
+                );
+                polish_converged &= g.converged;
+                trace.evaluations += g.spent.evaluations;
+                trace
+                    .objective
+                    .extend_from_slice(&g.solution.trace.objective);
+                if g.solution.result.objective < best_obj {
+                    best_obj = g.solution.result.objective;
+                    best_asg = g.solution.assignment.clone();
                 }
             }
         }

@@ -206,7 +206,7 @@ pub enum ProblemError {
     /// A diversity cap fraction is non-finite or non-positive (use a
     /// fraction ≥ 1 to disable an axis, never 0 or NaN).
     DiversityBadFraction {
-        /// Which axis ("server", "ap", "domain").
+        /// Which axis ("server" or "domain").
         axis: &'static str,
         /// The offending fraction.
         frac: f64,
@@ -218,11 +218,6 @@ pub enum ProblemError {
         expected_servers: usize,
         /// Entries in the domain table.
         got: usize,
-    },
-    /// The diversity penalty weight is non-finite or negative.
-    DiversityBadPenalty {
-        /// The offending weight.
-        weight: f64,
     },
 }
 
@@ -361,13 +356,6 @@ impl fmt::Display for ProblemError {
                      cluster has {expected_servers}"
                 )
             }
-            ProblemError::DiversityBadPenalty { weight } => {
-                write!(
-                    f,
-                    "diversity config: penalty weight {weight} is not a finite \
-                     non-negative number"
-                )
-            }
         }
     }
 }
@@ -498,15 +486,13 @@ pub(crate) fn check_problem(p: &JointProblem) -> Result<(), ProblemError> {
 
 /// Validate a [`DiversityConfig`](crate::diversity::DiversityConfig):
 /// every cap fraction must be a positive finite number (≥ 1 disables an
-/// axis), a non-empty domain table must map every server, and the
-/// penalty weight must be finite and non-negative.
+/// axis), and a non-empty domain table must map every server.
 pub fn validate_diversity(
     div: &crate::diversity::DiversityConfig,
     num_servers: usize,
 ) -> Result<(), ProblemError> {
     let axes = [
         ("server", div.max_server_frac),
-        ("ap", div.max_ap_frac),
         ("domain", div.max_domain_frac),
     ];
     for (axis, frac) in axes {
@@ -518,11 +504,6 @@ pub fn validate_diversity(
         return Err(ProblemError::DiversityDomainArity {
             expected_servers: num_servers,
             got: div.server_domain.len(),
-        });
-    }
-    if !div.penalty_weight.is_finite() || div.penalty_weight < 0.0 {
-        return Err(ProblemError::DiversityBadPenalty {
-            weight: div.penalty_weight,
         });
     }
     Ok(())

@@ -93,11 +93,13 @@ impl std::fmt::Display for ChurnParseError {
 impl std::error::Error for ChurnParseError {}
 
 /// Exact text encoding of an `f64`: its IEEE-754 bit pattern in hex.
-fn f64_hex(x: f64) -> String {
+/// Churn traces and service checkpoints both write floats this way.
+pub fn f64_hex(x: f64) -> String {
     format!("{:016x}", x.to_bits())
 }
 
-fn parse_f64_hex(s: &str) -> Result<f64, String> {
+/// Inverse of [`f64_hex`]: the `f64` whose bit pattern `s` spells.
+pub fn parse_f64_hex(s: &str) -> Result<f64, String> {
     u64::from_str_radix(s, 16)
         .map(f64::from_bits)
         .map_err(|e| format!("bad f64 bits {s:?}: {e}"))
@@ -254,25 +256,27 @@ impl ChurnTrace {
     }
 }
 
-/// Seeded churn-trace generator: device up/down cycles plus log-space
-/// random walks over AP bandwidth, server capacity, and per-stream load.
+/// Fleet-wide device-leave rate of [`ChurnProfile::plan`], events/s.
+const DEVICE_CHURN_HZ: f64 = 0.2;
+/// Mean absence duration of a departed device, seconds.
+const MEAN_DOWN_S: f64 = 8.0;
+/// Interval between drift ticks, seconds.
+const DRIFT_EVERY_S: f64 = 2.0;
+/// Per-tick log-normal step for AP bandwidth walks.
+const LINK_SIGMA: f64 = 0.25;
+/// Per-tick log-normal step for server capacity walks.
+const CAP_SIGMA: f64 = 0.15;
+/// Per-tick log-normal step for per-stream load walks.
+const LOAD_SIGMA: f64 = 0.2;
+
+/// Seeded churn-trace generator: device up/down cycles (0.2 departures/s
+/// fleet-wide, 8 s mean absence) plus log-space random walks, stepped
+/// every 2 s, over AP bandwidth, server capacity, and per-stream load.
 /// A pure function of its parameters — `plan` twice, get the same trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ChurnProfile {
     /// Generator seed (independent of simulator seeds).
     pub seed: u64,
-    /// Fleet-wide device-leave rate, events/s (0 disables device churn).
-    pub device_churn_hz: f64,
-    /// Mean absence duration of a departed device, seconds.
-    pub mean_down_s: f64,
-    /// Interval between drift ticks, seconds (0 disables drift).
-    pub drift_every_s: f64,
-    /// Per-tick log-normal step for AP bandwidth walks (0 disables).
-    pub link_sigma: f64,
-    /// Per-tick log-normal step for server capacity walks (0 disables).
-    pub cap_sigma: f64,
-    /// Per-tick log-normal step for per-stream load walks (0 disables).
-    pub load_sigma: f64,
     /// First event no earlier than this, seconds.
     pub start_s: f64,
 }
@@ -281,12 +285,6 @@ impl Default for ChurnProfile {
     fn default() -> Self {
         Self {
             seed: 13,
-            device_churn_hz: 0.2,
-            mean_down_s: 8.0,
-            drift_every_s: 2.0,
-            link_sigma: 0.25,
-            cap_sigma: 0.15,
-            load_sigma: 0.2,
             start_s: 1.0,
         }
     }
@@ -308,10 +306,10 @@ impl ChurnProfile {
         // device-churn schedule and vice versa.
         let mut churn_rng = SimRng::new(self.seed, 101);
         let mut drift_rng = SimRng::new(self.seed, 202);
-        if self.device_churn_hz > 0.0 && num_devices > 0 {
+        if num_devices > 0 {
             let mut t = self.start_s;
             loop {
-                t += churn_rng.exponential(self.device_churn_hz);
+                t += churn_rng.exponential(DEVICE_CHURN_HZ);
                 if t >= horizon_s {
                     break;
                 }
@@ -320,7 +318,7 @@ impl ChurnProfile {
                     at_s: t,
                     kind: ChurnKind::DeviceDown { device },
                 });
-                let back = t + churn_rng.exponential(1.0 / self.mean_down_s.max(1e-9));
+                let back = t + churn_rng.exponential(1.0 / MEAN_DOWN_S);
                 if back < horizon_s {
                     events.push(ChurnEvent {
                         at_s: back,
@@ -329,48 +327,37 @@ impl ChurnProfile {
                 }
             }
         }
-        if self.drift_every_s > 0.0 {
-            // Approximate standard normal from 12 uniforms (Irwin–Hall):
-            // cheap, deterministic, and plenty for a drift walk.
-            let normal =
-                |rng: &mut SimRng| -> f64 { (0..12).map(|_| rng.open01()).sum::<f64>() - 6.0 };
-            let mut link = vec![1.0f64; num_aps];
-            let mut cap = vec![1.0f64; num_servers];
-            let mut load = vec![1.0f64; num_streams];
-            let mut t = self.start_s;
-            while t < horizon_s {
-                if self.link_sigma > 0.0 {
-                    for (ap, f) in link.iter_mut().enumerate() {
-                        *f = (*f * (self.link_sigma * normal(&mut drift_rng)).exp())
-                            .clamp(FACTOR_FLOOR, 1.0);
-                        events.push(ChurnEvent {
-                            at_s: t,
-                            kind: ChurnKind::LinkDrift { ap, factor: *f },
-                        });
-                    }
-                }
-                if self.cap_sigma > 0.0 {
-                    for (server, f) in cap.iter_mut().enumerate() {
-                        *f = (*f * (self.cap_sigma * normal(&mut drift_rng)).exp())
-                            .clamp(FACTOR_FLOOR, 1.0);
-                        events.push(ChurnEvent {
-                            at_s: t,
-                            kind: ChurnKind::CapacityDrift { server, factor: *f },
-                        });
-                    }
-                }
-                if self.load_sigma > 0.0 {
-                    for (stream, f) in load.iter_mut().enumerate() {
-                        *f = (*f * (self.load_sigma * normal(&mut drift_rng)).exp())
-                            .clamp(FACTOR_FLOOR, MAX_LOAD_FACTOR);
-                        events.push(ChurnEvent {
-                            at_s: t,
-                            kind: ChurnKind::LoadDrift { stream, factor: *f },
-                        });
-                    }
-                }
-                t += self.drift_every_s;
+        // Approximate standard normal from 12 uniforms (Irwin–Hall):
+        // cheap, deterministic, and plenty for a drift walk.
+        let normal = |rng: &mut SimRng| -> f64 { (0..12).map(|_| rng.open01()).sum::<f64>() - 6.0 };
+        let mut link = vec![1.0f64; num_aps];
+        let mut cap = vec![1.0f64; num_servers];
+        let mut load = vec![1.0f64; num_streams];
+        let mut t = self.start_s;
+        while t < horizon_s {
+            for (ap, f) in link.iter_mut().enumerate() {
+                *f = (*f * (LINK_SIGMA * normal(&mut drift_rng)).exp()).clamp(FACTOR_FLOOR, 1.0);
+                events.push(ChurnEvent {
+                    at_s: t,
+                    kind: ChurnKind::LinkDrift { ap, factor: *f },
+                });
             }
+            for (server, f) in cap.iter_mut().enumerate() {
+                *f = (*f * (CAP_SIGMA * normal(&mut drift_rng)).exp()).clamp(FACTOR_FLOOR, 1.0);
+                events.push(ChurnEvent {
+                    at_s: t,
+                    kind: ChurnKind::CapacityDrift { server, factor: *f },
+                });
+            }
+            for (stream, f) in load.iter_mut().enumerate() {
+                *f = (*f * (LOAD_SIGMA * normal(&mut drift_rng)).exp())
+                    .clamp(FACTOR_FLOOR, MAX_LOAD_FACTOR);
+                events.push(ChurnEvent {
+                    at_s: t,
+                    kind: ChurnKind::LoadDrift { stream, factor: *f },
+                });
+            }
+            t += DRIFT_EVERY_S;
         }
         // Deterministic stable order: by time, then by an intrinsic kind
         // rank so equal-time events always serialize identically.

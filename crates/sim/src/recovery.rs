@@ -94,8 +94,6 @@ pub struct BreakerConfig {
     pub failure_threshold: f64,
     /// Seconds an open breaker waits before admitting half-open probes.
     pub open_cooldown_s: f64,
-    /// Consecutive probe successes required to close from half-open.
-    pub half_open_probes: u32,
     /// Whether a completion that missed its deadline feeds the target's
     /// health window as a failure (`true`, the default) or only hard
     /// failures — strands at a dark server, retry timeouts — do. A
@@ -112,7 +110,6 @@ impl Default for BreakerConfig {
             min_samples: 4,
             failure_threshold: 0.5,
             open_cooldown_s: 1.0,
-            half_open_probes: 2,
             miss_is_failure: true,
         }
     }
@@ -137,9 +134,6 @@ impl BreakerConfig {
         }
         if !(self.open_cooldown_s.is_finite() && self.open_cooldown_s > 0.0) {
             return Err(bad("breaker open_cooldown_s must be positive"));
-        }
-        if self.half_open_probes == 0 {
-            return Err(bad("breaker half_open_probes must be positive"));
         }
         Ok(())
     }
@@ -181,6 +175,10 @@ pub struct CircuitBreaker {
     /// Half-open → closed transitions.
     pub closes: usize,
 }
+
+/// Consecutive probe successes a half-open breaker needs to close, and
+/// the most probes it admits at once.
+const HALF_OPEN_PROBES: u32 = 2;
 
 impl CircuitBreaker {
     /// A fresh, closed breaker.
@@ -229,7 +227,7 @@ impl CircuitBreaker {
 
     /// Ask to route one request through this target. Closed always admits;
     /// open admits nothing until the cooldown elapses, then promotes to
-    /// half-open; half-open admits up to `half_open_probes` outstanding
+    /// half-open; half-open admits up to `HALF_OPEN_PROBES` outstanding
     /// probes.
     pub fn try_acquire(&mut self, now_s: f64) -> bool {
         match self.state {
@@ -246,7 +244,7 @@ impl CircuitBreaker {
                 }
             }
             BreakerState::HalfOpen => {
-                if self.probes_admitted < self.cfg.half_open_probes {
+                if self.probes_admitted < HALF_OPEN_PROBES {
                     self.probes_admitted += 1;
                     true
                 } else {
@@ -262,7 +260,7 @@ impl CircuitBreaker {
             BreakerState::Closed => self.push_outcome(false),
             BreakerState::HalfOpen => {
                 self.probe_successes += 1;
-                if self.probe_successes >= self.cfg.half_open_probes {
+                if self.probe_successes >= HALF_OPEN_PROBES {
                     self.state = BreakerState::Closed;
                     self.closes += 1;
                     self.window.clear();
@@ -324,18 +322,6 @@ pub struct HealthSnapshot {
     pub server_open: Vec<bool>,
     /// Per-AP breaker-open flag at epoch end (empty without breakers).
     pub ap_open: Vec<bool>,
-}
-
-impl HealthSnapshot {
-    /// Fraction of this epoch's completions that missed their deadline
-    /// (0 when nothing completed).
-    pub fn miss_rate(&self) -> f64 {
-        if self.completions == 0 {
-            0.0
-        } else {
-            self.slo_misses as f64 / self.completions as f64
-        }
-    }
 }
 
 /// The whole recovery subsystem's configuration. The default is
@@ -548,7 +534,6 @@ mod tests {
             min_samples: 2,
             failure_threshold: 0.5,
             open_cooldown_s: 1.0,
-            half_open_probes: 2,
             miss_is_failure: true,
         })
     }
@@ -609,22 +594,5 @@ mod tests {
         // One failure in a healthy window is below threshold.
         b.record_failure(1.0);
         assert_eq!(b.state(), BreakerState::Closed);
-    }
-
-    #[test]
-    fn snapshot_miss_rate() {
-        let mut s = HealthSnapshot {
-            at_s: 1.0,
-            completions: 8,
-            slo_misses: 2,
-            timeouts: 0,
-            degraded: 0,
-            shed: 0,
-            server_open: vec![],
-            ap_open: vec![],
-        };
-        assert!((s.miss_rate() - 0.25).abs() < 1e-12);
-        s.completions = 0;
-        assert_eq!(s.miss_rate(), 0.0);
     }
 }

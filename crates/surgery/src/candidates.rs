@@ -43,8 +43,6 @@ pub struct CandidateConfig {
     pub max_cuts: usize,
     /// Maximum exits per plan.
     pub max_exits: usize,
-    /// Maximum exit hosts offered to the DP per cut.
-    pub max_hosts: usize,
     /// Accuracy floor every plan must respect.
     pub accuracy_floor: f64,
     /// Full-model accuracy (before pruning).
@@ -55,8 +53,6 @@ pub struct CandidateConfig {
     pub allow_quantize: bool,
     /// Difficulty calibration.
     pub difficulty: DifficultyModel,
-    /// Exit-threshold sweep.
-    pub threshold_grid: Vec<f64>,
 }
 
 impl Default for CandidateConfig {
@@ -64,13 +60,11 @@ impl Default for CandidateConfig {
         Self {
             max_cuts: 6,
             max_exits: 3,
-            max_hosts: 8,
             accuracy_floor: 0.74,
             acc_full: 0.76,
             prune_levels: vec![PruneLevel::None, PruneLevel::Medium],
             allow_quantize: true,
             difficulty: DifficultyModel::default(),
-            threshold_grid: ExitSettingProblem::default_grid(),
         }
     }
 }
@@ -273,6 +267,9 @@ struct ExitPart {
     expected_device_flops: f64,
 }
 
+/// Maximum exit hosts offered to the exit-setting DP per cut.
+const MAX_HOSTS: usize = 8;
+
 impl<'a> MenuSkeleton<'a> {
     /// Build the skeleton of `model` on a device taking
     /// `device_sec_per_flop` seconds per FLOP.
@@ -304,7 +301,7 @@ impl<'a> MenuSkeleton<'a> {
                     .iter()
                     .copied()
                     .filter(|&b| b < cut.boundary)
-                    .take(cfg.max_hosts)
+                    .take(MAX_HOSTS)
                     .collect();
                 let host_prefix_flops: Vec<f64> = bounds
                     .iter()
@@ -334,7 +331,7 @@ impl<'a> MenuSkeleton<'a> {
                     accuracy_floor: cfg.accuracy_floor,
                     acc_full: acc_plain,
                     difficulty: cfg.difficulty.clone(),
-                    threshold_grid: cfg.threshold_grid.clone(),
+                    threshold_grid: ExitSettingProblem::default_grid(),
                 };
                 let fronts = ExitFronts::new(&problem);
                 let device_only = cut.boundary == model.len();

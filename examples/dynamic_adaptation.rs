@@ -8,7 +8,7 @@
 //! ```
 
 use scalpel::core::config::ScenarioConfig;
-use scalpel::core::distributed::{self, DistributedConfig};
+use scalpel::core::distributed;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::online::{remap_assignment, OnlineController};
 use scalpel::core::optimizer::OptimizerConfig;
@@ -54,7 +54,7 @@ fn main() {
     );
 
     println!("\ndistributed mode (no central controller), same 4 MHz epoch:");
-    let out = distributed::solve_distributed(&ev4, &DistributedConfig::default());
+    let out = distributed::solve_distributed(&ev4);
     println!(
         "  converged: {} after {} rounds, {} selfish moves; objective {:.4} \
          (centralized warm-start achieved {:.4})",

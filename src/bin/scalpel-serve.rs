@@ -250,17 +250,10 @@ fn run(f: &ServeFlags) -> Result<(), String> {
         ),
         None => None,
     };
-    let mut next = svc.cursor();
     while svc.status().now_s + f.tick_s <= f.horizon_s + 1e-12 {
-        let boundary = svc.status().tick.saturating_add(1) as f64 * f.tick_s;
-        let mut batch_end = next;
-        while batch_end < trace.events.len() && trace.events[batch_end].at_s < boundary {
-            batch_end += 1;
-        }
-        if let Err(e) = svc.offer_batch(&trace.events[next..batch_end]) {
+        if let Err(e) = svc.offer_batch(svc.next_batch(&trace)) {
             eprintln!("batch rejected: {e}");
         }
-        next = batch_end;
         let out = svc.tick();
         if let Some(delta) = &out.delta {
             if !delta.is_empty() {

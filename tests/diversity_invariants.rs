@@ -51,10 +51,8 @@ impl CapCase {
     fn diversity(&self, num_servers: usize) -> DiversityConfig {
         DiversityConfig {
             max_server_frac: self.server_frac,
-            max_ap_frac: 1.0,
             max_domain_frac: self.domain_frac,
             server_domain: (0..num_servers).map(|s| s % 2).collect(),
-            ..DiversityConfig::default()
         }
     }
 }

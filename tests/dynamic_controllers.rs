@@ -3,7 +3,7 @@
 
 use scalpel::core::compiler;
 use scalpel::core::config::ScenarioConfig;
-use scalpel::core::distributed::{self, DistributedConfig};
+use scalpel::core::distributed;
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::online::{remap_assignment, OnlineController};
 use scalpel::core::optimizer::OptimizerConfig;
@@ -72,7 +72,7 @@ fn distributed_solution_executes_and_meets_most_deadlines() {
     let scfg = scenario(20.0);
     let problem = scfg.build();
     let ev = Evaluator::new(&problem, None);
-    let out = distributed::solve_distributed(&ev, &DistributedConfig::default());
+    let out = distributed::solve_distributed(&ev);
     let streams = compiler::compile(
         &problem,
         &ev,

@@ -197,8 +197,6 @@ fn golden_correlated_report() -> SimReport {
     let opts = CompileOptions {
         ranked_fallbacks: true,
         server_domain: Some(server_domain),
-        same_domain_penalty_s: 1e3,
-        ..CompileOptions::default()
     };
     let sim = SimConfig {
         faults: plan,

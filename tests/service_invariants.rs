@@ -18,7 +18,7 @@ use scalpel::core::evaluator::{Assignment, EvalResult};
 use scalpel::core::optimizer::{Budget, OptimizerConfig};
 use scalpel::core::service::{GovernorConfig, PlanningService, ServiceConfig, SwitchGovernor};
 use scalpel::core::validate::ProblemError;
-use scalpel::sim::{ChurnProfile, ChurnTrace};
+use scalpel::sim::{ChurnKind, ChurnProfile, ChurnTrace};
 
 /// An incumbent pricing carrying only what the governor reads.
 fn eval_with_latencies(latency_s: Vec<f64>) -> EvalResult {
@@ -395,4 +395,54 @@ fn restore_past_the_end_of_the_trace_is_a_typed_error() {
     let mut restored =
         PlanningService::restore(scenario.build(), cfg, &ckpt).expect("own checkpoint restores");
     assert!(restored.drive_trace(&exact, horizon_s).is_ok());
+}
+
+/// A rejected batch is consumed by the service itself, so a checkpoint
+/// taken after the rejection resumes past it. The replay trace with its
+/// t = 3 s AP-0 drift pointed at a missing AP (one batch rejected), run
+/// uninterrupted and run with a crash after tick 5 plus restore, ends in
+/// the same checkpoint, the same status rows and the same assignment.
+#[test]
+fn rejected_batch_survives_crash_and_restore() {
+    let (scenario, cfg, mut trace, horizon_s) = replay_setup();
+    let poisoned = trace
+        .events
+        .iter_mut()
+        .find(|e| e.at_s == 3.0 && matches!(e.kind, ChurnKind::LinkDrift { ap: 0, .. }))
+        .expect("the trace drifts AP 0 at t = 3 s");
+    if let ChurnKind::LinkDrift { ap, .. } = &mut poisoned.kind {
+        *ap = 99;
+    }
+
+    let mut uninterrupted =
+        PlanningService::new(scenario.build(), cfg.clone()).expect("scenario validates");
+    let report = uninterrupted
+        .drive_trace(&trace, horizon_s)
+        .expect("fresh cursor");
+    let status = report.final_status().expect("non-empty drive");
+    assert_eq!(
+        status.rejected_batches, 1,
+        "the poisoned batch was not rejected"
+    );
+    assert_eq!(status.events_consumed, trace.events.len());
+
+    let mut crashed =
+        PlanningService::new(scenario.build(), cfg.clone()).expect("scenario validates");
+    let mut statuses = crashed
+        .drive_trace(&trace, 5.0 * cfg.tick_s)
+        .expect("fresh cursor")
+        .statuses;
+    let ckpt = crashed.checkpoint_text();
+    let mut restored =
+        PlanningService::restore(scenario.build(), cfg, &ckpt).expect("own checkpoint restores");
+    statuses.extend(
+        restored
+            .drive_trace(&trace, horizon_s)
+            .expect("restored cursor lies within the trace")
+            .statuses,
+    );
+
+    assert_eq!(restored.checkpoint_text(), uninterrupted.checkpoint_text());
+    assert_eq!(statuses, report.statuses);
+    assert_eq!(restored.assignment(), uninterrupted.assignment());
 }
