@@ -130,13 +130,15 @@ pub fn place(
 fn greedy(model: &ServerLoadModel) -> Vec<usize> {
     let n_servers = model.loads.len();
     let n_streams = model.ell.len();
-    // Heaviest (by best-case ell) first.
+    // Heaviest (by best-case ell) first. Each key is folded once, not on
+    // every comparison; the sort is stable, so ties keep stream order.
+    let best_case: Vec<f64> = model
+        .ell
+        .iter()
+        .map(|row| row.iter().cloned().fold(f64::INFINITY, f64::min))
+        .collect();
     let mut order: Vec<usize> = (0..n_streams).collect();
-    order.sort_by(|&a, &b| {
-        let wa = model.ell[a].iter().cloned().fold(f64::INFINITY, f64::min);
-        let wb = model.ell[b].iter().cloned().fold(f64::INFINITY, f64::min);
-        wb.total_cmp(&wa)
-    });
+    order.sort_by(|&a, &b| best_case[b].total_cmp(&best_case[a]));
     let mut loads = vec![0.0; n_servers];
     let mut assignment = vec![0usize; n_streams];
     for &k in &order {

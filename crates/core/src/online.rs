@@ -240,13 +240,14 @@ impl OnlineController {
 
     /// Warm-started *sharded* replan, not adopted: the fleet-scale
     /// counterpart of [`propose_with_budget`](Self::propose_with_budget).
-    /// The previous assignment is remapped onto the new evaluator, each
-    /// shard runs budgeted descent from its slice of the warm point in
-    /// parallel, and cross-shard placements are reconciled. The warm
-    /// point itself joins the incumbent race inside
-    /// [`crate::shard::solve_sharded_with`], so the candidate is never
-    /// worse than the re-priced stale plan. Fails only if `shard_cfg` is
-    /// inconsistent with `new_problem`.
+    /// The previous assignment is remapped onto the new evaluator and
+    /// handed to [`crate::shard::solve_sharded_with`], which partitions
+    /// the fleet but solves no shard: it polishes the warm point with
+    /// the sharded path's descent rounds (and its Gibbs iterations, when
+    /// set) under the whole budget. The warm point itself joins the
+    /// incumbent race, so the candidate is never worse than the re-priced
+    /// stale plan. Fails only if `shard_cfg` is inconsistent with
+    /// `new_problem`.
     pub fn propose_sharded(
         &self,
         old_ev: &Evaluator,

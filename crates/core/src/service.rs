@@ -457,7 +457,9 @@ pub struct ServiceConfig {
     /// Bypass the governor entirely (the thrash baseline for f18).
     pub ungoverned: bool,
     /// Solve via [`crate::shard::solve_sharded_with`] instead of global
-    /// descent — the fleet-scale path.
+    /// descent — the fleet-scale path. The bootstrap solve is global
+    /// either way; replans are warm, so the sharded path partitions the
+    /// fleet and polishes the incumbent without solving shards.
     pub shard: Option<ShardConfig>,
 }
 

@@ -1,5 +1,6 @@
 //! Fleet-scale sharded optimization: partition → parallel solve →
-//! best-response reconciliation → global polish.
+//! best-response reconciliation → global polish on a cold solve, and
+//! partition → global polish on a warm replan.
 //!
 //! The centralized search prices every move against the whole
 //! configuration; even with incremental evaluation that keeps a single
@@ -41,9 +42,18 @@
 //! 5. **Polish** globally: a few budgeted descent rounds (and optional
 //!    Gibbs refinement) from the reconciled point.
 //!
+//! Steps 2–5 are the cold path. A warm start ([`solve_sharded_with`]
+//! given the previous assignment) is already a consistent global
+//! placement, so it skips steps 2–4 and goes straight to the polish:
+//! the warm point is priced and polished with the whole remaining
+//! budget. On warm replans the shard phases cost about 40% of the
+//! evaluations and their candidate lost to this polish more often than
+//! it won (DESIGN.md §2.12).
+//!
 //! The returned incumbent is the best of {stitched, reconciled,
-//! polished, warm start}, so the sharded path never returns something
-//! worse than its own intermediate states. Anytime semantics match
+//! polished} on a cold solve and of {warm start, polished} on a warm
+//! one, so the sharded path never returns something worse than its own
+//! intermediate states. Anytime semantics match
 //! [`solve_with_budget`]: under [`Budget::UNLIMITED`] the clock is never
 //! consulted and the outcome is a pure function of (problem, config) —
 //! including under different rayon thread counts, since shard tasks are
@@ -363,15 +373,17 @@ pub struct ShardSolve {
     /// on the *global* menus instead (bounded-overshoot degradation).
     pub fallback: bool,
     /// Whether the shard solve finished within its budget slice
-    /// (vacuously `true` for empty shards, `false` for fallbacks).
+    /// (vacuously `true` for empty shards and on warm starts, `false`
+    /// for fallbacks).
     pub converged: bool,
     /// Evaluations the shard solve spent.
     pub evaluations: usize,
     /// Shard-local objective (its own pooled objective over its streams;
-    /// `None` for empty shards and fallbacks).
+    /// `None` for empty shards, fallbacks and warm starts).
     pub objective: Option<f64>,
     /// Shard-local solution assignment (indices into the shard's own
-    /// menus/servers; `None` for empty shards and fallbacks).
+    /// menus/servers; `None` for empty shards, fallbacks and warm
+    /// starts).
     pub assignment: Option<Assignment>,
 }
 
@@ -380,18 +392,21 @@ pub struct ShardSolve {
 pub struct ShardedOutcome {
     /// The global solution with the same anytime contract as
     /// [`optimizer::solve_with_budget`]: best incumbent across stitch,
-    /// reconciliation, polish (and the warm start, when given).
+    /// reconciliation and polish, or across the warm start and polish.
     pub outcome: SolveOutcome,
     /// How the fleet was partitioned.
     pub plan: ShardPlan,
-    /// Per-shard solve reports, parallel to [`ShardPlan::shards`].
+    /// Per-shard solve reports, parallel to [`ShardPlan::shards`]. A warm
+    /// start solves no shard: every report has zero evaluations.
     pub shards: Vec<ShardSolve>,
-    /// What the cross-shard reconciliation pass did.
+    /// What the cross-shard reconciliation pass did. A warm start skips
+    /// the pass: no rounds, moves or probes, and not cut.
     pub reconcile: ReconcileReport,
     /// Stitched plans that had no structurally identical entry in the
     /// global menu and fell back to [`online::closest_idx`]. Zero on
-    /// identical reference environments; small when shard-local menus
-    /// drift from the global ones.
+    /// identical reference environments and on warm starts, which
+    /// stitch nothing; small when shard-local menus drift from the
+    /// global ones.
     pub remap_misses: usize,
 }
 
@@ -434,30 +449,6 @@ fn fallback_task(ev: &Evaluator, shard_idx: usize, shard: &Shard) -> TaskOut {
     }
 }
 
-/// Remap a warm global assignment into shard-local indices.
-fn warm_local(ev: &Evaluator, sub_ev: &Evaluator, shard: &Shard, warm: &Assignment) -> Assignment {
-    let mut plan_idx = Vec::with_capacity(shard.streams.len());
-    let mut placement = Vec::with_capacity(shard.streams.len());
-    for (j, &k) in shard.streams.iter().enumerate() {
-        let gp = &ev.menu(k)[warm.plan_idx[k]].plan;
-        let menu = sub_ev.menu(j);
-        let idx = menu
-            .iter()
-            .position(|p| p.plan == *gp)
-            .unwrap_or_else(|| online::closest_idx(menu, gp));
-        plan_idx.push(idx);
-        let srv = warm.placement[k];
-        placement.push(match shard.servers.binary_search(&srv) {
-            Ok(i) => i,
-            Err(_) => j % sub_ev.num_servers().max(1),
-        });
-    }
-    Assignment {
-        plan_idx,
-        placement,
-    }
-}
-
 /// Budget slice + shard handle for one parallel task.
 struct Task<'p> {
     shard_idx: usize,
@@ -474,7 +465,6 @@ fn run_shard_task(
     cfg: &ShardConfig,
     t: &Task<'_>,
     deadline: Option<Instant>,
-    warm: Option<&Assignment>,
 ) -> Result<TaskOut, ProblemError> {
     if let Some(d) = deadline {
         if Instant::now() >= d {
@@ -499,15 +489,7 @@ fn run_shard_task(
         // (Σ⌊f·nᵢ⌋ ≤ ⌊f·Σnᵢ⌋ per server / AP / domain).
         local_opt.diversity = Some(d.for_servers(&t.shard.servers));
     }
-    let out = match warm {
-        Some(w) => {
-            let start = warm_local(ev, &sub_ev, t.shard, w);
-            let mut quick = local_opt.clone();
-            quick.gibbs_iters = 0; // warm replans stay descent-only
-            optimizer::descent_from_with_budget(&sub_ev, &quick, start, slice)
-        }
-        None => optimizer::solve_with_budget(&sub_ev, &local_opt, slice),
-    };
+    let out = optimizer::solve_with_budget(&sub_ev, &local_opt, slice);
     let mut global_plans = Vec::with_capacity(t.shard.streams.len());
     let mut global_placement = Vec::with_capacity(t.shard.streams.len());
     let mut misses = 0usize;
@@ -559,28 +541,56 @@ pub fn solve_sharded(
     solve_sharded_with(problem, &ev, cfg, budget, None)
 }
 
-/// Global descent rounds of the polish that follows reconciliation.
+/// Global descent rounds of the polish.
 const POLISH_ROUNDS: usize = 2;
 
-/// Sharded solve against a prebuilt global evaluator, optionally
-/// warm-started from a previous global assignment (shard solves then run
-/// descent-only from the remapped warm point, and the warm point itself
-/// joins the incumbent race so the result is never worse than it).
-pub fn solve_sharded_with(
+/// What the phases before the polish leave behind.
+struct Prelude {
+    /// The point the polish descends from.
+    start: Assignment,
+    /// Objectives and evaluations spent so far.
+    trace: SearchTrace,
+    /// Incumbent race so far: the best objective and its assignment.
+    best_obj: f64,
+    best_asg: Assignment,
+    shards: Vec<ShardSolve>,
+    reconcile: ReconcileReport,
+    remap_misses: usize,
+    /// Every shard solve finished within its slice, none fell back, and
+    /// no budget cut the reconciliation.
+    converged: bool,
+}
+
+/// One report per shard with no work done: what empty shards report on
+/// a cold solve, and every shard on a warm one.
+fn idle_reports(plan: &ShardPlan) -> Vec<ShardSolve> {
+    plan.shards
+        .iter()
+        .enumerate()
+        .map(|(i, s)| ShardSolve {
+            shard: i,
+            streams: s.streams.len(),
+            fallback: false,
+            converged: true,
+            evaluations: 0,
+            objective: None,
+            assignment: None,
+        })
+        .collect()
+}
+
+/// Steps 2–4 of a cold solve: solve the shards in parallel, stitch their
+/// solutions and reconcile cross-shard placements. The polish starts from
+/// the reconciled point.
+fn shard_phases(
     problem: &JointProblem,
     ev: &Evaluator,
     cfg: &ShardConfig,
+    plan: &ShardPlan,
     budget: Budget,
-    warm: Option<&Assignment>,
-) -> Result<ShardedOutcome, ProblemError> {
-    let started = Instant::now();
-    let deadline = budget.wall_time.map(|w| started + w);
-    if let Some(d) = &cfg.opt.diversity {
-        crate::validate::validate_diversity(d, problem.cluster.servers.len())?;
-    }
-    let plan = partition(problem, cfg)?;
+    deadline: Option<Instant>,
+) -> Result<Prelude, ProblemError> {
     let n = problem.streams.len();
-
     // --- Proportional budget slices (80% for shard solves, the rest for
     // reconciliation + polish). Each wall slice is additionally capped by
     // the remaining time at task start, so sequential execution cannot
@@ -606,7 +616,7 @@ pub fn solve_sharded_with(
         .collect();
     let outs: Result<Vec<TaskOut>, ProblemError> = tasks
         .par_iter()
-        .map(|t| run_shard_task(problem, ev, cfg, t, deadline, warm))
+        .map(|t| run_shard_task(problem, ev, cfg, t, deadline))
         .collect();
     let outs = outs?;
 
@@ -615,20 +625,7 @@ pub fn solve_sharded_with(
     let mut placement = vec![0usize; n];
     let mut remap_misses = 0usize;
     let mut shard_evals = 0usize;
-    let mut shards: Vec<ShardSolve> = plan
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| ShardSolve {
-            shard: i,
-            streams: s.streams.len(),
-            fallback: false,
-            converged: true,
-            evaluations: 0,
-            objective: None,
-            assignment: None,
-        })
-        .collect();
+    let mut shards = idle_reports(plan);
     let mut any_fallback = false;
     let mut all_shards_converged = true;
     for out in outs {
@@ -644,14 +641,13 @@ pub fn solve_sharded_with(
         shards[out.shard] = out.solve;
     }
 
-    let policies = cfg.opt.policies;
     let mut ctx = EvalContext::with_diversity(
         ev,
         Assignment {
             plan_idx,
             placement,
         },
-        policies,
+        cfg.opt.policies,
         cfg.opt.diversity.clone(),
     );
     let mut trace = SearchTrace {
@@ -660,18 +656,6 @@ pub fn solve_sharded_with(
     };
     let mut best_obj = ctx.objective();
     let mut best_asg = ctx.assignment();
-    // The warm start joins the incumbent race: a sharded replan must
-    // never adopt something worse than the assignment it started from.
-    if let Some(w) = warm {
-        // Price the warm point on the same penalized scale the race runs
-        // on, or a cap-violating incumbent would win unopposed.
-        let wr = optimizer::priced(ev, policies, &cfg.opt.diversity, w);
-        trace.evaluations += 1;
-        if wr.objective < best_obj {
-            best_obj = wr.objective;
-            best_asg = w.clone();
-        }
-    }
 
     // --- Cross-shard reconciliation.
     let groups: Vec<Vec<usize>> = plan
@@ -707,9 +691,80 @@ pub fn solve_sharded_with(
         best_obj = ctx.objective();
         best_asg = ctx.assignment();
     }
+    Ok(Prelude {
+        start: ctx.assignment(),
+        trace,
+        best_obj,
+        best_asg,
+        shards,
+        // Reconciliation stopping at its round cap is the configured
+        // amount of work (bounded termination), not a cut.
+        converged: all_shards_converged && !any_fallback && !reconcile.cut,
+        reconcile,
+        remap_misses,
+    })
+}
 
-    // --- Global polish (`POLISH_ROUNDS` of descent) from the reconciled
-    // point.
+/// Sharded solve against a prebuilt global evaluator, optionally
+/// warm-started from a previous global assignment. A cold solve
+/// (`warm = None`) runs the whole pipeline of the module docs. A warm
+/// start is already a consistent global placement, so the shard, stitch
+/// and reconcile steps are skipped: the warm point is priced, joins the
+/// incumbent race, and the polish descends from it with the whole
+/// remaining budget. The result is never worse than the warm point, and
+/// the shard and reconcile reports record no work.
+pub fn solve_sharded_with(
+    problem: &JointProblem,
+    ev: &Evaluator,
+    cfg: &ShardConfig,
+    budget: Budget,
+    warm: Option<&Assignment>,
+) -> Result<ShardedOutcome, ProblemError> {
+    let started = Instant::now();
+    let deadline = budget.wall_time.map(|w| started + w);
+    if let Some(d) = &cfg.opt.diversity {
+        crate::validate::validate_diversity(d, problem.cluster.servers.len())?;
+    }
+    let plan = partition(problem, cfg)?;
+    let policies = cfg.opt.policies;
+    let Prelude {
+        start,
+        mut trace,
+        mut best_obj,
+        mut best_asg,
+        shards,
+        reconcile,
+        remap_misses,
+        converged: prelude_converged,
+    } = match warm {
+        Some(w) => {
+            // Price the warm point on the same penalized scale the race
+            // runs on, or a cap-violating incumbent would win unopposed.
+            let wr = optimizer::priced(ev, policies, &cfg.opt.diversity, w);
+            Prelude {
+                start: w.clone(),
+                trace: SearchTrace {
+                    objective: vec![wr.objective],
+                    evaluations: 1,
+                },
+                best_obj: wr.objective,
+                best_asg: w.clone(),
+                shards: idle_reports(&plan),
+                reconcile: ReconcileReport {
+                    rounds: 0,
+                    moves: 0,
+                    probes: 0,
+                    converged: false,
+                    cut: false,
+                },
+                remap_misses: 0,
+                converged: true,
+            }
+        }
+        None => shard_phases(problem, ev, cfg, &plan, budget, deadline)?,
+    };
+
+    // --- Global polish (`POLISH_ROUNDS` of descent, then optional Gibbs).
     let evals_left = budget
         .max_evals
         .map(|m| m.saturating_sub(trace.evaluations));
@@ -722,7 +777,7 @@ pub fn solve_sharded_with(
         let d = optimizer::descent_from_with_budget(
             ev,
             &pcfg,
-            ctx.assignment(),
+            start,
             Budget {
                 wall_time: wall_left,
                 max_evals: evals_left,
@@ -793,9 +848,8 @@ pub fn solve_sharded_with(
         wall_s: started.elapsed().as_secs_f64(),
     };
     // Anytime contract: `converged == false` means the budget truncated
-    // the pipeline somewhere. Reconciliation stopping at its round cap is
-    // the configured amount of work (bounded termination), not a cut.
-    let converged = all_shards_converged && !any_fallback && !reconcile.cut && polish_converged;
+    // the pipeline somewhere.
+    let converged = prelude_converged && polish_converged;
     Ok(ShardedOutcome {
         outcome: SolveOutcome {
             solution: Solution {

@@ -1,14 +1,15 @@
 //! Structural invariants of the sharded optimizer (DESIGN.md §2.12).
 //!
 //! Partition soundness (coverage, disjointness, cap), bounded
-//! reconciliation, bitwise determinism, and rayon thread-count
-//! invariance of the reconciled result.
+//! reconciliation, bitwise determinism, rayon thread-count invariance of
+//! the reconciled result, and the warm-start contract: a warm replan is
+//! the polish from the warm point.
 
 use proptest::prelude::*;
 use scalpel::core::config::{ScenarioConfig, ServerMix};
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::online::{remap_assignment_counted, OnlineController};
-use scalpel::core::optimizer::{Budget, OptimizerConfig};
+use scalpel::core::optimizer::{descent_from_with_budget, Budget, OptimizerConfig};
 use scalpel::core::shard::{self, Reachability, ShardConfig};
 use scalpel::core::validate;
 
@@ -175,74 +176,170 @@ fn thread_count_sweep_is_invariant() {
     }
 }
 
-/// The online controller's sharded proposal is the module entry run from
-/// the remapped incumbent: its candidate matches `solve_sharded_with`
-/// bit-for-bit, its report counts exactly the streams that moved off the
-/// warm point, and it never regresses past the re-priced stale plan.
-#[test]
-fn controller_proposal_agrees_with_module_entry() {
+/// The bisected topology the warm-start tests replan (4 APs × 3 devices
+/// under a 3-stream cap, so every AP is its own shard), with its two
+/// drifts: a load shift from 4 to 6 Hz and an AP-bandwidth collapse from
+/// 20 to 5 MHz.
+fn bisected() -> (
+    ScenarioConfig,
+    ShardConfig,
+    [(&'static str, ScenarioConfig); 2],
+) {
     let scenario = ScenarioConfig {
         num_aps: 4,
         devices_per_ap: 3,
         arrival_rate_hz: 4.0,
         ..ScenarioConfig::default()
     };
-    let problem = scenario.build();
-    let ev = Evaluator::new(&problem, None);
     let cfg = ShardConfig {
         max_streams: 3,
         opt: quick_opt(),
         ..ShardConfig::default()
     };
-    // Warm-started sharded re-solve after a load change.
-    let shifted = ScenarioConfig {
-        arrival_rate_hz: 6.0,
-        ..scenario.clone()
-    }
-    .build();
-    let shifted_ev = Evaluator::new(&shifted, None);
+    let drifts = [
+        (
+            "load shift",
+            ScenarioConfig {
+                arrival_rate_hz: 6.0,
+                ..scenario.clone()
+            },
+        ),
+        (
+            "collapse",
+            ScenarioConfig {
+                ap_bandwidth_hz: 5e6,
+                ..scenario.clone()
+            },
+        ),
+    ];
+    (scenario, cfg, drifts)
+}
+
+/// The online controller's sharded proposal is the module entry run from
+/// the remapped incumbent: its candidate matches `solve_sharded_with`
+/// bit-for-bit, its report counts exactly the streams that moved off the
+/// warm point, and it never regresses past the re-priced stale plan.
+/// Checked on a load shift (4 → 6 Hz), where the incumbent still stands,
+/// and on an AP-bandwidth collapse (20 → 5 MHz), which must move some
+/// decision.
+#[test]
+fn controller_proposal_agrees_with_module_entry() {
+    let (scenario, cfg, drifts) = bisected();
+    let ev = Evaluator::new(&scenario.build(), None);
     let ctl = OnlineController::bootstrap(&ev, quick_opt());
-    let proposal = ctl
-        .propose_sharded(&ev, &shifted, &shifted_ev, &cfg, Budget::UNLIMITED)
-        .expect("valid scenario");
-
-    let (warm, warm_misses) =
-        remap_assignment_counted(&ev, &shifted_ev, &ctl.solution().assignment);
-    assert_eq!(proposal.warm, warm);
-    let direct =
-        shard::solve_sharded_with(&shifted, &shifted_ev, &cfg, Budget::UNLIMITED, Some(&warm))
+    for (name, shifted) in drifts {
+        let shifted = shifted.build();
+        let shifted_ev = Evaluator::new(&shifted, None);
+        let proposal = ctl
+            .propose_sharded(&ev, &shifted, &shifted_ev, &cfg, Budget::UNLIMITED)
             .expect("valid scenario");
-    let candidate = &proposal.solution;
-    assert_eq!(candidate.assignment, direct.outcome.solution.assignment);
-    assert_eq!(
-        candidate.result.objective.to_bits(),
-        direct.outcome.solution.result.objective.to_bits(),
-        "controller proposal must match the module entry bit-for-bit"
-    );
 
-    let report = &proposal.report;
-    let moved = |a: &[usize], b: &[usize]| a.iter().zip(b).filter(|(x, y)| x != y).count();
-    assert_eq!(
-        report.plans_changed,
-        moved(&warm.plan_idx, &candidate.assignment.plan_idx)
-    );
-    assert_eq!(
-        report.placements_changed,
-        moved(&warm.placement, &candidate.assignment.placement)
-    );
-    // The load shift moves some decision, so zero counts would be wrong.
-    assert!(report.plans_changed + report.placements_changed > 0);
-    assert_eq!(report.remap_misses, warm_misses + direct.remap_misses);
-    assert_eq!(report.evaluations, candidate.trace.evaluations);
-    assert!(report.converged);
-    assert!(report.resolve_ms > 0.0);
-    assert!(report.adapted_objective.is_finite());
-    assert!(
-        report.adapted_objective <= report.stale_objective + 1e-12,
-        "warm incumbent is in the race, so adaptation can never lose to it: {} > {}",
-        report.adapted_objective,
-        report.stale_objective
-    );
+        let (warm, warm_misses) =
+            remap_assignment_counted(&ev, &shifted_ev, &ctl.solution().assignment);
+        assert_eq!(proposal.warm, warm, "{name}");
+        let direct =
+            shard::solve_sharded_with(&shifted, &shifted_ev, &cfg, Budget::UNLIMITED, Some(&warm))
+                .expect("valid scenario");
+        let candidate = &proposal.solution;
+        assert_eq!(
+            candidate.assignment, direct.outcome.solution.assignment,
+            "{name}"
+        );
+        assert_eq!(
+            candidate.result.objective.to_bits(),
+            direct.outcome.solution.result.objective.to_bits(),
+            "{name}: controller proposal must match the module entry bit-for-bit"
+        );
+
+        let report = &proposal.report;
+        let moved = |a: &[usize], b: &[usize]| a.iter().zip(b).filter(|(x, y)| x != y).count();
+        assert_eq!(
+            report.plans_changed,
+            moved(&warm.plan_idx, &candidate.assignment.plan_idx),
+            "{name}"
+        );
+        assert_eq!(
+            report.placements_changed,
+            moved(&warm.placement, &candidate.assignment.placement),
+            "{name}"
+        );
+        if name == "collapse" {
+            // The collapse moves some decision, so zero counts would be wrong.
+            assert!(
+                report.plans_changed + report.placements_changed > 0,
+                "{name}"
+            );
+        }
+        assert_eq!(
+            report.remap_misses,
+            warm_misses + direct.remap_misses,
+            "{name}"
+        );
+        assert_eq!(report.evaluations, candidate.trace.evaluations, "{name}");
+        assert!(report.converged, "{name}");
+        assert!(report.resolve_ms > 0.0, "{name}");
+        assert!(report.adapted_objective.is_finite(), "{name}");
+        assert!(
+            report.adapted_objective <= report.stale_objective + 1e-12,
+            "{name}: warm incumbent is in the race, so adaptation can never lose to it: {} > {}",
+            report.adapted_objective,
+            report.stale_objective
+        );
+    }
+}
+
+/// A warm-started sharded solve is the polish from the warm point: the
+/// better of the priced warm point and two descent rounds from it, bit
+/// for bit, with no shard solved, no reconciliation probe, and one
+/// evaluation on top of the descent's for pricing the warm point.
+#[test]
+fn warm_sharded_solve_is_the_polish_from_the_warm_point() {
+    let (scenario, cfg, drifts) = bisected();
+    let ev = Evaluator::new(&scenario.build(), None);
+    let ctl = OnlineController::bootstrap(&ev, quick_opt());
+    for (name, shifted) in drifts {
+        let problem = shifted.build();
+        let new_ev = Evaluator::new(&problem, None);
+        let (warm, _) = remap_assignment_counted(&ev, &new_ev, &ctl.solution().assignment);
+        let out =
+            shard::solve_sharded_with(&problem, &new_ev, &cfg, Budget::UNLIMITED, Some(&warm))
+                .expect("valid scenario");
+        assert!(out.plan.shards.len() > 1, "the topology must shard");
+        assert_eq!(out.shards.len(), out.plan.shards.len());
+        assert!(out.shards.iter().all(|s| s.evaluations == 0));
+        assert_eq!(out.reconcile.probes, 0);
+        assert_eq!(out.reconcile.rounds, 0);
+        assert_eq!(out.reconcile.moves, 0);
+        assert!(!out.reconcile.cut);
+        assert_eq!(out.remap_misses, 0);
+
+        let priced = new_ev.evaluate(&warm, cfg.opt.policies);
+        let polish = OptimizerConfig {
+            rounds: 2,
+            gibbs_iters: 0,
+            ..cfg.opt.clone()
+        };
+        let descent = descent_from_with_budget(&new_ev, &polish, warm.clone(), Budget::UNLIMITED);
+        let (best_asg, best) = if descent.solution.result.objective < priced.objective {
+            (&descent.solution.assignment, &descent.solution.result)
+        } else {
+            (&warm, &priced)
+        };
+        let got = &out.outcome.solution;
+        assert_eq!(&got.assignment, best_asg, "{name}");
+        assert_eq!(
+            got.result.objective.to_bits(),
+            best.objective.to_bits(),
+            "{name}"
+        );
+        assert_eq!(
+            got.trace.evaluations,
+            descent.solution.trace.evaluations + 1,
+            "{name}"
+        );
+        assert_eq!(out.outcome.spent.evaluations, got.trace.evaluations);
+        assert_eq!(out.outcome.converged, descent.converged);
+    }
 }
 
 /// Ingest validation rejects shard configs the partitioner cannot honor.
