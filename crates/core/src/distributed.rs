@@ -25,7 +25,8 @@ use std::time::Instant;
 /// Maximum best-response rounds of [`solve_distributed`] (each round:
 /// every stream once).
 const MAX_ROUNDS: usize = 20;
-/// Minimum per-stream relative improvement to accept a move.
+/// Minimum per-stream relative improvement to accept a move, in both
+/// [`solve_distributed`] and [`reconcile_placement`].
 const IMPROVEMENT_TOL: f64 = 1e-6;
 
 /// Outcome of the distributed dynamics.
@@ -106,21 +107,18 @@ pub fn solve_distributed(ev: &Evaluator) -> DistributedOutcome {
 }
 
 /// Knobs of the cross-shard reconciliation pass (the budgeted, incremental
-/// cousin of [`solve_distributed`] used by `core::shard`).
+/// cousin of [`solve_distributed`] used by `core::shard`). A move is
+/// accepted under the same relative improvement tolerance as
+/// [`solve_distributed`] (1e-6).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReconcileConfig {
     /// Maximum best-response rounds (each round: every stream once).
     pub max_rounds: usize,
-    /// Minimum per-stream relative improvement to accept a move.
-    pub improvement_tol: f64,
 }
 
 impl Default for ReconcileConfig {
     fn default() -> Self {
-        Self {
-            max_rounds: 4,
-            improvement_tol: 1e-6,
-        }
+        Self { max_rounds: 4 }
     }
 }
 
@@ -257,7 +255,7 @@ pub fn reconcile_placement(
                 let c = ctx.probe_move_cost(k, srv, &mut scratch);
                 probes += 1;
                 trace.evaluations += 1;
-                if c < best.0 * (1.0 - cfg.improvement_tol) {
+                if c < best.0 * (1.0 - IMPROVEMENT_TOL) {
                     best = (c, srv);
                 }
             }
@@ -384,10 +382,7 @@ mod tests {
         assert!(report.rounds > 1, "the first round moved nothing");
         // The configured round cap is the whole pass: one round, then a
         // stop that is neither quiescence nor a budget cut.
-        let one_round = ReconcileConfig {
-            max_rounds: 1,
-            ..rcfg.clone()
-        };
+        let one_round = ReconcileConfig { max_rounds: 1 };
         let mut ctx1 = EvalContext::new(&ev, asg, AllocPolicies::optimal());
         let mut t1 = SearchTrace::default();
         let r1 = reconcile_placement(&mut ctx1, &groups, None, &one_round, None, None, &mut t1);

@@ -62,7 +62,6 @@ pub use service::{
     ServiceStatus, SwitchGovernor, TickOutcome,
 };
 pub use shard::{
-    partition, solve_sharded, Reachability, Shard, ShardConfig, ShardPlan, ShardSolve,
-    ShardedOutcome,
+    partition, solve_sharded, Shard, ShardConfig, ShardPlan, ShardSolve, ShardedOutcome,
 };
 pub use validate::{validate_diversity, ProblemError};

@@ -9,25 +9,25 @@
 //! on its device queue, its AP's bandwidth group, and its server's
 //! compute group — to split the fleet into **shards**:
 //!
-//! 1. **Partition** ([`partition`]): connected components of the
-//!    AP↔candidate-server reachability graph ([`Reachability`]). A
-//!    naturally partitioned topology (disjoint AP/server clusters)
-//!    shards for free; one giant component falls back to size-capped
-//!    bisection, splitting the AP list at the cumulative-stream midpoint
-//!    and the server list proportionally. APs are never split (their
-//!    devices share a bandwidth group), so [`ShardConfig::max_streams`]
-//!    must admit the largest AP group (enforced at ingest by
-//!    [`validate_shard_config`]). A shard can exceed the cap only when
-//!    its component has too few servers left to split — bisection keeps
-//!    at least one server per side.
+//! 1. **Partition** ([`partition`]): every AP reaches every server, so
+//!    a fleet within [`ShardConfig::max_streams`] is one shard holding
+//!    every AP and server. A larger fleet goes through size-capped
+//!    bisection of that one AP/server pool, splitting the AP list at the
+//!    cumulative-stream midpoint and the server list proportionally. APs
+//!    are never split (their devices share a bandwidth group), so
+//!    [`ShardConfig::max_streams`] must admit the largest AP group
+//!    (enforced at ingest by [`validate_shard_config`]). A shard can
+//!    exceed the cap only when too few servers are left to split —
+//!    bisection keeps at least one server per side.
 //! 2. **Solve** each shard in parallel (rayon) with the existing
 //!    incremental optimizer. Each shard is *extracted* into a standalone
 //!    [`JointProblem`] ([`extract`]) and gets its own evaluator,
 //!    [`EvalContext`] (inside the solver) and a proportional slice of
-//!    the caller's [`Budget`]. On a naturally partitioned topology the
-//!    extraction is exact — same devices, APs, servers, reindexed
-//!    ascending — so a shard solve under [`Budget::UNLIMITED`] is
-//!    bit-identical to solving that island standalone (asserted by
+//!    the caller's [`Budget`]. When the fleet fits one shard the
+//!    extraction is the problem itself — same devices, APs, servers and
+//!    streams in the same order — so that shard's solve under
+//!    [`Budget::UNLIMITED`] is bit-identical to
+//!    [`optimizer::solve`] on the original problem (asserted by
 //!    `tests/shard_parity.rs`).
 //! 3. **Stitch** the shard solutions into one global assignment. Shard
 //!    menus are generated against shard-local reference environments, so
@@ -36,11 +36,11 @@
 //!    counted in [`ShardedOutcome::remap_misses`]).
 //! 4. **Reconcile** cross-shard placements with the best-response layer
 //!    ([`reconcile_placement`]): streams selfishly probe the
-//!    least-loaded server of every *other* shard (subject to
-//!    [`Reachability`]) until no stream improves by crossing a shard
-//!    boundary, or the round/budget caps hit.
-//! 5. **Polish** globally: a few budgeted descent rounds (and optional
-//!    Gibbs refinement) from the reconciled point.
+//!    least-loaded server of every *other* shard until no stream
+//!    improves by crossing a shard boundary, or the round/budget caps
+//!    hit.
+//! 5. **Polish** globally: `POLISH_ROUNDS` (two) budgeted descent
+//!    rounds from the reconciled point.
 //!
 //! Steps 2–5 are the cold path. A warm start ([`solve_sharded_with`]
 //! given the previous assignment) is already a consistent global
@@ -78,27 +78,12 @@ use rayon::prelude::*;
 use scalpel_surgery::candidates::CandidateConfig;
 use std::time::{Duration, Instant};
 
-/// Which servers each AP's streams may offload to.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum Reachability {
-    /// Every AP reaches every server (one connected component; sharding
-    /// comes from the bisection fallback).
-    #[default]
-    Full,
-    /// `lists[ap]` = the servers AP `ap` may reach. Connected components
-    /// of this bipartite graph become shards; reconciliation never moves
-    /// a stream outside its AP's list.
-    PerAp(Vec<Vec<usize>>),
-}
-
 /// Knobs of the sharded solve.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
-    /// Bisection cap: components larger than this (in streams) are split.
-    /// Must admit the largest AP stream group.
+    /// Bisection cap: a fleet or shard larger than this (in streams) is
+    /// split. Must admit the largest AP stream group.
     pub max_streams: usize,
-    /// AP→server reachability defining the component structure.
-    pub reach: Reachability,
     /// Per-shard optimizer configuration (also supplies the policies the
     /// global stitch/reconcile/polish price under).
     pub opt: OptimizerConfig,
@@ -107,25 +92,21 @@ pub struct ShardConfig {
     pub menu: Option<CandidateConfig>,
     /// Cross-shard best-response reconciliation knobs.
     pub reconcile: ReconcileConfig,
-    /// Global Gibbs iterations after the polish descent (0 disables).
-    pub polish_gibbs: usize,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
         Self {
             max_streams: 2048,
-            reach: Reachability::Full,
             opt: OptimizerConfig::default(),
             menu: None,
             reconcile: ReconcileConfig::default(),
-            polish_gibbs: 0,
         }
     }
 }
 
-/// One shard: an AP/server cluster and the streams living on its APs.
-/// All three lists are ascending global indices.
+/// One shard: a set of APs and servers, and the streams living on its
+/// APs. All three lists are ascending global indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Shard {
     /// Access points owned by this shard.
@@ -140,49 +121,15 @@ pub struct Shard {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     /// The shards; their AP/server/stream sets are disjoint and their
-    /// union covers the problem. Shards with no APs (servers unreachable
-    /// under [`Reachability::PerAp`]) carry no streams and are skipped by
-    /// the solver but kept here so the server union stays complete.
+    /// union covers the problem. A shard whose APs carry no streams is
+    /// skipped by the solver but kept here so the AP and server unions
+    /// stay complete.
     pub shards: Vec<Shard>,
-    /// `true` iff the reachability components alone were small enough —
-    /// no bisection was needed. Natural partitions make shard solves
-    /// exactly equivalent to standalone island solves.
-    pub natural: bool,
 }
 
-/// Union-find with path halving (deterministic, index-keyed).
-struct Dsu {
-    parent: Vec<usize>,
-}
-
-impl Dsu {
-    fn new(n: usize) -> Self {
-        Self {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut x: usize) -> usize {
-        while self.parent[x] != x {
-            self.parent[x] = self.parent[self.parent[x]];
-            x = self.parent[x];
-        }
-        x
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Root toward the smaller index: component ids stay stable
-            // regardless of edge order.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
-        }
-    }
-}
-
-/// Split one oversized component into size-capped shards. The AP list is
-/// cut at the cumulative-stream midpoint; servers follow proportionally
+/// Split an AP/server pool into size-capped shards; a pool within the
+/// cap, or with fewer than two APs or servers, is one shard. The AP list
+/// is cut at the cumulative-stream midpoint; servers follow proportionally
 /// to stream mass, clamped so that whenever a side has at least as many
 /// servers as APs the invariant is preserved recursively (each side then
 /// keeps ≥ 1 server per AP and bisection can always reach single-AP
@@ -225,63 +172,22 @@ fn bisect(
     bisect(a_right, s_right, ap_streams, max_streams, out);
 }
 
-/// Partition `problem` into shards under `cfg`: connected components of
-/// the AP↔server reachability graph, bisected where they exceed
-/// [`ShardConfig::max_streams`]. Deterministic: shards are ordered by
-/// their smallest member and all index lists ascend.
+/// Partition `problem` into shards under `cfg`: one shard holding every
+/// AP and server when the fleet fits [`ShardConfig::max_streams`],
+/// otherwise the bisection of that pool. Deterministic: shards are
+/// ordered by their smallest AP and all index lists ascend.
 pub fn partition(problem: &JointProblem, cfg: &ShardConfig) -> Result<ShardPlan, ProblemError> {
     validate_shard_config(problem, cfg)?;
-    let num_aps = problem.cluster.aps.len();
-    let num_servers = problem.cluster.servers.len();
-    let mut dsu = Dsu::new(num_aps + num_servers);
-    match &cfg.reach {
-        Reachability::Full => {
-            for x in 1..num_aps + num_servers {
-                dsu.union(0, x);
-            }
-        }
-        Reachability::PerAp(lists) => {
-            for (ap, servers) in lists.iter().enumerate() {
-                for &srv in servers {
-                    dsu.union(ap, num_aps + srv);
-                }
-            }
-        }
-    }
-    // Components in first-seen node order (APs before servers).
-    let mut comp_of_root: Vec<Option<usize>> = vec![None; num_aps + num_servers];
-    let mut comp_aps: Vec<Vec<usize>> = Vec::new();
-    let mut comp_servers: Vec<Vec<usize>> = Vec::new();
-    for node in 0..num_aps + num_servers {
-        let root = dsu.find(node);
-        let c = match comp_of_root[root] {
-            Some(c) => c,
-            None => {
-                comp_of_root[root] = Some(comp_aps.len());
-                comp_aps.push(Vec::new());
-                comp_servers.push(Vec::new());
-                comp_aps.len() - 1
-            }
-        };
-        if node < num_aps {
-            comp_aps[c].push(node);
-        } else {
-            comp_servers[c].push(node - num_aps);
-        }
-    }
     let by_ap = problem.streams_by_ap();
     let ap_streams: Vec<usize> = by_ap.iter().map(|m| m.len()).collect();
-    let mut natural = true;
     let mut pieces: Vec<(Vec<usize>, Vec<usize>)> = Vec::new();
-    for (aps, servers) in comp_aps.into_iter().zip(comp_servers) {
-        let total: usize = aps.iter().map(|&a| ap_streams[a]).sum();
-        if total > cfg.max_streams {
-            natural = false;
-            bisect(aps, servers, &ap_streams, cfg.max_streams, &mut pieces);
-        } else {
-            pieces.push((aps, servers));
-        }
-    }
+    bisect(
+        (0..problem.cluster.aps.len()).collect(),
+        (0..problem.cluster.servers.len()).collect(),
+        &ap_streams,
+        cfg.max_streams,
+        &mut pieces,
+    );
     let shards = pieces
         .into_iter()
         .map(|(aps, servers)| {
@@ -295,14 +201,13 @@ pub fn partition(problem: &JointProblem, cfg: &ShardConfig) -> Result<ShardPlan,
             }
         })
         .collect();
-    Ok(ShardPlan { shards, natural })
+    Ok(ShardPlan { shards })
 }
 
 /// Extract one shard as a standalone [`JointProblem`]: the shard's APs,
 /// their devices, its servers and streams, each reindexed ascending; the
-/// model zoo and difficulty calibration are shared unchanged. On a
-/// natural partition this reproduces the island exactly, so solving the
-/// extraction standalone equals solving it inside the fleet.
+/// model zoo and difficulty calibration are shared unchanged. A shard
+/// holding every AP and server extracts the problem itself.
 pub fn extract(problem: &JointProblem, shard: &Shard) -> JointProblem {
     let mut ap_local = vec![usize::MAX; problem.cluster.aps.len()];
     for (i, &a) in shard.aps.iter().enumerate() {
@@ -664,24 +569,10 @@ fn shard_phases(
         .map(|s| s.servers.clone())
         .filter(|g| !g.is_empty())
         .collect();
-    let allowed: Option<Vec<Vec<usize>>> = match &cfg.reach {
-        Reachability::Full => None,
-        Reachability::PerAp(lists) => Some(
-            lists
-                .iter()
-                .map(|l| {
-                    let mut l = l.clone();
-                    l.sort_unstable();
-                    l.dedup();
-                    l
-                })
-                .collect(),
-        ),
-    };
     let reconcile = reconcile_placement(
         &mut ctx,
         &groups,
-        allowed.as_deref(),
+        None,
         &cfg.reconcile,
         deadline,
         budget.max_evals,
@@ -764,7 +655,7 @@ pub fn solve_sharded_with(
         None => shard_phases(problem, ev, cfg, &plan, budget, deadline)?,
     };
 
-    // --- Global polish (`POLISH_ROUNDS` of descent, then optional Gibbs).
+    // --- Global polish (`POLISH_ROUNDS` of descent).
     let evals_left = budget
         .max_evals
         .map(|m| m.saturating_sub(trace.evaluations));
@@ -773,7 +664,6 @@ pub fn solve_sharded_with(
     if evals_left != Some(0) && wall_left != Some(Duration::ZERO) {
         let mut pcfg = cfg.opt.clone();
         pcfg.rounds = POLISH_ROUNDS;
-        pcfg.gibbs_iters = 0;
         let d = optimizer::descent_from_with_budget(
             ev,
             &pcfg,
@@ -790,42 +680,7 @@ pub fn solve_sharded_with(
             .extend_from_slice(&d.solution.trace.objective);
         if d.solution.result.objective < best_obj {
             best_obj = d.solution.result.objective;
-            best_asg = d.solution.assignment.clone();
-        }
-        if cfg.polish_gibbs > 0 && d.converged {
-            let evals_left = budget
-                .max_evals
-                .map(|m| m.saturating_sub(trace.evaluations));
-            let wall_left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-            if evals_left == Some(0) || wall_left == Some(Duration::ZERO) {
-                polish_converged = false;
-            } else {
-                let mut gcfg = cfg.opt.clone();
-                gcfg.gibbs_iters = cfg.polish_gibbs;
-                let descended = Solution {
-                    assignment: d.solution.assignment.clone(),
-                    result: d.solution.result.clone(),
-                    trace: SearchTrace::default(),
-                };
-                let g = optimizer::refine_from_with_budget(
-                    ev,
-                    &gcfg,
-                    descended,
-                    Budget {
-                        wall_time: wall_left,
-                        max_evals: evals_left,
-                    },
-                );
-                polish_converged &= g.converged;
-                trace.evaluations += g.spent.evaluations;
-                trace
-                    .objective
-                    .extend_from_slice(&g.solution.trace.objective);
-                if g.solution.result.objective < best_obj {
-                    best_obj = g.solution.result.objective;
-                    best_asg = g.solution.assignment.clone();
-                }
-            }
+            best_asg = d.solution.assignment;
         }
     }
 
@@ -883,15 +738,16 @@ mod tests {
     }
 
     #[test]
-    fn full_reachability_is_one_component_until_capped() {
+    fn fleet_is_one_shard_until_capped() {
         let p = scenario(4, 4);
         let cfg = ShardConfig {
             max_streams: 1000,
             ..ShardConfig::default()
         };
         let plan = partition(&p, &cfg).expect("valid");
-        assert!(plan.natural);
         assert_eq!(plan.shards.len(), 1);
+        assert_eq!(plan.shards[0].aps, vec![0, 1, 2, 3]);
+        assert_eq!(plan.shards[0].servers, vec![0, 1, 2, 3]);
         assert_eq!(plan.shards[0].streams.len(), 16);
     }
 
@@ -914,7 +770,7 @@ mod tests {
             ..ShardConfig::default()
         };
         let plan = partition(&p, &cfg).expect("valid");
-        assert!(!plan.natural);
+        assert!(plan.shards.len() > 1, "a cap below the fleet must split it");
         let mut seen = vec![false; p.streams.len()];
         for s in &plan.shards {
             assert!(
@@ -933,38 +789,23 @@ mod tests {
     }
 
     #[test]
-    fn per_ap_reachability_splits_into_islands() {
-        let p = scenario(4, 3);
-        // APs {0,1} → servers {0,1}; APs {2,3} → servers {2,3}.
-        let reach = Reachability::PerAp(vec![vec![0, 1], vec![0, 1], vec![2, 3], vec![2, 3]]);
-        let cfg = ShardConfig {
-            reach,
-            ..ShardConfig::default()
-        };
-        let plan = partition(&p, &cfg).expect("valid");
-        assert!(plan.natural);
-        assert_eq!(plan.shards.len(), 2);
-        assert_eq!(plan.shards[0].aps, vec![0, 1]);
-        assert_eq!(plan.shards[0].servers, vec![0, 1]);
-        assert_eq!(plan.shards[1].aps, vec![2, 3]);
-        assert_eq!(plan.shards[1].servers, vec![2, 3]);
-    }
-
-    #[test]
     fn extraction_reindexes_ascending() {
         let p = scenario(4, 3);
-        let reach = Reachability::PerAp(vec![vec![0, 1], vec![0, 1], vec![2, 3], vec![2, 3]]);
+        // Twelve streams over four servers, capped at six: APs {0,1} with
+        // servers {0,1}, and APs {2,3} with servers {2,3}.
         let cfg = ShardConfig {
-            reach,
+            max_streams: 6,
             ..ShardConfig::default()
         };
         let plan = partition(&p, &cfg).expect("valid");
-        let island = extract(&p, &plan.shards[1]);
-        assert_eq!(island.cluster.aps.len(), 2);
-        assert_eq!(island.cluster.servers.len(), 2);
-        assert_eq!(island.streams.len(), 6);
-        island.validate().expect("extracted island is valid");
-        for (i, d) in island.cluster.devices.iter().enumerate() {
+        assert_eq!(plan.shards[1].aps, vec![2, 3]);
+        assert_eq!(plan.shards[1].servers, vec![2, 3]);
+        let sub = extract(&p, &plan.shards[1]);
+        assert_eq!(sub.cluster.aps.len(), 2);
+        assert_eq!(sub.cluster.servers.len(), 2);
+        assert_eq!(sub.streams.len(), 6);
+        sub.validate().expect("extracted shard is valid");
+        for (i, d) in sub.cluster.devices.iter().enumerate() {
             assert_eq!(d.id, i);
             assert!(d.ap < 2);
         }

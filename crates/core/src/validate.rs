@@ -131,26 +131,6 @@ pub enum ProblemError {
     },
     /// A shard configuration caps shards at zero streams.
     ShardZeroCap,
-    /// A per-AP reachability table does not cover every AP.
-    ShardReachArity {
-        /// APs in the cluster.
-        expected_aps: usize,
-        /// Rows in the reachability table.
-        got: usize,
-    },
-    /// A reachability row names a server outside the cluster.
-    ShardReachUnknownServer {
-        /// The offending AP.
-        ap: usize,
-        /// The referenced server index.
-        server: usize,
-    },
-    /// A reachability row leaves an AP with no candidate servers, so its
-    /// streams could never offload anywhere.
-    ShardReachEmptyAp {
-        /// The offending AP.
-        ap: usize,
-    },
     /// `ShardConfig::max_streams` is smaller than some AP's stream group.
     /// APs are never split across shards (their devices share a bandwidth
     /// group), so the cap must admit the largest AP group.
@@ -283,21 +263,6 @@ impl fmt::Display for ProblemError {
             }
             ProblemError::ShardZeroCap => {
                 write!(f, "shard config: max_streams must be positive")
-            }
-            ProblemError::ShardReachArity { expected_aps, got } => {
-                write!(
-                    f,
-                    "shard config: reachability table has {got} rows for {expected_aps} APs"
-                )
-            }
-            ProblemError::ShardReachUnknownServer { ap, server } => {
-                write!(f, "shard config: AP {ap} reaches unknown server {server}")
-            }
-            ProblemError::ShardReachEmptyAp { ap } => {
-                write!(
-                    f,
-                    "shard config: AP {ap} reaches no servers (its streams could never offload)"
-                )
             }
             ProblemError::ShardCapBelowApGroup {
                 ap,
@@ -511,9 +476,7 @@ pub fn validate_diversity(
 
 /// Validate a [`ShardConfig`](crate::shard::ShardConfig) against a
 /// problem: the cap must be positive and admit the largest AP stream
-/// group (APs are never split across shards), and a per-AP reachability
-/// table must cover every AP, name only real servers, and leave no AP
-/// with an empty candidate set.
+/// group (APs are never split across shards).
 pub fn validate_shard_config(
     p: &JointProblem,
     cfg: &crate::shard::ShardConfig,
@@ -528,24 +491,6 @@ pub fn validate_shard_config(
                 streams: members.len(),
                 max_streams: cfg.max_streams,
             });
-        }
-    }
-    if let crate::shard::Reachability::PerAp(lists) = &cfg.reach {
-        if lists.len() != p.cluster.aps.len() {
-            return Err(ProblemError::ShardReachArity {
-                expected_aps: p.cluster.aps.len(),
-                got: lists.len(),
-            });
-        }
-        for (ap, servers) in lists.iter().enumerate() {
-            if servers.is_empty() {
-                return Err(ProblemError::ShardReachEmptyAp { ap });
-            }
-            for &srv in servers {
-                if srv >= p.cluster.servers.len() {
-                    return Err(ProblemError::ShardReachUnknownServer { ap, server: srv });
-                }
-            }
         }
     }
     Ok(())

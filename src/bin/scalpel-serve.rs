@@ -20,6 +20,8 @@
 //! bit-identical final plan as the run that never crashed (with
 //! evaluation-count budgets; wall budgets trade determinism for latency).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use scalpel::core::optimizer::Budget;
 use scalpel::core::service::{PlanningService, ServiceConfig};
 use scalpel::core::ScenarioConfig;

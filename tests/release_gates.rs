@@ -121,7 +121,6 @@ fn n512_sharded_gap_to_centralized_within_2pct() {
     let cfg = ShardConfig {
         max_streams: 128,
         opt: light_search(),
-        polish_gibbs: 100,
         ..ShardConfig::default()
     };
     let out = shard::solve_sharded(&problem, &cfg, Budget::UNLIMITED).expect("valid");

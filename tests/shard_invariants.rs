@@ -10,8 +10,8 @@ use scalpel::core::config::{ScenarioConfig, ServerMix};
 use scalpel::core::evaluator::Evaluator;
 use scalpel::core::online::{remap_assignment_counted, OnlineController};
 use scalpel::core::optimizer::{descent_from_with_budget, Budget, OptimizerConfig};
-use scalpel::core::shard::{self, Reachability, ShardConfig};
-use scalpel::core::validate;
+use scalpel::core::shard::{self, ShardConfig};
+use scalpel::core::validate::{self, ProblemError};
 
 fn quick_opt() -> OptimizerConfig {
     OptimizerConfig {
@@ -358,36 +358,28 @@ fn shard_config_validation_rejects_bad_inputs() {
         max_streams: 0,
         ..ShardConfig::default()
     };
-    assert!(validate::validate_shard_config(&problem, &zero).is_err());
+    assert_eq!(
+        validate::validate_shard_config(&problem, &zero),
+        Err(ProblemError::ShardZeroCap)
+    );
 
     // Cap below the largest AP stream group (4 per AP here).
     let tight = ShardConfig {
         max_streams: 3,
         ..ShardConfig::default()
     };
-    assert!(validate::validate_shard_config(&problem, &tight).is_err());
-
-    // Reachability table with the wrong arity.
-    let arity = ShardConfig {
-        reach: Reachability::PerAp(vec![vec![0]]),
-        ..ShardConfig::default()
-    };
-    assert!(validate::validate_shard_config(&problem, &arity).is_err());
-
-    // Reachability row naming an unknown server.
-    let unknown = ShardConfig {
-        reach: Reachability::PerAp(vec![vec![0], vec![99]]),
-        ..ShardConfig::default()
-    };
-    assert!(validate::validate_shard_config(&problem, &unknown).is_err());
-
-    // An empty reachability row (an AP with nowhere to offload).
-    let empty = ShardConfig {
-        reach: Reachability::PerAp(vec![vec![0], vec![]]),
-        ..ShardConfig::default()
-    };
-    assert!(validate::validate_shard_config(&problem, &empty).is_err());
+    assert_eq!(
+        validate::validate_shard_config(&problem, &tight),
+        Err(ProblemError::ShardCapBelowApGroup {
+            ap: 0,
+            streams: 4,
+            max_streams: 3,
+        })
+    );
 
     // And solve_sharded surfaces the same rejection instead of panicking.
-    assert!(shard::solve_sharded(&problem, &zero, Budget::UNLIMITED).is_err());
+    assert_eq!(
+        shard::solve_sharded(&problem, &zero, Budget::UNLIMITED).err(),
+        Some(ProblemError::ShardZeroCap)
+    );
 }
