@@ -24,6 +24,10 @@
 //! uses), and the pooled objective is re-summed over all `n` streams in
 //! index order rather than patched in floating point — so a delta trial,
 //! a committed delta, and a from-scratch rebuild produce the same bits.
+//! The descent pick patches the cached pooled sum only to *rule plans
+//! out*: widened by a rounding-error margin, the patch is a lower bound
+//! on the exact resum, and every objective a search keeps is still that
+//! resum.
 //!
 //! One deliberate model change enables the locality: the bandwidth
 //! demand's post-transmission term now uses the construction-time
@@ -133,6 +137,7 @@ pub struct DeltaScratch {
     demands: DemandCols,
     shares: Vec<f64>,
     alloc: AllocScratch,
+    pooled_sum: f64,
     objective: f64,
     misses: usize,
 }
@@ -218,13 +223,30 @@ impl DemandCols {
 }
 
 thread_local! {
-    /// Per-thread pool of [`DeltaScratch`] buffers for [`EvalContext::
-    /// score_menu`]: each probe recycles a warm scratch instead of paying
-    /// six n-sized zeroing allocations. Recycling across contexts (and
-    /// across problem sizes) is safe because `DeltaScratch::begin`
-    /// reallocates on size change and generation-stamps every overlay.
+    /// Per-thread pool of [`DeltaScratch`] buffers for the menu scans
+    /// ([`EvalContext::score_menu`] and the descent pick): each probe
+    /// recycles a warm scratch instead of paying eight n-sized zeroing
+    /// allocations. Recycling across contexts (and across problem sizes)
+    /// is safe because `DeltaScratch::begin` reallocates on size change
+    /// and generation-stamps every overlay.
     static SCRATCH_POOL: RefCell<Vec<DeltaScratch>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Run `f` on a scratch recycled from this thread's pool: the overlays
+/// inside are generation-stamped, so a warm buffer prices exactly like a
+/// fresh one.
+fn with_pooled_scratch<R>(f: impl FnOnce(&mut DeltaScratch) -> R) -> R {
+    let mut s = SCRATCH_POOL
+        .with(|pool| pool.borrow_mut().pop())
+        .unwrap_or_default();
+    let r = f(&mut s);
+    SCRATCH_POOL.with(|pool| pool.borrow_mut().push(s));
+    r
+}
+
+/// A descent step replaces the running best plan only with one whose
+/// objective is lower by more than this.
+pub(crate) const DESCENT_TOL: f64 = 1e-12;
 
 impl DeltaScratch {
     fn begin(&mut self, n: usize) {
@@ -298,6 +320,10 @@ pub struct EvalContext<'a> {
     obj_missed: Vec<bool>,
     device_energy: Vec<f64>,
     total_energy: Vec<f64>,
+    /// The index-order sum of every stream's objective terms, before the
+    /// division by `n` and the diversity penalty: the point the descent
+    /// bound patches from.
+    pooled_sum: f64,
     objective: f64,
     expected_misses: usize,
     div: Option<DivState>,
@@ -344,6 +370,7 @@ impl<'a> EvalContext<'a> {
             obj_missed: vec![false; n],
             device_energy: vec![0.0; n],
             total_energy: vec![0.0; n],
+            pooled_sum: 0.0,
             objective: 0.0,
             expected_misses: 0,
             div: div.map(|cfg| DivState {
@@ -658,17 +685,16 @@ impl<'a> EvalContext<'a> {
             self.total_energy[k] = te;
         }
         self.div_refresh();
-        let (obj, misses) = self.sum_objective(|_| None);
-        self.objective = match &self.div {
-            Some(d) => obj + diversity::penalty(d.excess),
-            None => obj,
-        };
+        let (sum, misses) = self.sum_objective(|_| None);
+        self.pooled_sum = sum;
+        self.objective = self.finish(sum, self.div.as_ref().map_or(0, |d| d.excess));
         self.expected_misses = misses;
     }
 
-    /// Pooled objective + expected misses from per-stream latencies, with
-    /// an overlay for patched streams. Always resummed over all `n`
-    /// streams in index order so delta and full paths agree bitwise.
+    /// Pooled sum (before [`finish`]) + expected misses from per-stream
+    /// latencies, with an overlay for patched streams. Always resummed
+    /// over all `n` streams in index order so delta and full paths agree
+    /// bitwise.
     ///
     /// Untouched streams read their cached `objective_terms` instead of
     /// re-dividing `L/D`: the cache holds exactly the bits the fresh
@@ -676,6 +702,8 @@ impl<'a> EvalContext<'a> {
     /// (`obj += norm`, then `obj += pen` only on a miss), so the result is
     /// bit-identical to the all-fresh resum while the O(n) loop does no
     /// division.
+    ///
+    /// [`finish`]: EvalContext::finish
     fn sum_objective(&self, patched: impl Fn(usize) -> Option<f64>) -> (f64, usize) {
         let n = self.latency.len();
         let mut obj = 0.0;
@@ -700,7 +728,19 @@ impl<'a> EvalContext<'a> {
                 }
             }
         }
-        (obj / n as f64, misses)
+        (obj, misses)
+    }
+
+    /// The objective from a pooled sum: its mean over the `n` streams,
+    /// plus the penalty of `excess` when diversity is on. Both steps are
+    /// monotone roundings, so a lower bound on the sum finishes into a
+    /// lower bound on the objective.
+    fn finish(&self, sum: f64, excess: usize) -> f64 {
+        let mean = sum / self.latency.len() as f64;
+        match &self.div {
+            Some(_) => mean + diversity::penalty(excess),
+            None => mean,
+        }
     }
 
     /// Final latency/energy of one stream from its wait, shares, server.
@@ -754,17 +794,15 @@ impl<'a> EvalContext<'a> {
     fn compute_patch(&self, mv: Move, s: &mut DeltaScratch) {
         self.compute_patch_groups(mv, s);
         // --- Pooled objective, resummed in stream order.
-        let (obj, misses) = self.sum_objective(|j| {
+        let (sum, misses) = self.sum_objective(|j| {
             if s.lat_stamp[j] == s.gen {
                 Some(s.lat_val[j])
             } else {
                 None
             }
         });
-        s.objective = match &self.div {
-            Some(_) => obj + diversity::penalty(self.patched_excess(mv)),
-            None => obj,
-        };
+        s.pooled_sum = sum;
+        s.objective = self.finish(sum, self.patched_excess(mv));
         s.misses = misses;
     }
 
@@ -1083,24 +1121,99 @@ impl<'a> EvalContext<'a> {
 
     /// Score every plan in stream `k`'s menu against the current context.
     /// The context is read-only here, so candidates score in parallel
-    /// (each with its own scratch) under rayon; with the sequential
-    /// vendored stand-in the loop simply runs in menu order. Entry `i` is
-    /// the pooled objective with `k` on plan `i`, everyone else unchanged.
+    /// under rayon, each on its own scratch from a per-thread pool; the
+    /// vendored rayon runs them on a real worker pool and keeps results
+    /// in menu order. Entry `i` is the pooled objective with `k` on plan
+    /// `i`, everyone else unchanged.
     pub fn score_menu(&self, k: usize) -> Vec<f64> {
         let idxs: Vec<usize> = (0..self.ev.menus[k].len()).collect();
         idxs.par_iter()
-            .map(|&idx| {
-                // Recycle a per-thread scratch: the overlays inside are
-                // generation-stamped, so a warm buffer prices exactly like
-                // a fresh one, minus the six n-sized allocations.
-                let mut s = SCRATCH_POOL
-                    .with(|pool| pool.borrow_mut().pop())
-                    .unwrap_or_default();
-                let obj = self.evaluate_delta(k, idx, &mut s);
-                SCRATCH_POOL.with(|pool| pool.borrow_mut().push(s));
-                obj
-            })
+            .map(|&idx| with_pooled_scratch(|s| self.evaluate_delta(k, idx, s)))
             .collect()
+    }
+
+    /// A lower bound on [`evaluate_delta`]`(k, idx)` without its O(n)
+    /// resum. The flip's dirty groups are re-solved as usual; the cached
+    /// pooled sum is then patched by the touched streams' term changes
+    /// and widened by a recursive-summation error margin, so the exact
+    /// index-order resum cannot fall below it (DESIGN.md §2.9). −∞ when
+    /// any value on the way is non-finite.
+    ///
+    /// [`evaluate_delta`]: EvalContext::evaluate_delta
+    fn objective_bound(&self, k: usize, idx: usize, s: &mut DeltaScratch) -> f64 {
+        let mv = Move::Plan { k, idx };
+        self.compute_patch_groups(mv, s);
+        let mut est = self.pooled_sum;
+        let mut touched = 0.0;
+        for &j in &s.touched_lat {
+            let (norm, pen, _) = objective_terms(s.lat_val[j], self.ev.deadline_s[j]);
+            est += norm;
+            est += pen;
+            est -= self.obj_norm[j];
+            est -= self.obj_pen[j];
+            touched += norm + pen + self.obj_norm[j] + self.obj_pen[j];
+        }
+        // Both resums add at most 2n terms, all ≥ 0 (L/D, and
+        // 10·(L/D − 1) on a miss), so each lies within n·ε of its exact
+        // sum, relatively. `est` adds 4·|touched| ≤ 4n signed terms to the
+        // cached sum, so it lies within 2n·ε·(sum + touched) of its exact
+        // value. The margin covers both, with room for its own roundings;
+        // DESIGN.md §2.9 has the proof.
+        let n = self.latency.len();
+        let margin = (4 * n + 16) as f64 * f64::EPSILON * (self.pooled_sum + est.abs() + touched);
+        if !margin.is_finite() {
+            // A non-finite sum, estimate or term (an overflowed latency)
+            // leaves the margin non-finite too: nothing is ruled out.
+            return f64::NEG_INFINITY;
+        }
+        self.finish(est - margin, self.patched_excess(mv))
+    }
+
+    /// The plan a descent step adopts for stream `k`. Scanning the menu
+    /// in order from the cached objective, each plan within the caps
+    /// whose objective lies below the running best by more than
+    /// [`DESCENT_TOL`] becomes the best; the current plan stands when
+    /// none does. This is that scan over [`score_menu`], but the exact
+    /// [`evaluate_delta`] runs only for plans whose [`objective_bound`]
+    /// passes the same test, since a plan whose bound fails it cannot
+    /// pass it either. The bounds fan out under rayon like `score_menu`.
+    /// Under `eval-xcheck` every plan is priced exactly and checked
+    /// against its bound.
+    ///
+    /// [`score_menu`]: EvalContext::score_menu
+    /// [`evaluate_delta`]: EvalContext::evaluate_delta
+    /// [`objective_bound`]: EvalContext::objective_bound
+    pub(crate) fn descent_pick(&self, k: usize) -> usize {
+        let cur = self.plan_idx[k];
+        let idxs: Vec<usize> = (0..self.ev.menus[k].len())
+            .filter(|&idx| idx != cur && self.plan_within_caps(k, idx))
+            .collect();
+        let bounds: Vec<f64> = idxs
+            .par_iter()
+            .map(|&idx| with_pooled_scratch(|s| self.objective_bound(k, idx, s)))
+            .collect();
+        with_pooled_scratch(|s| {
+            let mut best_idx = cur;
+            let mut best_obj = self.objective;
+            for (&idx, &bound) in idxs.iter().zip(&bounds) {
+                let may_improve = bound < best_obj - DESCENT_TOL;
+                if !may_improve && !cfg!(feature = "eval-xcheck") {
+                    continue;
+                }
+                let o = self.evaluate_delta(k, idx, s);
+                if cfg!(feature = "eval-xcheck") {
+                    assert!(
+                        o.is_nan() || o >= bound,
+                        "plan ({k},{idx}): bound {bound} exceeds exact {o}"
+                    );
+                }
+                if o < best_obj - DESCENT_TOL {
+                    best_obj = o;
+                    best_idx = idx;
+                }
+            }
+            best_idx
+        })
     }
 
     /// Apply a priced move: flip the coordinate, splice the recomputed
@@ -1158,6 +1271,7 @@ impl<'a> EvalContext<'a> {
             self.device_energy[j] = s.de_val[j];
             self.total_energy[j] = s.te_val[j];
         }
+        self.pooled_sum = s.pooled_sum;
         self.objective = s.objective;
         self.expected_misses = s.misses;
         self.div_refresh();
@@ -1331,6 +1445,7 @@ impl<'a> EvalContext<'a> {
 mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
+    use crate::diversity::DiversityConfig;
 
     fn context(cfg: &ScenarioConfig) -> (Evaluator, Assignment) {
         let problem = cfg.build();
@@ -1429,6 +1544,108 @@ mod tests {
             }
             // The current plan scores exactly the cached objective.
             assert_eq!(scores[ctx.plan_of(k)].to_bits(), ctx.objective().to_bits());
+        }
+    }
+
+    /// The descent scan over `score_menu`: what `descent_pick` must
+    /// return.
+    fn scanned_pick(ctx: &EvalContext, k: usize) -> usize {
+        let cur = ctx.plan_of(k);
+        let mut best_idx = cur;
+        let mut best_obj = ctx.objective();
+        for (idx, &o) in ctx.score_menu(k).iter().enumerate() {
+            if idx != cur && ctx.plan_within_caps(k, idx) && o < best_obj - DESCENT_TOL {
+                best_obj = o;
+                best_idx = idx;
+            }
+        }
+        best_idx
+    }
+
+    #[test]
+    fn objective_bound_never_exceeds_the_exact_objective() {
+        let mut missed = 0usize;
+        let mut capped = 0usize;
+        for seed in 0..4u64 {
+            // Rising load, so later contexts miss deadlines.
+            let cfg = ScenarioConfig {
+                arrival_rate_hz: 4.0 + 8.0 * seed as f64,
+                seed,
+                ..small()
+            };
+            let (ev, _) = context(&cfg);
+            let mut rng = scalpel_sim::SimRng::new(seed, 7);
+            let asg = Assignment {
+                plan_idx: (0..ev.num_streams())
+                    .map(|k| rng.index(ev.menu(k).len()))
+                    .collect(),
+                placement: (0..ev.num_streams())
+                    .map(|_| rng.index(ev.num_servers()))
+                    .collect(),
+            };
+            let tight = DiversityConfig {
+                max_server_frac: 0.2,
+                max_domain_frac: 0.5,
+                server_domain: (0..ev.num_servers()).map(|srv| srv % 2).collect(),
+            };
+            for div in [None, Some(tight)] {
+                let ctx =
+                    EvalContext::with_diversity(&ev, asg.clone(), AllocPolicies::optimal(), div);
+                capped += ctx.div.as_ref().map_or(0, |d| d.excess);
+                let mut s = DeltaScratch::default();
+                for k in 0..ev.num_streams() {
+                    for idx in 0..ev.menu(k).len() {
+                        let bound = ctx.objective_bound(k, idx, &mut s);
+                        let exact = ctx.evaluate_delta(k, idx, &mut s);
+                        missed += s.misses;
+                        assert!(bound <= exact, "({k},{idx}): bound {bound} > exact {exact}");
+                        // Tight enough to rule out all but near-ties.
+                        let slack = 1e-12 * exact.abs().max(1.0);
+                        assert!(exact - bound < slack, "({k},{idx}): {bound} vs {exact}");
+                    }
+                    assert_eq!(ctx.descent_pick(k), scanned_pick(&ctx, k));
+                }
+            }
+        }
+        assert!(missed > 0, "no probe missed a deadline");
+        assert!(capped > 0, "no context exceeded a cap");
+    }
+
+    #[test]
+    fn objective_bound_rules_nothing_out_on_an_overflowed_sum() {
+        let mut problem = small().build();
+        for ap in &mut problem.cluster.aps {
+            ap.rtt_s = 1e308;
+        }
+        let ev = Evaluator::new(&problem, None);
+        // Every stream on its most-offloading plan: each latency is about
+        // 5e307 s, so the pooled sum overflows.
+        let plan_idx = (0..ev.num_streams())
+            .map(|k| {
+                let menu = ev.menu(k);
+                (0..menu.len())
+                    .max_by(|&a, &b| {
+                        let remain = |i: usize| menu[i].behavior.remain_prob;
+                        remain(a).total_cmp(&remain(b))
+                    })
+                    .unwrap_or(0)
+            })
+            .collect();
+        let placement = (0..ev.num_streams())
+            .map(|k| k % ev.num_servers())
+            .collect();
+        let asg = Assignment {
+            plan_idx,
+            placement,
+        };
+        let ctx = EvalContext::new(&ev, asg, AllocPolicies::optimal());
+        assert!(!ctx.objective().is_finite(), "{}", ctx.objective());
+        let mut s = DeltaScratch::default();
+        for k in 0..ev.num_streams() {
+            for idx in 0..ev.menu(k).len() {
+                assert_eq!(ctx.objective_bound(k, idx, &mut s), f64::NEG_INFINITY);
+            }
+            assert_eq!(ctx.descent_pick(k), scanned_pick(&ctx, k));
         }
     }
 

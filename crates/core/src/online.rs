@@ -232,9 +232,7 @@ impl OnlineController {
             remap_assignment_counted(old_ev, new_ev, &self.solution.assignment);
         let stale = new_ev.evaluate(&warm, self.cfg.policies);
         let t0 = Instant::now();
-        let mut quick = self.cfg.clone();
-        quick.gibbs_iters = 0; // descent-only for fast adaptation
-        let outcome = optimizer::descent_from_with_budget(new_ev, &quick, warm.clone(), budget);
+        let outcome = optimizer::descent_from_with_budget(new_ev, &self.cfg, warm.clone(), budget);
         proposal(warm, stale, outcome, t0, remap_misses)
     }
 

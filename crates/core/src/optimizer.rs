@@ -12,7 +12,7 @@
 //! performance knob; the parity is enforced by property tests.
 
 use crate::diversity::{self, DiversityConfig};
-use crate::eval_context::EvalContext;
+use crate::eval_context::{EvalContext, DESCENT_TOL};
 use crate::evaluator::{AllocPolicies, Assignment, EvalResult, Evaluator};
 use scalpel_alloc::placement::{self, PlacementStrategy, PlacementStream, ServerCap};
 use scalpel_sim::SimRng;
@@ -325,6 +325,34 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The plan a descent step adopts for stream `k`: scanning the menu
+    /// in order from the current objective, each plan within the caps
+    /// whose objective beats the running best by more than
+    /// [`DESCENT_TOL`] becomes the best; the current plan stands when
+    /// none does. `Full` prices every plan, the oracle; `Incremental`
+    /// prices exactly only the plans its lower bound cannot rule out and
+    /// picks the same index.
+    fn descent_pick(&self, k: usize) -> usize {
+        match self {
+            Engine::Full { .. } => {
+                let current = self.plan_of(k);
+                let mut best_idx = current;
+                let mut best_obj = self.objective();
+                for (idx, &o) in self.score_menu(k).iter().enumerate() {
+                    if idx == current || !self.plan_allowed(k, idx) {
+                        continue;
+                    }
+                    if o < best_obj - DESCENT_TOL {
+                        best_obj = o;
+                        best_idx = idx;
+                    }
+                }
+                best_idx
+            }
+            Engine::Incremental(ctx) => ctx.descent_pick(k),
+        }
+    }
+
     /// Adopt plan `idx` for stream `k`; returns the new objective.
     fn commit_plan(&mut self, k: usize, idx: usize) -> f64 {
         match self {
@@ -537,25 +565,19 @@ fn descent_impl(
                 break 'rounds;
             }
             let current = eng.plan_of(k);
-            let scores = eng.score_menu(k);
-            trace.evaluations += scores.len() - 1;
-            let mut best_idx = current;
-            let mut best_obj = eng.objective();
-            for (idx, &o) in scores.iter().enumerate() {
-                if idx == current || !eng.plan_allowed(k, idx) {
-                    continue;
-                }
-                if o < best_obj - 1e-12 {
-                    best_obj = o;
-                    best_idx = idx;
-                }
-            }
-            if best_idx != current {
+            let best_idx = eng.descent_pick(k);
+            // The step counts every other plan of the menu as probed,
+            // however many the pick priced exactly.
+            trace.evaluations += ev.menu(k).len() - 1;
+            // Adopt the chosen plan. A plan that stood keeps the cached
+            // objective, the bits a re-pricing would give; the step still
+            // counts one evaluation, so budget cut points do not move.
+            let obj = if best_idx != current {
                 improved = true;
-            }
-            // Adopt the chosen plan (a re-evaluation, as the full path
-            // always re-priced here even when the plan stood).
-            let obj = eng.commit_plan(k, best_idx);
+                eng.commit_plan(k, best_idx)
+            } else {
+                eng.objective()
+            };
             trace.evaluations += 1;
             trace.objective.push(obj);
         }

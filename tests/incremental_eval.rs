@@ -6,9 +6,10 @@
 
 use proptest::prelude::*;
 use scalpel::core::config::{ScenarioConfig, ServerMix};
+use scalpel::core::diversity::DiversityConfig;
 use scalpel::core::eval_context::{DeltaScratch, EvalContext};
 use scalpel::core::evaluator::{AllocPolicies, Assignment, Evaluator};
-use scalpel::core::optimizer::{self, EvalMode, OptimizerConfig};
+use scalpel::core::optimizer::{self, Budget, EvalMode, OptimizerConfig};
 use scalpel::sim::SimRng;
 
 /// Scenario axes small enough to keep 64 cases fast but varied: topology
@@ -167,34 +168,47 @@ proptest! {
 
     /// Both evaluation backends drive the search along the same path:
     /// identical objective traces (bitwise), evaluation counts, and final
-    /// assignments.
+    /// assignments — for a cold solve (descent, then Gibbs) and for a warm
+    /// descent from a random assignment, with and without diversity caps.
+    /// The random start gives the descent plenty of improving plans, and
+    /// the caps filter some of them out.
     #[test]
-    fn search_traces_identical_across_backends(s in scen_strategy()) {
+    fn search_traces_identical_across_backends(s in scen_strategy(), capped in any::<bool>()) {
         let (ev, policies) = build(&s);
+        let diversity = capped.then(|| DiversityConfig {
+            max_server_frac: 0.3,
+            max_domain_frac: 0.6,
+            server_domain: (0..ev.num_servers()).map(|srv| srv % 2).collect(),
+        });
         let base = OptimizerConfig {
             rounds: 2,
             gibbs_iters: 25,
             policies,
             seed: s.seed,
+            diversity,
             ..Default::default()
         };
-        let full = optimizer::solve(&ev, &OptimizerConfig {
-            eval_mode: EvalMode::Full,
-            ..base.clone()
-        });
-        let inc = optimizer::solve(&ev, &OptimizerConfig {
-            eval_mode: EvalMode::Incremental,
-            ..base
-        });
-        prop_assert_eq!(full.trace.evaluations, inc.trace.evaluations);
-        prop_assert_eq!(full.trace.objective.len(), inc.trace.objective.len());
-        for (i, (a, b)) in full.trace.objective.iter().zip(&inc.trace.objective).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "trace[{}]: {} vs {}", i, a, b);
+        let mut rng = SimRng::new(s.seed, 61);
+        let warm = random_assignment(&ev, &mut rng);
+        let run = |eval_mode| {
+            let cfg = OptimizerConfig { eval_mode, ..base.clone() };
+            let cold = optimizer::solve(&ev, &cfg);
+            let warm = optimizer::descent_from_with_budget(&ev, &cfg, warm.clone(), Budget::UNLIMITED);
+            [cold, warm.solution]
+        };
+        let fulls = run(EvalMode::Full);
+        let incs = run(EvalMode::Incremental);
+        for (full, inc) in fulls.iter().zip(&incs) {
+            prop_assert_eq!(full.trace.evaluations, inc.trace.evaluations);
+            prop_assert_eq!(full.trace.objective.len(), inc.trace.objective.len());
+            for (i, (a, b)) in full.trace.objective.iter().zip(&inc.trace.objective).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "trace[{}]: {} vs {}", i, a, b);
+            }
+            prop_assert_eq!(&full.assignment, &inc.assignment);
+            prop_assert_eq!(
+                full.result.objective.to_bits(),
+                inc.result.objective.to_bits()
+            );
         }
-        prop_assert_eq!(full.assignment, inc.assignment);
-        prop_assert_eq!(
-            full.result.objective.to_bits(),
-            inc.result.objective.to_bits()
-        );
     }
 }
