@@ -19,7 +19,7 @@ use rayon::prelude::*;
 use scalpel_core::baselines::{solve_with, Method};
 use scalpel_core::compiler::CompileOptions;
 use scalpel_core::config::ScenarioConfig;
-use scalpel_core::diversity::{self, DiversityConfig};
+use scalpel_core::diversity::{self, DiversityConfig, MAX_DOMAIN_FRAC};
 use scalpel_core::evaluator::{Assignment, Evaluator};
 use scalpel_core::optimizer::OptimizerConfig;
 use scalpel_core::runner::{self, MethodOutcome};
@@ -125,10 +125,6 @@ pub(crate) fn outcomes(quick: bool) -> Vec<(f64, Vec<(&'static str, MethodOutcom
 // *out* of the dying rack instead of deeper into it.
 // ---------------------------------------------------------------------
 
-/// Concentration cap enforced by the diversity-bounded solve: at most
-/// this fraction of streams may land inside any one failure domain.
-pub(crate) const DOMAIN_CAP: f64 = 1.0 / 3.0;
-
 /// The standard mix's GPU rack as one failure domain: servers `1..n`
 /// share power and cooling, the Xeon at index 0 sits outside it.
 pub(crate) fn gpu_rack(n_servers: usize) -> FailureDomain {
@@ -194,7 +190,6 @@ pub(crate) fn hedge_only() -> RecoveryConfig {
         degrade: false,
         breakers: Some(BreakerConfig {
             window: 4,
-            min_samples: 4,
             failure_threshold: 1.0,
             open_cooldown_s: 1e9,
             miss_is_failure: false,
@@ -226,8 +221,6 @@ pub(crate) fn correlated_rows(quick: bool) -> CorrelatedRows {
     let unbounded = solve_with(&ev, Method::Joint, &opt);
     let bounded_opt = OptimizerConfig {
         diversity: Some(DiversityConfig {
-            max_server_frac: 1.0,
-            max_domain_frac: DOMAIN_CAP,
             server_domain: server_domain.clone(),
         }),
         ..opt
@@ -235,7 +228,6 @@ pub(crate) fn correlated_rows(quick: bool) -> CorrelatedRows {
     let bounded = solve_with(&ev, Method::Joint, &bounded_opt);
     let plan = correlated_plan(&scfg, n_servers);
     let ranked_opts = CompileOptions {
-        ranked_fallbacks: true,
         server_domain: Some(server_domain),
     };
     let recovery = hedge_only();
@@ -269,7 +261,7 @@ fn run_correlated(quick: bool) {
         "rack concentration: unconstrained {} vs diversity-bounded {} (cap {})",
         pct(c.unbounded_frac),
         pct(c.bounded_frac),
-        pct(DOMAIN_CAP),
+        pct(MAX_DOMAIN_FRAC),
     );
     let mut t = Table::new(vec![
         "fallback menus",
@@ -382,13 +374,13 @@ mod tests {
     fn f17_diversity_bound_caps_the_blast_radius() {
         let c = correlated_rows(true);
         assert!(
-            c.unbounded_frac > DOMAIN_CAP,
-            "unconstrained Joint must concentrate: {:.2} !> {DOMAIN_CAP}",
+            c.unbounded_frac > MAX_DOMAIN_FRAC,
+            "unconstrained Joint must concentrate: {:.2} !> {MAX_DOMAIN_FRAC}",
             c.unbounded_frac
         );
         assert!(
-            c.bounded_frac <= DOMAIN_CAP,
-            "bounded plan violates the cap: {:.2} > {DOMAIN_CAP}",
+            c.bounded_frac <= MAX_DOMAIN_FRAC,
+            "bounded plan violates the cap: {:.2} > {MAX_DOMAIN_FRAC}",
             c.bounded_frac
         );
     }

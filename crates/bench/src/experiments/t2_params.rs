@@ -1,7 +1,7 @@
 //! T2 — default simulation parameters.
 
 use crate::table::Table;
-use scalpel_core::config::ScenarioConfig;
+use scalpel_core::config::{ScenarioConfig, DEADLINES_S, RTT_S};
 
 /// Print the default scenario parameters (the reconstructed Table 2).
 pub fn run() {
@@ -18,7 +18,7 @@ pub fn run() {
         "AP bandwidth",
         &format!("{:.0} MHz", c.ap_bandwidth_hz / 1e6),
     ]);
-    t.row(vec!["RTT", &format!("{:.1} ms", c.rtt_s * 1e3)]);
+    t.row(vec!["RTT", &format!("{:.1} ms", RTT_S * 1e3)]);
     t.row(vec!["edge servers", "xeon / t4 / v100 / t4"]);
     t.row(vec![
         "arrival",
@@ -26,7 +26,7 @@ pub fn run() {
     ]);
     t.row(vec![
         "deadlines (ms)",
-        &c.deadlines_s
+        &DEADLINES_S
             .iter()
             .map(|d| format!("{:.0}", d * 1e3))
             .collect::<Vec<_>>()

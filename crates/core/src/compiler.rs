@@ -16,19 +16,18 @@ use serde::{Deserialize, Serialize};
 
 /// Options controlling how a priced solution lowers to simulator streams.
 /// The default reproduces the historical flat fallback order byte for
-/// byte; `ranked_fallbacks` switches to per-stream menus ordered by
-/// expected residual latency under the current blast-radius picture (the
-/// recovery path walks them rank first — see DESIGN.md §2.16).
+/// byte; a domain map switches to per-stream menus ordered by expected
+/// residual latency under the current blast-radius picture (the recovery
+/// path walks them rank first — see DESIGN.md §2.16).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CompileOptions {
-    /// Rank each stream's fallback servers by expected residual latency
-    /// (transmission + half RTT + edge time + spread pressure +
-    /// blast-radius penalty) instead of raw catalog capacity.
-    pub ranked_fallbacks: bool,
-    /// Failure domain of each server ([`NO_DOMAIN`] = none): a fallback
-    /// sharing the primary's domain dies with it, so it pays
-    /// `SAME_DOMAIN_PENALTY_S` and sinks to the menu's tail.
-    #[serde(default)]
+    /// Failure domain of each server ([`NO_DOMAIN`] = none; servers past
+    /// the end of the table are unmapped). `Some` ranks each stream's
+    /// fallback servers by expected residual latency (transmission + half
+    /// RTT + edge time + spread pressure + blast-radius penalty): a
+    /// fallback sharing the primary's domain dies with it, so it pays
+    /// `SAME_DOMAIN_PENALTY_S` and sinks to the menu's tail. `None` keeps
+    /// the raw catalog-capacity order.
     pub server_domain: Option<Vec<usize>>,
 }
 
@@ -92,8 +91,16 @@ pub fn compile_with(
             };
             let fallback_servers = if device_only {
                 Vec::new()
-            } else if opts.ranked_fallbacks {
-                rank_fallbacks(problem, ev, opts, &mut rank1_count, k, p, asg.placement[k])
+            } else if let Some(server_domain) = &opts.server_domain {
+                rank_fallbacks(
+                    problem,
+                    ev,
+                    server_domain,
+                    &mut rank1_count,
+                    k,
+                    p,
+                    asg.placement[k],
+                )
             } else {
                 // Every other server, best catalog capacity first (ties:
                 // lowest index) — the hedging preference order.
@@ -153,19 +160,13 @@ pub fn compile_with(
 fn rank_fallbacks(
     problem: &JointProblem,
     ev: &Evaluator,
-    opts: &CompileOptions,
+    server_domain: &[usize],
     rank1_count: &mut [usize],
     k: usize,
     p: &crate::evaluator::PlanPricing,
     primary: usize,
 ) -> Vec<usize> {
-    let domain_of = |s: usize| {
-        opts.server_domain
-            .as_ref()
-            .and_then(|d| d.get(s))
-            .copied()
-            .unwrap_or(NO_DOMAIN)
-    };
+    let domain_of = |s: usize| server_domain.get(s).copied().unwrap_or(NO_DOMAIN);
     let prim_dom = domain_of(primary);
     // A fallback re-ships the features and pays the remaining edge work
     // fresh — the same residual-latency shape the evaluator prices, so
@@ -293,8 +294,7 @@ mod tests {
         };
         let r = ev.evaluate(&asg, AllocPolicies::optimal());
         let opts = CompileOptions {
-            ranked_fallbacks: true,
-            ..CompileOptions::default()
+            server_domain: Some(Vec::new()),
         };
         let a = compile_with(&p, &ev, &asg, &r, &opts);
         let b = compile_with(&p, &ev, &asg, &r, &opts);
@@ -326,7 +326,6 @@ mod tests {
         };
         let r = ev.evaluate(&asg, AllocPolicies::optimal());
         let opts = CompileOptions {
-            ranked_fallbacks: true,
             server_domain: Some(server_domain),
         };
         for s in compile_with(&p, &ev, &asg, &r, &opts) {

@@ -42,15 +42,10 @@ pub struct ScenarioConfig {
     pub devices_per_ap: usize,
     /// Uplink spectrum per AP, Hz.
     pub ap_bandwidth_hz: f64,
-    /// AP ↔ server round-trip, seconds.
-    pub rtt_s: f64,
     /// Server rack composition.
     pub servers: ServerMix,
     /// Mean Poisson arrival rate per stream, req/s.
     pub arrival_rate_hz: f64,
-    /// Per-model relative deadlines, seconds (parallel to the zoo order
-    /// alexnet, vgg16, resnet18, mobilenet_v2).
-    pub deadlines_s: Vec<f64>,
     /// Accuracy floor applied to every stream.
     pub accuracy_floor_drop: f64,
     /// Seed for topology randomness (distances, device classes).
@@ -65,10 +60,8 @@ impl Default for ScenarioConfig {
             num_aps: 4,
             devices_per_ap: 10,
             ap_bandwidth_hz: 20e6,
-            rtt_s: 2e-3,
             servers: ServerMix::Standard,
             arrival_rate_hz: 4.0,
-            deadlines_s: vec![0.060, 0.150, 0.080, 0.040],
             accuracy_floor_drop: 0.02,
             seed: 7,
             sim: SimConfig {
@@ -85,6 +78,12 @@ impl Default for ScenarioConfig {
 /// Published top-1 accuracies of the standard zoo (alexnet, vgg16,
 /// resnet18, mobilenet_v2).
 pub const ZOO_ACCURACY: [f64; 4] = [0.565, 0.716, 0.698, 0.718];
+
+/// Relative deadline of each zoo model's streams, seconds (same order).
+pub const DEADLINES_S: [f64; 4] = [0.060, 0.150, 0.080, 0.040];
+
+/// AP ↔ server round-trip of every AP, seconds.
+pub const RTT_S: f64 = 2e-3;
 
 impl ScenarioConfig {
     /// Total number of devices (== streams).
@@ -109,18 +108,6 @@ impl ScenarioConfig {
             self.num_servers(),
             self.sim.horizon_s,
         )
-    }
-
-    /// Install the plan a profile generates into `self.sim.faults`, so
-    /// every simulation of this scenario runs under it.
-    pub fn apply_fault_profile(&mut self, profile: &FaultProfile) {
-        self.sim.faults = self.fault_plan(profile);
-    }
-
-    /// Install a recovery policy into `self.sim.recovery`, so every
-    /// simulation of this scenario runs under it.
-    pub fn apply_recovery(&mut self, recovery: scalpel_sim::RecoveryConfig) {
-        self.sim.recovery = recovery;
     }
 
     /// Materialize the topology and streams.
@@ -162,7 +149,7 @@ impl ScenarioConfig {
             .map(|id| ApSpec {
                 id,
                 bandwidth_hz: self.ap_bandwidth_hz,
-                rtt_s: self.rtt_s,
+                rtt_s: RTT_S,
             })
             .collect();
         let servers = self.build_servers(&mut rng);
@@ -176,7 +163,7 @@ impl ScenarioConfig {
                     arrivals: ArrivalProcess::Poisson {
                         rate_hz: self.arrival_rate_hz,
                     },
-                    deadline_s: self.deadlines_s[m % self.deadlines_s.len()],
+                    deadline_s: DEADLINES_S[m % DEADLINES_S.len()],
                     accuracy_floor: (ZOO_ACCURACY[m] - self.accuracy_floor_drop).max(0.0),
                 }
             })
@@ -332,7 +319,7 @@ mod tests {
 
     #[test]
     fn fault_profile_wiring_sizes_to_topology() {
-        let mut cfg = ScenarioConfig::default();
+        let cfg = ScenarioConfig::default();
         let profile = FaultProfile {
             rate_hz: 0.5,
             ..FaultProfile::default()
@@ -341,9 +328,6 @@ mod tests {
         assert!(!plan.is_empty());
         // Every target the generator picked exists in the built topology.
         assert!(plan.validate(&cfg.build().cluster).is_ok());
-        // Installing the profile is the same as generating the plan.
-        cfg.apply_fault_profile(&profile);
-        assert_eq!(cfg.sim.faults, plan);
         // And the same profile regenerates the same plan (purity).
         assert_eq!(cfg.fault_plan(&profile), plan);
     }

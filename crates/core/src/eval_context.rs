@@ -39,7 +39,7 @@
 //! `ReferenceEnv` used for candidate generation) and is symmetric across
 //! the two stages. See DESIGN.md §2.9.
 
-use crate::diversity::{self, ConcentrationCaps, DiversityConfig, NO_DOMAIN};
+use crate::diversity::{self, DiversityConfig, NO_DOMAIN};
 use crate::evaluator::{
     AllocPolicies, Assignment, EvalResult, Evaluator, PlanPricing, RHO_CAP, TX_WATTS,
 };
@@ -69,14 +69,13 @@ pub enum Move {
 }
 
 /// Saturating concentration-counter state for diversity-bounded
-/// placement: derived caps, per-domain offload tallies (per-server and
-/// per-AP tallies are read off `server_members` / `ap_offload`), and the
+/// placement: the derived domain cap, per-domain offload tallies, and the
 /// cached total excess the penalty prices. `None` when diversity is off —
 /// that path stays bit-identical to the pre-diversity implementation.
 #[derive(Debug, Clone)]
 struct DivState {
     cfg: DiversityConfig,
-    caps: ConcentrationCaps,
+    cap: usize,
     domain_load: Vec<usize>,
     excess: usize,
 }
@@ -338,7 +337,7 @@ impl<'a> EvalContext<'a> {
 
     /// Like [`new`], additionally pricing concentration caps: the pooled
     /// objective gains a penalty proportional to the total saturating
-    /// excess over the per-server and per-domain counters. With `None` this is
+    /// excess over the per-domain counters. With `None` this is
     /// exactly [`new`] — not a single float differs.
     ///
     /// [`new`]: EvalContext::new
@@ -374,7 +373,7 @@ impl<'a> EvalContext<'a> {
             objective: 0.0,
             expected_misses: 0,
             div: div.map(|cfg| DivState {
-                caps: cfg.caps(n),
+                cap: diversity::domain_cap(n),
                 domain_load: vec![0; cfg.num_domains()],
                 excess: 0,
                 cfg,
@@ -392,7 +391,7 @@ impl<'a> EvalContext<'a> {
 
     /// Whether switching stream `k` to plan `idx` keeps every touched
     /// concentration counter within its cap. Only a device-only →
-    /// offloading toggle raises counters (`k`'s server and domain);
+    /// offloading toggle raises a counter (`k`'s domain);
     /// every other plan change — and diversity-off contexts — pass
     /// trivially. From a repaired start, filtering plan flips through
     /// this and placements through [`repair`] keeps the caps invariant.
@@ -403,27 +402,20 @@ impl<'a> EvalContext<'a> {
         if self.ev.menus[k][idx].is_device_only() || self.offloaded[k] {
             return true;
         }
-        let srv = self.placement[k];
-        if self.server_members[srv].len() >= d.caps.server {
-            return false;
-        }
-        let dm = d.cfg.domain_of(srv);
-        dm == NO_DOMAIN || d.domain_load[dm] < d.caps.domain
+        let dm = d.cfg.domain_of(self.placement[k]);
+        dm == NO_DOMAIN || d.domain_load[dm] < d.cap
     }
 
     /// Whether moving offloaded stream `k` to server `srv` keeps the
-    /// target server and its failure domain within their caps.
+    /// target server's failure domain within its cap.
     pub fn move_within_caps(&self, k: usize, srv: usize) -> bool {
         let Some(d) = &self.div else { return true };
         if !self.offloaded[k] || srv == self.placement[k] {
             return true;
         }
-        if self.server_members[srv].len() >= d.caps.server {
-            return false;
-        }
         let from = d.cfg.domain_of(self.placement[k]);
         let to = d.cfg.domain_of(srv);
-        from == to || to == NO_DOMAIN || d.domain_load[to] < d.caps.domain
+        from == to || to == NO_DOMAIN || d.domain_load[to] < d.cap
     }
 
     /// Recompute the per-domain tallies and total excess from the group
@@ -431,18 +423,13 @@ impl<'a> EvalContext<'a> {
     fn div_refresh(&mut self) {
         let Some(d) = &mut self.div else { return };
         d.domain_load.iter_mut().for_each(|x| *x = 0);
-        let mut excess = 0usize;
         for (srv, m) in self.server_members.iter().enumerate() {
-            excess += m.len().saturating_sub(d.caps.server);
             let dm = d.cfg.domain_of(srv);
             if dm != NO_DOMAIN {
                 d.domain_load[dm] += m.len();
             }
         }
-        for &c in &d.domain_load {
-            excess += c.saturating_sub(d.caps.domain);
-        }
-        d.excess = excess;
+        d.excess = d.domain_load.iter().map(|&c| c.saturating_sub(d.cap)).sum();
     }
 
     /// The total excess after `mv`, from the cached pre-move counters and
@@ -460,66 +447,28 @@ impl<'a> EvalContext<'a> {
         let old_off = self.offloaded[k];
         let new_off = !ev.menus[k][new_plan].is_device_only();
         let mut ex = d.excess as i64;
-        // Excess delta of one counter stepping up or down by one.
-        let step = |ex: &mut i64, count: usize, cap: usize, up: bool| {
+        // Excess delta of one domain counter stepping up or down by one.
+        let step = |ex: &mut i64, dm: usize, up: bool| {
+            if dm == NO_DOMAIN {
+                return;
+            }
+            let count = d.domain_load[dm];
             let after = if up {
                 count + 1
             } else {
                 count.saturating_sub(1)
             };
-            *ex += after.saturating_sub(cap) as i64 - count.saturating_sub(cap) as i64;
+            *ex += after.saturating_sub(d.cap) as i64 - count.saturating_sub(d.cap) as i64;
         };
         match (old_off, new_off) {
-            (false, true) => {
-                step(
-                    &mut ex,
-                    self.server_members[new_srv].len(),
-                    d.caps.server,
-                    true,
-                );
-                let dm = d.cfg.domain_of(new_srv);
-                if dm != NO_DOMAIN {
-                    step(&mut ex, d.domain_load[dm], d.caps.domain, true);
-                }
-            }
-            (true, false) => {
-                let old_srv = self.placement[k];
-                step(
-                    &mut ex,
-                    self.server_members[old_srv].len(),
-                    d.caps.server,
-                    false,
-                );
-                let dm = d.cfg.domain_of(old_srv);
-                if dm != NO_DOMAIN {
-                    step(&mut ex, d.domain_load[dm], d.caps.domain, false);
-                }
-            }
+            (false, true) => step(&mut ex, d.cfg.domain_of(new_srv), true),
+            (true, false) => step(&mut ex, d.cfg.domain_of(self.placement[k]), false),
             (true, true) => {
-                let old_srv = self.placement[k];
-                if new_srv != old_srv {
-                    step(
-                        &mut ex,
-                        self.server_members[old_srv].len(),
-                        d.caps.server,
-                        false,
-                    );
-                    step(
-                        &mut ex,
-                        self.server_members[new_srv].len(),
-                        d.caps.server,
-                        true,
-                    );
-                    let from = d.cfg.domain_of(old_srv);
-                    let to = d.cfg.domain_of(new_srv);
-                    if from != to {
-                        if from != NO_DOMAIN {
-                            step(&mut ex, d.domain_load[from], d.caps.domain, false);
-                        }
-                        if to != NO_DOMAIN {
-                            step(&mut ex, d.domain_load[to], d.caps.domain, true);
-                        }
-                    }
+                let from = d.cfg.domain_of(self.placement[k]);
+                let to = d.cfg.domain_of(new_srv);
+                if from != to {
+                    step(&mut ex, from, false);
+                    step(&mut ex, to, true);
                 }
             }
             (false, false) => {}
@@ -1584,8 +1533,6 @@ mod tests {
                     .collect(),
             };
             let tight = DiversityConfig {
-                max_server_frac: 0.2,
-                max_domain_frac: 0.5,
                 server_domain: (0..ev.num_servers()).map(|srv| srv % 2).collect(),
             };
             for div in [None, Some(tight)] {

@@ -48,7 +48,7 @@ pub mod validate;
 pub use baselines::{solve_with, Method};
 pub use compiler::{compile, compile_with, CompileOptions};
 pub use config::{ScenarioConfig, ServerMix};
-pub use diversity::{ConcentrationCaps, DiversityConfig, NO_DOMAIN};
+pub use diversity::{DiversityConfig, NO_DOMAIN};
 pub use eval_context::{DeltaScratch, EvalContext};
 pub use evaluator::{EvalResult, Evaluator};
 pub use online::OnlineController;

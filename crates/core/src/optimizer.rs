@@ -39,8 +39,6 @@ pub struct OptimizerConfig {
     pub rounds: usize,
     /// Gibbs-sampling refinement iterations after descent.
     pub gibbs_iters: usize,
-    /// RNG seed for the Gibbs chain.
-    pub seed: u64,
     /// Allocation policies used while pricing.
     pub policies: AllocPolicies,
     /// Placement strategy re-run whenever plans change.
@@ -61,7 +59,6 @@ impl Default for OptimizerConfig {
         Self {
             rounds: 6,
             gibbs_iters: 200,
-            seed: 11,
             policies: AllocPolicies::optimal(),
             placement: PlacementStrategy::BestResponse,
             eval_mode: EvalMode::default(),
@@ -640,6 +637,9 @@ const INIT_TEMPERATURE: f64 = 0.5;
 /// Multiplicative cooling per Gibbs iteration.
 const COOLING: f64 = 0.985;
 
+/// RNG seed of the Gibbs chain.
+const GIBBS_SEED: u64 = 11;
+
 /// Budget-aware Gibbs body; see [`descent_impl`] for the parity argument.
 /// The chain tracks its best-visited assignment separately, so a budget
 /// cut simply materializes the incumbent early.
@@ -649,7 +649,7 @@ fn gibbs_impl(
     start: Solution,
     tracker: &mut BudgetTracker,
 ) -> Solution {
-    let mut rng = SimRng::new(cfg.seed, 4242);
+    let mut rng = SimRng::new(GIBBS_SEED, 4242);
     let mut trace = start.trace.clone();
     let mut start = start;
     if let Some(d) = &cfg.diversity {

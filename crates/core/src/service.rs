@@ -232,9 +232,6 @@ fn scale_arrivals(a: &ArrivalProcess, f: f64) -> ArrivalProcess {
             rate_high: rate_high * f,
             switch_rate: *switch_rate,
         },
-        ArrivalProcess::Trace { gaps } => ArrivalProcess::Trace {
-            gaps: gaps.iter().map(|g| g / f).collect(),
-        },
     }
 }
 
@@ -1181,22 +1178,6 @@ pub struct DriveReport {
     pub statuses: Vec<ServiceStatus>,
 }
 
-impl DriveReport {
-    /// All non-empty deltas emitted during the drive.
-    pub fn deltas(&self) -> Vec<&PlanDelta> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.delta.as_ref())
-            .filter(|d| !d.is_empty())
-            .collect()
-    }
-
-    /// The final status row (panics only on an empty drive).
-    pub fn final_status(&self) -> Option<&ServiceStatus> {
-        self.statuses.last()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1241,7 +1222,7 @@ mod tests {
         let trace = small_trace(&p);
         let mut svc = PlanningService::new(p, quick_cfg()).expect("valid base");
         let report = svc.drive_trace(&trace, 30.0).expect("fresh cursor");
-        let last = report.final_status().expect("non-empty drive");
+        let last = report.statuses.last().expect("non-empty drive");
         assert!(last.total_replans > 0, "no replans over a churning trace");
         assert_eq!(last.events_consumed, trace.events.len());
         assert!(!last.degraded);

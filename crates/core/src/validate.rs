@@ -183,14 +183,6 @@ pub enum ProblemError {
         /// The offending timestamp.
         at_s: f64,
     },
-    /// A diversity cap fraction is non-finite or non-positive (use a
-    /// fraction ≥ 1 to disable an axis, never 0 or NaN).
-    DiversityBadFraction {
-        /// Which axis ("server" or "domain").
-        axis: &'static str,
-        /// The offending fraction.
-        frac: f64,
-    },
     /// `DiversityConfig::server_domain` is non-empty but does not map
     /// every server.
     DiversityDomainArity {
@@ -303,13 +295,6 @@ impl fmt::Display for ProblemError {
             }
             ProblemError::ChurnBadTimestamp { at_s } => {
                 write!(f, "churn event: non-finite timestamp ({at_s})")
-            }
-            ProblemError::DiversityBadFraction { axis, frac } => {
-                write!(
-                    f,
-                    "diversity config: {axis} cap fraction {frac} is not a positive \
-                     finite number (use ≥ 1 to disable the axis)"
-                )
             }
             ProblemError::DiversityDomainArity {
                 expected_servers,
@@ -449,22 +434,12 @@ pub(crate) fn check_problem(p: &JointProblem) -> Result<(), ProblemError> {
     Ok(())
 }
 
-/// Validate a [`DiversityConfig`](crate::diversity::DiversityConfig):
-/// every cap fraction must be a positive finite number (≥ 1 disables an
-/// axis), and a non-empty domain table must map every server.
+/// Validate a [`DiversityConfig`](crate::diversity::DiversityConfig): a
+/// non-empty domain table must map every server.
 pub fn validate_diversity(
     div: &crate::diversity::DiversityConfig,
     num_servers: usize,
 ) -> Result<(), ProblemError> {
-    let axes = [
-        ("server", div.max_server_frac),
-        ("domain", div.max_domain_frac),
-    ];
-    for (axis, frac) in axes {
-        if !frac.is_finite() || frac <= 0.0 {
-            return Err(ProblemError::DiversityBadFraction { axis, frac });
-        }
-    }
     if !div.server_domain.is_empty() && div.server_domain.len() != num_servers {
         return Err(ProblemError::DiversityDomainArity {
             expected_servers: num_servers,

@@ -81,17 +81,11 @@ impl fmt::Display for ShapeErrorKind {
 /// Precisely why an exit cannot be attached where requested.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ExitErrorKind {
-    /// The requested host node does not exist.
-    MissingNode,
-    /// The host is the final classifier (an exit there is redundant).
-    FinalClassifier,
     /// The confidence threshold is outside `[0, 1)`.
     ThresholdOutOfRange {
         /// The offending threshold.
         threshold: f64,
     },
-    /// Two exits share the same host node.
-    DuplicateHost,
     /// The host does not precede the partition cut.
     HostAfterCut {
         /// The cut position the host must precede.
@@ -102,14 +96,9 @@ pub enum ExitErrorKind {
 impl fmt::Display for ExitErrorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExitErrorKind::MissingNode => write!(f, "node does not exist"),
-            ExitErrorKind::FinalClassifier => {
-                write!(f, "cannot attach an exit at the final classifier")
-            }
             ExitErrorKind::ThresholdOutOfRange { threshold } => {
                 write!(f, "threshold {threshold} outside [0,1)")
             }
-            ExitErrorKind::DuplicateHost => write!(f, "duplicate exit host"),
             ExitErrorKind::HostAfterCut { cut } => {
                 write!(f, "exit host must precede the cut at {cut}")
             }
@@ -151,7 +140,7 @@ pub enum ModelError {
         /// The requested boundary position.
         position: usize,
     },
-    /// An exit was attached to a node that does not exist or cannot host one.
+    /// A plan places an exit where it cannot fire.
     InvalidExit {
         /// The requested host node.
         node: usize,

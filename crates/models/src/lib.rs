@@ -11,7 +11,7 @@
 //! * [`zoo`] — faithful layer-by-layer reconstructions of the classic
 //!   backbones the paper family evaluates (AlexNet, VGG-16, ResNet-18/50,
 //!   MobileNet-V2, plus a tiny LeNet-5 for tests),
-//! * [`exits`] — early-exit heads and multi-exit model construction,
+//! * [`exits`] — early-exit heads,
 //! * [`profile`] — roofline latency predictors for heterogeneous processors,
 //! * [`difficulty`] — the input-difficulty / exit-confidence model that maps
 //!   confidence thresholds to per-exit exit probabilities and accuracies.
@@ -36,7 +36,7 @@ pub mod zoo;
 
 pub use difficulty::{DepthCache, DifficultyModel, ExitBehavior};
 pub use error::{ExitErrorKind, ModelError, ShapeErrorKind};
-pub use exits::{ExitHead, ExitPoint, MultiExitModel};
+pub use exits::ExitHead;
 pub use graph::{CutPoint, GraphBuilder, ModelGraph, Node, NodeId, INPUT};
 pub use layer::{Activation, LayerKind, PoolKind};
 pub use profile::{LatencyModel, ProcessorClass, ProcessorSpec};

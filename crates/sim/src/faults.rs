@@ -348,14 +348,6 @@ impl FaultPlan {
         Self::default()
     }
 
-    /// A plan from bare events (no failure domains).
-    pub fn from_events(events: Vec<FaultEvent>) -> Self {
-        Self {
-            events,
-            domains: Vec::new(),
-        }
-    }
-
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -910,10 +902,13 @@ mod tests {
             FaultKind::DeviceDown { device: 9 }.validate(&c, 0),
             Err(SimError::MissingDevice { device: 9 })
         );
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            at_s: 1.0,
-            kind: FaultKind::LinkDegrade { ap: 0, factor: 2.0 },
-        }]);
+        let plan = FaultPlan {
+            events: vec![FaultEvent {
+                at_s: 1.0,
+                kind: FaultKind::LinkDegrade { ap: 0, factor: 2.0 },
+            }],
+            ..FaultPlan::none()
+        };
         assert_eq!(
             plan.validate(&c),
             Err(SimError::InvalidEvent {
@@ -921,10 +916,13 @@ mod tests {
                 source: Box::new(SimError::FactorOutOfRange { factor: 2.0 }),
             })
         );
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            at_s: f64::NAN,
-            kind: FaultKind::ApDown { ap: 0 },
-        }]);
+        let plan = FaultPlan {
+            events: vec![FaultEvent {
+                at_s: f64::NAN,
+                kind: FaultKind::ApDown { ap: 0 },
+            }],
+            ..FaultPlan::none()
+        };
         assert!(matches!(
             plan.validate(&c),
             Err(SimError::InvalidEventTime { index: 0, .. })
@@ -1035,62 +1033,71 @@ mod tests {
     #[test]
     fn strict_checker_rejects_overlapping_windows() {
         let c = cluster();
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent {
-                at_s: 1.0,
-                kind: FaultKind::DeviceDown { device: 0 },
-            },
-            FaultEvent {
-                at_s: 2.0,
-                kind: FaultKind::DeviceDown { device: 0 },
-            },
-            FaultEvent {
-                at_s: 3.0,
-                kind: FaultKind::DeviceUp { device: 0 },
-            },
-        ]);
+        let plan = FaultPlan {
+            events: vec![
+                FaultEvent {
+                    at_s: 1.0,
+                    kind: FaultKind::DeviceDown { device: 0 },
+                },
+                FaultEvent {
+                    at_s: 2.0,
+                    kind: FaultKind::DeviceDown { device: 0 },
+                },
+                FaultEvent {
+                    at_s: 3.0,
+                    kind: FaultKind::DeviceUp { device: 0 },
+                },
+            ],
+            ..FaultPlan::none()
+        };
         assert_eq!(
             validate_fault_plan(&plan, &c),
             Err(SimError::OverlappingOutage { index: 1, prior: 0 })
         );
         // Distinct targets (and distinct aspects of one target) coexist.
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent {
-                at_s: 1.0,
-                kind: FaultKind::ServerThrottle {
-                    server: 0,
-                    factor: 0.5,
+        let plan = FaultPlan {
+            events: vec![
+                FaultEvent {
+                    at_s: 1.0,
+                    kind: FaultKind::ServerThrottle {
+                        server: 0,
+                        factor: 0.5,
+                    },
                 },
-            },
-            FaultEvent {
-                at_s: 1.5,
-                kind: FaultKind::ServerDown { server: 0 },
-            },
-            FaultEvent {
-                at_s: 2.0,
-                kind: FaultKind::ServerRestore { server: 0 },
-            },
-            FaultEvent {
-                at_s: 2.5,
-                kind: FaultKind::ServerUp { server: 0 },
-            },
-        ]);
+                FaultEvent {
+                    at_s: 1.5,
+                    kind: FaultKind::ServerDown { server: 0 },
+                },
+                FaultEvent {
+                    at_s: 2.0,
+                    kind: FaultKind::ServerRestore { server: 0 },
+                },
+                FaultEvent {
+                    at_s: 2.5,
+                    kind: FaultKind::ServerUp { server: 0 },
+                },
+            ],
+            ..FaultPlan::none()
+        };
         assert!(validate_fault_plan(&plan, &c).is_ok());
     }
 
     #[test]
     fn strict_checker_rejects_unsorted_plans() {
         let c = cluster();
-        let plan = FaultPlan::from_events(vec![
-            FaultEvent {
-                at_s: 5.0,
-                kind: FaultKind::ApDown { ap: 0 },
-            },
-            FaultEvent {
-                at_s: 1.0,
-                kind: FaultKind::ApUp { ap: 0 },
-            },
-        ]);
+        let plan = FaultPlan {
+            events: vec![
+                FaultEvent {
+                    at_s: 5.0,
+                    kind: FaultKind::ApDown { ap: 0 },
+                },
+                FaultEvent {
+                    at_s: 1.0,
+                    kind: FaultKind::ApUp { ap: 0 },
+                },
+            ],
+            ..FaultPlan::none()
+        };
         assert_eq!(
             validate_fault_plan(&plan, &c),
             Err(SimError::UnsortedPlan { index: 1 })

@@ -43,9 +43,7 @@ pub use metrics::{
     FaultClassStats, FaultMetrics, LatencyStats, RecoveryMetrics, SimReport, StreamStats,
 };
 pub use net::{CachedLink, LinkCols, LinkModel};
-pub use recovery::{
-    BreakerConfig, BreakerState, CircuitBreaker, HealthSnapshot, RecoveryConfig, RetryPolicy,
-};
+pub use recovery::{BreakerConfig, BreakerState, CircuitBreaker, HealthSnapshot, RecoveryConfig};
 pub use reference::{run_reference, run_reference_logged};
 pub use rng::SimRng;
 pub use scalpel_surgery::{DegradeLadder, DegradeRung};
@@ -53,4 +51,4 @@ pub use sim::{EdgeSim, SimConfig, SimScratch};
 pub use task::{CompiledStream, StreamId};
 pub use time::SimTime;
 pub use tracelog::{FaultRecord, RunTrace, TaskRecord};
-pub use workload::{ArrivalGen, ArrivalProcess, ArrivalState};
+pub use workload::ArrivalProcess;

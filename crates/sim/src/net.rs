@@ -12,38 +12,38 @@ use serde::{Deserialize, Serialize};
 /// Thermal noise density at room temperature, dBm/Hz.
 const NOISE_DBM_PER_HZ: f64 = -174.0;
 
-/// A device↔AP link.
+/// Device transmit power, dBm (Wi-Fi class).
+const TX_POWER_DBM: f64 = 20.0;
+
+/// Path loss at the 1 m reference distance, dB.
+const REF_LOSS_DB: f64 = 40.0;
+
+/// Path-loss exponent (≈2 free space, 3–4 indoor).
+const PATH_LOSS_EXP: f64 = 3.5;
+
+/// A Wi-Fi-class device↔AP link.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkModel {
     /// Full AP spectrum in Hz (the share multiplies this).
     pub bandwidth_hz: f64,
-    /// Transmit power in dBm.
-    pub tx_power_dbm: f64,
-    /// Path-loss at the 1 m reference distance, dB.
-    pub ref_loss_db: f64,
-    /// Path-loss exponent (≈2 free space, 3–4 indoor).
-    pub path_loss_exp: f64,
     /// Device–AP distance in meters.
     pub distance_m: f64,
 }
 
 impl LinkModel {
-    /// A Wi-Fi-class link: 20 dBm transmit, 40 dB reference loss,
-    /// exponent 3.5.
+    /// A Wi-Fi-class link over `bandwidth_hz` at `distance_m` (clamped to
+    /// the 1 m reference distance).
     pub fn wifi(bandwidth_hz: f64, distance_m: f64) -> Self {
         Self {
             bandwidth_hz,
-            tx_power_dbm: 20.0,
-            ref_loss_db: 40.0,
-            path_loss_exp: 3.5,
             distance_m: distance_m.max(1.0),
         }
     }
 
     /// Mean signal-to-noise ratio (linear) over the allocated band.
     fn mean_snr(&self) -> f64 {
-        let path_loss_db = self.ref_loss_db + 10.0 * self.path_loss_exp * self.distance_m.log10();
-        let rx_dbm = self.tx_power_dbm - path_loss_db;
+        let path_loss_db = REF_LOSS_DB + 10.0 * PATH_LOSS_EXP * self.distance_m.log10();
+        let rx_dbm = TX_POWER_DBM - path_loss_db;
         let noise_dbm = NOISE_DBM_PER_HZ + 10.0 * self.bandwidth_hz.log10();
         10f64.powf((rx_dbm - noise_dbm) / 10.0)
     }

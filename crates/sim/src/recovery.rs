@@ -6,17 +6,18 @@
 //! optional, all off by default so a [`RecoveryConfig::none`] run is
 //! bit-identical to the pre-recovery simulator):
 //!
-//! * **Per-request** ([`RetryPolicy`]): an uplink transmission that makes
-//!   no progress within a deadline-aware timeout is cancelled and retried
-//!   with exponential backoff, up to a bounded budget; when the budget is
-//!   exhausted the request falls down its stream's degradation ladder
-//!   (see `scalpel_surgery::degrade`) instead of stranding.
+//! * **Per-request** ([`RecoveryConfig::retry`]): an uplink transmission
+//!   that makes no progress within a deadline-aware timeout is cancelled
+//!   and retried with exponential backoff, up to a bounded budget; when
+//!   the budget is exhausted the request falls down its stream's
+//!   degradation ladder (see `scalpel_surgery::degrade`) instead of
+//!   stranding.
 //! * **Per-target** ([`BreakerConfig`] / [`CircuitBreaker`]): rolling
 //!   health windows on every AP and server drive closed → open →
 //!   half-open breakers, so retries stop hammering dead targets and
 //!   recovering ones are probed with bounded traffic.
-//! * **Control-plane** ([`HealthSnapshot`]): periodic telemetry epochs
-//!   summarize timeout rates, SLO misses and breaker states; the
+//! * **Control-plane** ([`HealthSnapshot`]): one telemetry epoch per
+//!   second summarizes timeout rates, SLO misses and breaker states; the
 //!   `scalpel-core` fault detector consumes these to trigger warm-started
 //!   re-solves.
 //!
@@ -29,67 +30,41 @@ use crate::error::SimError;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Bounded-retry policy for uplink transmissions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Retransmission attempts allowed beyond the first (0 = timeout only
-    /// triggers degradation, never a retry).
-    pub max_retries: u32,
-    /// Timeout of the first attempt, seconds.
-    pub base_timeout_s: f64,
-    /// Multiplier applied to the timeout per retry (exponential backoff).
-    pub backoff: f64,
-    /// Timeout ceiling, seconds.
-    pub max_timeout_s: f64,
+/// Retransmission attempts allowed beyond the first.
+pub(crate) const MAX_RETRIES: u32 = 2;
+
+/// Timeout of the first attempt, seconds.
+const BASE_TIMEOUT_S: f64 = 0.25;
+
+/// Multiplier applied to the timeout per retry (exponential backoff).
+const BACKOFF: f64 = 2.0;
+
+/// Timeout ceiling, seconds.
+const MAX_TIMEOUT_S: f64 = 2.0;
+
+/// Effective uplink timeout for attempt `attempt` (0-based),
+/// deadline-aware: exponential backoff clamped to the ceiling, then to
+/// the request's remaining slack (never below half the base, so a
+/// request that is already late still gets a meaningful watch interval).
+pub(crate) fn retry_timeout_s(attempt: u32, slack_s: f64) -> f64 {
+    let backed = BASE_TIMEOUT_S * BACKOFF.powi(attempt.min(30) as i32);
+    let t = backed.min(MAX_TIMEOUT_S);
+    t.min(slack_s.max(BASE_TIMEOUT_S * 0.5))
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_retries: 2,
-            base_timeout_s: 0.25,
-            backoff: 2.0,
-            max_timeout_s: 2.0,
-        }
-    }
-}
+/// Seconds between control-plane telemetry epochs.
+pub(crate) const TELEMETRY_EPOCH_S: f64 = 1.0;
 
-impl RetryPolicy {
-    /// Effective timeout for attempt `attempt` (0-based), deadline-aware:
-    /// exponential backoff clamped to the ceiling, then to the request's
-    /// remaining slack (never below half the base, so a request that is
-    /// already late still gets a meaningful watch interval).
-    pub fn timeout_s(&self, attempt: u32, slack_s: f64) -> f64 {
-        let backed = self.base_timeout_s * self.backoff.powi(attempt.min(30) as i32);
-        let t = backed.min(self.max_timeout_s);
-        t.min(slack_s.max(self.base_timeout_s * 0.5))
-    }
-
-    fn validate(&self) -> Result<(), SimError> {
-        let bad = |detail: &str| SimError::InvalidRecovery {
-            detail: detail.into(),
-        };
-        if !(self.base_timeout_s.is_finite() && self.base_timeout_s > 0.0) {
-            return Err(bad("base_timeout_s must be positive"));
-        }
-        if !(self.backoff.is_finite() && self.backoff >= 1.0) {
-            return Err(bad("backoff must be >= 1"));
-        }
-        if !(self.max_timeout_s.is_finite() && self.max_timeout_s >= self.base_timeout_s) {
-            return Err(bad("max_timeout_s must be >= base_timeout_s"));
-        }
-        Ok(())
-    }
-}
+/// Minimum outcomes in a breaker's window before its failure fraction is
+/// trusted.
+const MIN_SAMPLES: usize = 4;
 
 /// Rolling-window circuit-breaker parameters (shared by AP and server
 /// breakers).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BreakerConfig {
-    /// Outcomes kept in the rolling window.
+    /// Outcomes kept in the rolling window (at least `MIN_SAMPLES`).
     pub window: usize,
-    /// Minimum outcomes before the failure fraction is trusted.
-    pub min_samples: usize,
     /// Open when `failures / window_len >= failure_threshold`.
     pub failure_threshold: f64,
     /// Seconds an open breaker waits before admitting half-open probes.
@@ -107,7 +82,6 @@ impl Default for BreakerConfig {
     fn default() -> Self {
         Self {
             window: 8,
-            min_samples: 4,
             failure_threshold: 0.5,
             open_cooldown_s: 1.0,
             miss_is_failure: true,
@@ -120,11 +94,8 @@ impl BreakerConfig {
         let bad = |detail: &str| SimError::InvalidRecovery {
             detail: detail.into(),
         };
-        if self.window == 0 {
-            return Err(bad("breaker window must be positive"));
-        }
-        if self.min_samples == 0 || self.min_samples > self.window {
-            return Err(bad("breaker min_samples must be in 1..=window"));
+        if self.window < MIN_SAMPLES {
+            return Err(bad("breaker window must hold at least 4 outcomes"));
         }
         if !(self.failure_threshold.is_finite()
             && self.failure_threshold > 0.0
@@ -276,7 +247,7 @@ impl CircuitBreaker {
             BreakerState::Closed => {
                 self.push_outcome(true);
                 let n = self.window.len();
-                if n >= self.cfg.min_samples {
+                if n >= MIN_SAMPLES {
                     let fails = self.window.iter().filter(|&&f| f).count();
                     if fails as f64 / n as f64 >= self.cfg.failure_threshold {
                         self.trip(now_s);
@@ -330,8 +301,9 @@ pub struct HealthSnapshot {
 /// unchanged unless a policy is switched on.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryConfig {
-    /// Uplink retry policy (`None` = never time out).
-    pub retry: Option<RetryPolicy>,
+    /// Time out stalled uplink transmissions and retry them with
+    /// exponential backoff (`false` = never time out).
+    pub retry: bool,
     /// Circuit breakers on APs and servers (`None` = no health tracking).
     pub breakers: Option<BreakerConfig>,
     /// Fall down the stream's degradation ladder instead of stranding
@@ -344,9 +316,9 @@ pub struct RecoveryConfig {
     /// stream offers no degradation ladder, instead of letting them queue
     /// into a dead uplink.
     pub shed_on_open: bool,
-    /// Emit a [`HealthSnapshot`] every this many seconds (0 = no
-    /// telemetry events at all).
-    pub telemetry_epoch_s: f64,
+    /// Emit a [`HealthSnapshot`] every second (`false` = no telemetry
+    /// events at all).
+    pub telemetry: bool,
 }
 
 impl RecoveryConfig {
@@ -359,7 +331,7 @@ impl RecoveryConfig {
     /// breakers.
     pub fn retry_only() -> Self {
         Self {
-            retry: Some(RetryPolicy::default()),
+            retry: true,
             degrade: true,
             ..Self::default()
         }
@@ -368,7 +340,7 @@ impl RecoveryConfig {
     /// Retries plus circuit breakers (no hedging or shedding).
     pub fn retry_breaker() -> Self {
         Self {
-            retry: Some(RetryPolicy::default()),
+            retry: true,
             breakers: Some(BreakerConfig::default()),
             degrade: true,
             ..Self::default()
@@ -379,41 +351,33 @@ impl RecoveryConfig {
     /// and control-plane telemetry.
     pub fn full() -> Self {
         Self {
-            retry: Some(RetryPolicy::default()),
+            retry: true,
             breakers: Some(BreakerConfig::default()),
             degrade: true,
             hedge: true,
             shed_on_open: true,
-            telemetry_epoch_s: 1.0,
+            telemetry: true,
         }
     }
 
     /// Whether any recovery layer is active.
     pub fn is_active(&self) -> bool {
-        self.retry.is_some()
+        self.retry
             || self.breakers.is_some()
             || self.degrade
             || self.hedge
             || self.shed_on_open
-            || self.telemetry_epoch_s > 0.0
+            || self.telemetry
     }
 
     /// Check parameter ranges and cross-layer consistency.
     pub fn validate(&self) -> Result<(), SimError> {
-        if let Some(r) = &self.retry {
-            r.validate()?;
-        }
         if let Some(b) = &self.breakers {
             b.validate()?;
         }
         if self.hedge && self.breakers.is_none() {
             return Err(SimError::InvalidRecovery {
                 detail: "hedge requires breakers (health signal to hedge on)".into(),
-            });
-        }
-        if !(self.telemetry_epoch_s.is_finite() && self.telemetry_epoch_s >= 0.0) {
-            return Err(SimError::InvalidRecovery {
-                detail: "telemetry_epoch_s must be finite and >= 0".into(),
             });
         }
         Ok(())
@@ -446,34 +410,6 @@ pub(crate) struct RecoveryAccum {
     pub(crate) degraded_acc_sum: f64,
 }
 
-/// First rung whose committed device seconds fit within `avail`
-/// (replicates `DegradeLadder::best_within`, by index), else — on an
-/// idle device — the cheapest rung (replicates `cheapest`'s tie-break:
-/// least extra compute, then highest accuracy).
-pub(crate) fn pick_rung(
-    rungs: &[scalpel_surgery::DegradeRung],
-    avail: f64,
-    idle: bool,
-) -> Option<usize> {
-    rungs
-        .iter()
-        .position(|r| r.extra_device_s <= avail)
-        .or_else(|| {
-            if !idle {
-                return None;
-            }
-            rungs
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    a.extra_device_s
-                        .total_cmp(&b.extra_device_s)
-                        .then(b.accuracy.total_cmp(&a.accuracy))
-                })
-                .map(|(i, _)| i)
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,55 +431,57 @@ mod tests {
 
     #[test]
     fn invalid_knobs_are_rejected_with_typed_errors() {
-        let mut cfg = RecoveryConfig::retry_only();
-        cfg.retry.as_mut().unwrap().backoff = 0.5;
-        assert!(matches!(
-            cfg.validate(),
-            Err(SimError::InvalidRecovery { .. })
-        ));
         let hedge_no_breaker = RecoveryConfig {
             hedge: true,
             ..RecoveryConfig::none()
         };
-        assert!(hedge_no_breaker.validate().is_err());
+        assert!(matches!(
+            hedge_no_breaker.validate(),
+            Err(SimError::InvalidRecovery { .. })
+        ));
         let mut cfg = RecoveryConfig::retry_breaker();
         cfg.breakers.as_mut().unwrap().failure_threshold = 1.5;
+        assert!(cfg.validate().is_err());
+        let mut cfg = RecoveryConfig::retry_breaker();
+        cfg.breakers.as_mut().unwrap().window = MIN_SAMPLES - 1;
         assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn timeouts_back_off_and_respect_deadline_slack() {
-        let p = RetryPolicy {
-            max_retries: 3,
-            base_timeout_s: 0.1,
-            backoff: 2.0,
-            max_timeout_s: 0.5,
-        };
-        assert!((p.timeout_s(0, 10.0) - 0.1).abs() < 1e-12);
-        assert!((p.timeout_s(1, 10.0) - 0.2).abs() < 1e-12);
+        assert_eq!(retry_timeout_s(0, 10.0), BASE_TIMEOUT_S);
+        assert_eq!(retry_timeout_s(1, 10.0), BASE_TIMEOUT_S * BACKOFF);
         // Ceiling binds before backoff runs away.
-        assert!((p.timeout_s(4, 10.0) - 0.5).abs() < 1e-12);
+        assert_eq!(retry_timeout_s(4, 10.0), MAX_TIMEOUT_S);
         // Tight slack shrinks the timeout, but never below base/2.
-        assert!((p.timeout_s(0, 0.08) - 0.08).abs() < 1e-12);
-        assert!((p.timeout_s(0, 0.0) - 0.05).abs() < 1e-12);
+        assert_eq!(retry_timeout_s(0, 0.2), 0.2);
+        assert_eq!(retry_timeout_s(0, 0.0), BASE_TIMEOUT_S * 0.5);
     }
 
     fn quick_breaker() -> CircuitBreaker {
         CircuitBreaker::new(BreakerConfig {
-            window: 4,
-            min_samples: 2,
+            window: MIN_SAMPLES,
             failure_threshold: 0.5,
             open_cooldown_s: 1.0,
             miss_is_failure: true,
         })
     }
 
+    /// Fill a fresh breaker's window with failures at `now_s`.
+    fn trip(b: &mut CircuitBreaker, now_s: f64) {
+        for _ in 0..MIN_SAMPLES {
+            b.record_failure(now_s);
+        }
+    }
+
     #[test]
     fn breaker_trips_on_failure_rate() {
         let mut b = quick_breaker();
         assert!(b.try_acquire(0.0));
-        b.record_failure(0.1);
-        assert_eq!(b.state(), BreakerState::Closed); // 1 sample < min
+        for _ in 1..MIN_SAMPLES {
+            b.record_failure(0.1);
+            assert_eq!(b.state(), BreakerState::Closed); // fewer samples than the min
+        }
         b.record_failure(0.2);
         assert_eq!(b.state(), BreakerState::Open);
         assert_eq!(b.opens, 1);
@@ -554,8 +492,7 @@ mod tests {
     #[test]
     fn breaker_recovers_only_through_half_open() {
         let mut b = quick_breaker();
-        b.record_failure(0.0);
-        b.record_failure(0.0);
+        trip(&mut b, 0.0);
         assert_eq!(b.state(), BreakerState::Open);
         // Cooldown elapsed: the next acquisition is a probe.
         assert!(b.try_acquire(1.5));
@@ -574,8 +511,7 @@ mod tests {
     #[test]
     fn half_open_failure_reopens() {
         let mut b = quick_breaker();
-        b.record_failure(0.0);
-        b.record_failure(0.0);
+        trip(&mut b, 0.0);
         assert!(b.try_acquire(2.0));
         b.record_failure(2.1);
         assert_eq!(b.state(), BreakerState::Open);

@@ -20,7 +20,8 @@ use crate::faults::{FaultAccum, FaultClass, FaultKind};
 use crate::metrics::{LatencyStats, RecoveryMetrics, SimReport, StreamAccum};
 use crate::net::CachedLink;
 use crate::recovery::{
-    pick_rung, BreakerState, CircuitBreaker, HealthSnapshot, RecoveryAccum, SnapBase,
+    retry_timeout_s, BreakerState, CircuitBreaker, HealthSnapshot, RecoveryAccum, SnapBase,
+    MAX_RETRIES, TELEMETRY_EPOCH_S,
 };
 use crate::rng::SimRng;
 use crate::sim::EdgeSim;
@@ -525,9 +526,9 @@ impl Runner<'_> {
                 st.queue
                     .post(SimTime::from_secs_f64(fe.at_s), Ev::Fault { idx });
             }
-            let epoch = sim.config.recovery.telemetry_epoch_s;
-            if epoch > 0.0 {
-                st.queue.post(SimTime::from_secs_f64(epoch), Ev::Telemetry);
+            if sim.config.recovery.telemetry {
+                st.queue
+                    .post(SimTime::from_secs_f64(TELEMETRY_EPOCH_S), Ev::Telemetry);
             }
         }
         while let Some((now, ev)) = self.st.queue.pop() {
@@ -715,8 +716,8 @@ impl Runner<'_> {
             self.st.ra.hedges += 1;
         }
         self.st.pool.get_mut(idx).target = Some(target);
-        if let Some(rp) = &cfg.retry {
-            let timeout = rp.timeout_s(attempts, slack);
+        if cfg.retry {
+            let timeout = retry_timeout_s(attempts, slack);
             let key = self.st.queue.schedule(
                 now.after_secs(timeout),
                 Ev::RetryTimeout {
@@ -754,7 +755,7 @@ impl Runner<'_> {
             let idle = self.st.devices[device].queue.is_empty()
                 && self.st.degrade_backlog_s[device] <= 0.0;
             let avail = if idle { slack } else { 0.0 };
-            if let Some(rung) = pick_rung(&s.degrade.rungs, avail, idle) {
+            if let Some(rung) = s.degrade.pick_rung(avail, idle) {
                 let extra = s.degrade.rungs[rung].extra_device_s;
                 let local = extra > 0.0;
                 self.st.pool.get_mut(idx).degrade_to = rung as u32;
@@ -804,9 +805,9 @@ impl Runner<'_> {
 
     fn on_retry_timeout(&mut self, now: SimTime, device: usize, req: u64, attempt: u32) {
         let sim = self.sim;
-        let Some(rp) = sim.config.recovery.retry.as_ref() else {
+        if !sim.config.recovery.retry {
             return;
-        };
+        }
         let now_s = now.as_secs_f64();
         let ap = sim.cluster.devices[device].ap;
         let cur = self.st.uplinks[device].current;
@@ -846,7 +847,7 @@ impl Runner<'_> {
             f.attempts += 1;
             f.attempts
         };
-        if attempts > rp.max_retries {
+        if attempts > MAX_RETRIES {
             if !in_current {
                 let st = &mut *self.st;
                 st.uplinks[device]
@@ -864,7 +865,7 @@ impl Runner<'_> {
             };
             let s = &sim.streams[stream];
             let slack = s.deadline_s - now.secs_since(arrival);
-            let timeout = rp.timeout_s(attempts, slack);
+            let timeout = retry_timeout_s(attempts, slack);
             let key = self.st.queue.schedule(
                 now.after_secs(timeout),
                 Ev::RetryTimeout {
@@ -883,7 +884,6 @@ impl Runner<'_> {
     }
 
     fn on_telemetry(&mut self, now: SimTime) {
-        let sim = self.sim;
         let st = &mut *self.st;
         let open = |brks: &Option<Vec<CircuitBreaker>>| -> Vec<bool> {
             brks.as_ref()
@@ -907,9 +907,9 @@ impl Runner<'_> {
             degraded: st.ra.degraded,
             shed: st.ra.shed,
         };
-        let epoch = sim.config.recovery.telemetry_epoch_s;
         if now < st.horizon {
-            st.queue.post(now.after_secs(epoch), Ev::Telemetry);
+            st.queue
+                .post(now.after_secs(TELEMETRY_EPOCH_S), Ev::Telemetry);
         }
     }
 

@@ -20,8 +20,8 @@ use crate::faults::{FaultAccum, FaultClass, FaultGrid, FaultKind, FaultPlan};
 use crate::metrics::{AccumCols, LatencyStats, RecoveryMetrics, SimReport};
 use crate::net::LinkCols;
 use crate::recovery::{
-    pick_rung, BreakerConfig, BreakerState, CircuitBreaker, HealthSnapshot, RecoveryAccum,
-    RecoveryConfig, SnapBase,
+    retry_timeout_s, BreakerConfig, BreakerState, CircuitBreaker, HealthSnapshot, RecoveryAccum,
+    RecoveryConfig, SnapBase, MAX_RETRIES, TELEMETRY_EPOCH_S,
 };
 use crate::rng::SimRng;
 use crate::task::{CompiledStream, StreamCols};
@@ -1040,9 +1040,9 @@ impl Runner<'_> {
                 );
             }
             // First control-plane telemetry epoch, if enabled.
-            let epoch = sim.config.recovery.telemetry_epoch_s;
-            if epoch > 0.0 {
-                st.queue.post(SimTime::from_secs_f64(epoch), Ev::Telemetry);
+            if sim.config.recovery.telemetry {
+                st.queue
+                    .post(SimTime::from_secs_f64(TELEMETRY_EPOCH_S), Ev::Telemetry);
             }
         }
         while let Some((now, ev)) = self.st.queue.pop() {
@@ -1279,8 +1279,8 @@ impl Runner<'_> {
             self.st.ra.hedges += 1;
         }
         self.st.pool.cold[i].target = target as u32;
-        if let Some(rp) = &cfg.retry {
-            let timeout = rp.timeout_s(attempts, slack);
+        if cfg.retry {
+            let timeout = retry_timeout_s(attempts, slack);
             let key = self.st.queue.schedule(
                 now.after_secs(timeout),
                 Ev::RetryTimeout {
@@ -1339,7 +1339,7 @@ impl Runner<'_> {
             let idle =
                 self.st.devices.queue_is_empty(device) && self.st.degrade_backlog_s[device] <= 0.0;
             let avail = if idle { slack } else { 0.0 };
-            if let Some(rung) = pick_rung(&s.degrade.rungs, avail, idle) {
+            if let Some(rung) = s.degrade.pick_rung(avail, idle) {
                 let extra = s.degrade.rungs[rung].extra_device_s;
                 let local = extra > 0.0;
                 self.st.pool.cold[i].degrade_to = rung as u32;
@@ -1394,9 +1394,9 @@ impl Runner<'_> {
     /// the AP breaker, and retry or fall back.
     fn on_retry_timeout(&mut self, now: SimTime, device: usize, req: u32, attempt: u32) {
         let sim = self.sim;
-        let Some(rp) = sim.config.recovery.retry.as_ref() else {
+        if !sim.config.recovery.retry {
             return;
-        };
+        }
         let now_s = now.as_secs_f64();
         let ap = sim.cluster.devices[device].ap;
         let cur = self.st.uplinks.current[device];
@@ -1436,7 +1436,7 @@ impl Runner<'_> {
         let i = idx as usize;
         self.st.pool.cold[i].attempts += 1;
         let attempts = self.st.pool.cold[i].attempts;
-        if attempts > rp.max_retries {
+        if attempts > MAX_RETRIES {
             if !in_current {
                 let st = &mut *self.st;
                 st.uplinks.unlink_after(&mut st.pool, device, prev, idx);
@@ -1449,7 +1449,7 @@ impl Runner<'_> {
             let stream = self.st.pool.stream[i] as usize;
             let arrival = self.st.pool.arrival[i];
             let slack = self.st.cols.deadline_s[stream] - now.secs_since(arrival);
-            let timeout = rp.timeout_s(attempts, slack);
+            let timeout = retry_timeout_s(attempts, slack);
             let key = self.st.queue.schedule(
                 now.after_secs(timeout),
                 Ev::RetryTimeout {
@@ -1471,7 +1471,6 @@ impl Runner<'_> {
 
     /// Emit one control-plane health snapshot and schedule the next epoch.
     fn on_telemetry(&mut self, now: SimTime) {
-        let sim = self.sim;
         let st = &mut *self.st;
         let open = |brks: &Option<Vec<CircuitBreaker>>| -> Vec<bool> {
             brks.as_ref()
@@ -1495,9 +1494,9 @@ impl Runner<'_> {
             degraded: st.ra.degraded,
             shed: st.ra.shed,
         };
-        let epoch = sim.config.recovery.telemetry_epoch_s;
         if now < st.horizon {
-            st.queue.post(now.after_secs(epoch), Ev::Telemetry);
+            st.queue
+                .post(now.after_secs(TELEMETRY_EPOCH_S), Ev::Telemetry);
         }
     }
 
@@ -2497,23 +2496,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_arrivals_execute_exactly() {
-        let cluster = one_device_cluster();
-        let mut s = no_exit_stream(1.0, 0.002, 1e8);
-        s.server = None;
-        s.arrivals = ArrivalProcess::Trace {
-            gaps: vec![1.0, 1.0, 1.0, 1.0],
-        };
-        let mut cfg = base_config();
-        cfg.horizon_s = 10.5;
-        cfg.warmup_s = 0.0;
-        let r = EdgeSim::new(cluster, vec![s], cfg).unwrap().run();
-        // arrivals at t = 1, 2, ..., 10 -> 10 measured requests.
-        assert_eq!(r.generated, 10);
-        assert_eq!(r.completed, 10);
-    }
-
-    #[test]
     fn heavier_weight_gets_faster_edge_service() {
         let mut cluster = one_device_cluster();
         cluster.devices.push(DeviceSpec {
@@ -2602,7 +2584,7 @@ mod tests {
             // queueing is the untracked remainder)...
             assert!(r.component_sum_s() <= r.latency_s + 1e-9, "{r:?}");
             // ...and on-device completions decompose exactly.
-            if r.on_device() {
+            if r.tx_s == 0.0 {
                 assert!(
                     (r.device_wait_s + r.device_service_s - r.latency_s).abs() < 1e-9,
                     "{r:?}"
@@ -2628,7 +2610,10 @@ mod tests {
 
     fn fault_cfg(events: Vec<FaultEvent>) -> SimConfig {
         let mut cfg = base_config();
-        cfg.faults = FaultPlan::from_events(events);
+        cfg.faults = FaultPlan {
+            events,
+            ..FaultPlan::none()
+        };
         cfg
     }
 

@@ -40,11 +40,6 @@ impl TaskRecord {
     pub fn component_sum_s(&self) -> f64 {
         self.device_wait_s + self.device_service_s + self.tx_s + self.edge_s
     }
-
-    /// Whether this request completed on the device.
-    pub fn on_device(&self) -> bool {
-        self.tx_s == 0.0
-    }
 }
 
 /// One executed fault event, as seen by the simulator.
@@ -93,9 +88,5 @@ mod tests {
             exit: Some(0),
         };
         assert!((r.component_sum_s() - 0.03).abs() < 1e-12);
-        assert!(r.on_device());
-        let mut off = r.clone();
-        off.tx_s = 0.005;
-        assert!(!off.on_device());
     }
 }

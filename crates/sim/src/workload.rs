@@ -28,11 +28,6 @@ pub enum ArrivalProcess {
         /// Rate of switching between states, 1/s.
         switch_rate: f64,
     },
-    /// Replay of recorded inter-arrival gaps (cycled).
-    Trace {
-        /// Inter-arrival gaps in seconds; must be non-empty.
-        gaps: Vec<f64>,
-    },
 }
 
 impl ArrivalProcess {
@@ -46,14 +41,6 @@ impl ArrivalProcess {
                 rate_high,
                 ..
             } => 0.5 * (rate_low + rate_high),
-            ArrivalProcess::Trace { gaps } => {
-                let total: f64 = gaps.iter().sum();
-                if total > 0.0 {
-                    gaps.len() as f64 / total
-                } else {
-                    0.0
-                }
-            }
         }
     }
 
@@ -94,43 +81,23 @@ impl ArrivalProcess {
                     }
                 }
             }
-            ArrivalProcess::Trace { gaps } => {
-                if gaps.is_empty() {
-                    return Err(bad("trace has no gaps".into()));
-                }
-                for (i, g) in gaps.iter().enumerate() {
-                    if !g.is_finite() || *g < 0.0 {
-                        return Err(bad(format!("trace gap {i} must be non-negative, got {g}")));
-                    }
-                }
-            }
         }
         Ok(())
     }
-
-    /// Stateful generator for this process.
-    pub fn generator(&self) -> ArrivalGen {
-        ArrivalGen {
-            process: self.clone(),
-            state: ArrivalState::default(),
-        }
-    }
 }
 
-/// The mutable cursor of an arrival process: everything `next_gap` needs
+/// The mutable state of an arrival process: everything `next_gap` needs
 /// beyond the (immutable, shareable) process parameters. `Copy`, so the
-/// simulator keeps one per stream in flat scratch storage with no
-/// per-run clone of trace gap vectors.
+/// simulator keeps one per stream in flat scratch storage.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ArrivalState {
+pub(crate) struct ArrivalState {
     mmpp_high: bool,
     mmpp_residual: f64,
-    trace_pos: usize,
 }
 
 impl ArrivalState {
     /// Sample the next inter-arrival gap of `process` in seconds.
-    pub fn next_gap(&mut self, process: &ArrivalProcess, rng: &mut SimRng) -> f64 {
+    pub(crate) fn next_gap(&mut self, process: &ArrivalProcess, rng: &mut SimRng) -> f64 {
         match process {
             ArrivalProcess::Poisson { rate_hz } => rng.exponential(*rate_hz),
             ArrivalProcess::Periodic {
@@ -163,31 +130,7 @@ impl ArrivalState {
                     self.mmpp_high = !self.mmpp_high;
                 }
             }
-            ArrivalProcess::Trace { gaps } => {
-                debug_assert!(!gaps.is_empty(), "empty trace");
-                if gaps.is_empty() {
-                    return f64::INFINITY;
-                }
-                let g = gaps[self.trace_pos % gaps.len()];
-                self.trace_pos += 1;
-                g
-            }
         }
-    }
-}
-
-/// Stateful arrival generator (a process plus its cursor), for callers
-/// that want a self-contained sampler.
-#[derive(Debug, Clone)]
-pub struct ArrivalGen {
-    process: ArrivalProcess,
-    state: ArrivalState,
-}
-
-impl ArrivalGen {
-    /// Sample the next inter-arrival gap in seconds.
-    pub fn next_gap(&mut self, rng: &mut SimRng) -> f64 {
-        self.state.next_gap(&self.process, rng)
     }
 }
 
@@ -197,8 +140,8 @@ mod tests {
 
     fn mean_gap(p: &ArrivalProcess, n: usize) -> f64 {
         let mut rng = SimRng::new(7, 0);
-        let mut g = p.generator();
-        (0..n).map(|_| g.next_gap(&mut rng)).sum::<f64>() / n as f64
+        let mut g = ArrivalState::default();
+        (0..n).map(|_| g.next_gap(p, &mut rng)).sum::<f64>() / n as f64
     }
 
     #[test]
@@ -215,9 +158,9 @@ mod tests {
             jitter_frac: 0.2,
         };
         let mut rng = SimRng::new(1, 0);
-        let mut g = p.generator();
+        let mut g = ArrivalState::default();
         for _ in 0..1000 {
-            let gap = g.next_gap(&mut rng);
+            let gap = g.next_gap(&p, &mut rng);
             assert!((0.08..=0.12).contains(&gap), "gap {gap}");
         }
         assert!((p.mean_rate() - 10.0).abs() < 1e-12);
@@ -245,24 +188,12 @@ mod tests {
         };
         let var = |p: &ArrivalProcess| {
             let mut rng = SimRng::new(3, 0);
-            let mut g = p.generator();
-            let gaps: Vec<f64> = (0..100_000).map(|_| g.next_gap(&mut rng)).collect();
+            let mut g = ArrivalState::default();
+            let gaps: Vec<f64> = (0..100_000).map(|_| g.next_gap(p, &mut rng)).collect();
             let m = gaps.iter().sum::<f64>() / gaps.len() as f64;
             gaps.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / gaps.len() as f64
         };
         assert!(var(&mmpp) > var(&poisson));
-    }
-
-    #[test]
-    fn trace_replays_and_cycles() {
-        let p = ArrivalProcess::Trace {
-            gaps: vec![0.1, 0.2, 0.3],
-        };
-        let mut rng = SimRng::new(1, 0);
-        let mut g = p.generator();
-        let got: Vec<f64> = (0..6).map(|_| g.next_gap(&mut rng)).collect();
-        assert_eq!(got, vec![0.1, 0.2, 0.3, 0.1, 0.2, 0.3]);
-        assert!((p.mean_rate() - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -303,17 +234,6 @@ mod tests {
             rate_low: 2.0,
             rate_high: f64::NAN,
             switch_rate: 1.0
-        }
-        .validate()
-        .is_err());
-        assert!(ArrivalProcess::Trace {
-            gaps: vec![0.1, 0.2]
-        }
-        .validate()
-        .is_ok());
-        assert!(ArrivalProcess::Trace { gaps: vec![] }.validate().is_err());
-        assert!(ArrivalProcess::Trace {
-            gaps: vec![0.1, -0.2]
         }
         .validate()
         .is_err());

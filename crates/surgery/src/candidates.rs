@@ -246,7 +246,7 @@ struct Slot {
     head_flops: Vec<f64>,
     /// Pruned prefix FLOPs through the cut.
     prefix_flops: f64,
-    /// The slot's exit-setting instance; its rest time is unused.
+    /// The slot's exit-setting instance.
     problem: ExitSettingProblem,
     fronts: ExitFronts,
 }
@@ -326,12 +326,10 @@ impl<'a> MenuSkeleton<'a> {
                 let problem = ExitSettingProblem {
                     hosts,
                     full_prefix_time_s: prefix_flops * device_sec_per_flop,
-                    rest_time_s: 0.0,
                     max_exits: cfg.max_exits,
                     accuracy_floor: cfg.accuracy_floor,
                     acc_full: acc_plain,
                     difficulty: cfg.difficulty.clone(),
-                    threshold_grid: ExitSettingProblem::default_grid(),
                 };
                 let fronts = ExitFronts::new(&problem);
                 let device_only = cut.boundary == model.len();

@@ -71,21 +71,29 @@ impl DegradeLadder {
         self.rungs.is_empty()
     }
 
-    /// The most accurate rung whose extra device time fits into
-    /// `slack_s` seconds of remaining deadline budget.
-    pub fn best_within(&self, slack_s: f64) -> Option<&DegradeRung> {
-        self.rungs.iter().find(|r| r.extra_device_s <= slack_s)
-    }
-
-    /// The cheapest rung (ties: most accurate), regardless of slack —
-    /// the last resort when no rung fits the deadline but completing
-    /// late still beats stranding.
-    pub fn cheapest(&self) -> Option<&DegradeRung> {
-        self.rungs.iter().min_by(|a, b| {
-            a.extra_device_s
-                .total_cmp(&b.extra_device_s)
-                .then(b.accuracy.total_cmp(&a.accuracy))
-        })
+    /// Index of the rung to degrade to: the most accurate rung whose
+    /// extra device time fits into `avail_s` seconds, else — on an `idle`
+    /// device — the cheapest rung (ties: most accurate), the last resort
+    /// when no rung fits the deadline but completing late still beats
+    /// stranding. `None` when neither exists.
+    pub fn pick_rung(&self, avail_s: f64, idle: bool) -> Option<usize> {
+        self.rungs
+            .iter()
+            .position(|r| r.extra_device_s <= avail_s)
+            .or_else(|| {
+                if !idle {
+                    return None;
+                }
+                self.rungs
+                    .iter()
+                    .enumerate()
+                    .min_by(|(_, a), (_, b)| {
+                        a.extra_device_s
+                            .total_cmp(&b.extra_device_s)
+                            .then(b.accuracy.total_cmp(&a.accuracy))
+                    })
+                    .map(|(i, _)| i)
+            })
     }
 
     /// Internal-consistency check: finite non-negative costs, accuracy in
@@ -166,13 +174,22 @@ mod tests {
     #[test]
     fn best_within_is_deadline_aware() {
         let l = ladder_for_plan(&plan_with_exits(1), &[0.71], Some((0.05, 0.76)));
+        let exit_of =
+            |avail_s: f64, idle: bool| l.pick_rung(avail_s, idle).map(|i| l.rungs[i].exit);
         // Plenty of slack: take the accurate local finish.
-        assert_eq!(l.best_within(0.1).unwrap().exit, None);
+        assert_eq!(exit_of(0.1, false), Some(None));
         // Tight slack: fall to the free forced exit.
-        assert_eq!(l.best_within(0.01).unwrap().exit, Some(0));
-        // Negative slack: nothing fits, cheapest() is the fallback.
-        assert!(l.best_within(-0.01).is_none());
-        assert_eq!(l.cheapest().unwrap().exit, Some(0));
+        assert_eq!(exit_of(0.01, false), Some(Some(0)));
+        // Negative slack: nothing fits; only an idle device falls back to
+        // the cheapest rung.
+        assert_eq!(exit_of(-0.01, false), None);
+        assert_eq!(exit_of(-0.01, true), Some(Some(0)));
+        // Among equally cheap rungs the fallback takes the most accurate.
+        let l = ladder_for_plan(&plan_with_exits(2), &[0.62, 0.70], Some((0.05, 0.76)));
+        assert_eq!(
+            l.pick_rung(-1.0, true).map(|i| l.rungs[i].exit),
+            Some(Some(1))
+        );
     }
 
     #[test]
@@ -187,8 +204,8 @@ mod tests {
     fn empty_ladder_has_no_rungs() {
         let l = ladder_for_plan(&plan_with_exits(0), &[], None);
         assert!(l.is_empty());
-        assert!(l.best_within(1.0).is_none());
-        assert!(l.cheapest().is_none());
+        assert!(l.pick_rung(1.0, false).is_none());
+        assert!(l.pick_rung(-1.0, true).is_none());
         assert!(DegradeLadder::none().validate().is_ok());
     }
 

@@ -27,16 +27,16 @@ pub struct ExitCandidate {
     pub head_time_s: f64,
 }
 
-/// An exit-setting instance for one (stream, cut) pair.
+/// An exit-setting instance for one (stream, cut) pair, short of its
+/// rest time: the seconds non-exiting inputs pay *after* the prefix
+/// (transmission + edge compute + queueing estimate), which each solve
+/// takes as an argument.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExitSettingProblem {
     /// Candidate hosts in ascending depth order.
     pub hosts: Vec<ExitCandidate>,
     /// Device seconds for the full prefix when no exit fires.
     pub full_prefix_time_s: f64,
-    /// Seconds paid *after* the prefix by non-exiting inputs (transmission
-    /// + edge compute + queueing estimate).
-    pub rest_time_s: f64,
     /// Maximum number of exits surgery may attach.
     pub max_exits: usize,
     /// Minimum acceptable expected accuracy.
@@ -45,16 +45,10 @@ pub struct ExitSettingProblem {
     pub acc_full: f64,
     /// Difficulty calibration.
     pub difficulty: DifficultyModel,
-    /// Thresholds to sweep.
-    pub threshold_grid: Vec<f64>,
 }
 
-impl ExitSettingProblem {
-    /// The default threshold sweep.
-    pub fn default_grid() -> Vec<f64> {
-        vec![0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
-    }
-}
+/// The confidence thresholds the DP sweeps.
+const THRESHOLD_GRID: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95];
 
 /// The chosen exits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -93,15 +87,6 @@ fn pareto_prune(mut entries: Vec<Entry>) -> Vec<Entry> {
     out
 }
 
-/// Solve by DP over thresholds; always returns a solution (the empty
-/// selection when no exit helps or none is feasible *and* the empty
-/// selection itself clears the floor; if even `acc_full` is below the
-/// floor, returns the empty selection anyway — callers treat that plan as
-/// infeasible downstream).
-pub fn solve(p: &ExitSettingProblem) -> ExitSettingSolution {
-    ExitFronts::new(p).close(p, p.rest_time_s)
-}
-
 /// A state of one threshold's DP that clears the accuracy floor once
 /// closed with the non-exiting tail. Its closed cost is
 /// `cost + remain · (full_prefix + rest)`; nothing else depends on the
@@ -129,8 +114,8 @@ struct Front {
     closings: Vec<Closing>,
 }
 
-/// The part of [`solve`] that no rest time reaches. The rest time enters
-/// the DP only when a state is closed, `cost + remain · (full_prefix +
+/// The exit-setting DP, split at the rest time. The rest time enters the
+/// DP only when a state is closed, `cost + remain · (full_prefix +
 /// rest)`; feasibility, `acc + remain · acc_full ≥ floor`, does not read
 /// it. So the fronts are built once per instance shape and closed per
 /// rest time, bit-identical to solving each instance afresh.
@@ -156,8 +141,7 @@ pub(crate) struct Refined {
 }
 
 impl ExitFronts {
-    /// Run the DP of every grid threshold on `p`, ignoring
-    /// `p.rest_time_s`.
+    /// Run the DP of every grid threshold on `p`.
     pub(crate) fn new(p: &ExitSettingProblem) -> Self {
         // The depth transcendentals are threshold-invariant and `t^ρ` is
         // depth-invariant: each is paid once, not once per (host,
@@ -167,15 +151,14 @@ impl ExitFronts {
             .iter()
             .map(|h| p.difficulty.depth_cache(h.depth_fraction))
             .collect();
-        let grid_pows: Vec<f64> = p
-            .threshold_grid
+        let grid_pows: Vec<f64> = THRESHOLD_GRID
             .iter()
             .map(|&t| p.difficulty.threshold_pow(t))
             .collect();
         let fronts = if p.hosts.is_empty() || p.max_exits == 0 {
             Vec::new()
         } else {
-            p.threshold_grid
+            THRESHOLD_GRID
                 .iter()
                 .zip(&grid_pows)
                 .map(|(&t, &thr_pow)| Front::new(p, &depth, t, thr_pow))
@@ -193,7 +176,11 @@ impl ExitFronts {
         self.depth[i]
     }
 
-    /// The solution of `p` with its rest time replaced by `rest_time_s`.
+    /// The solution of `p` at `rest_time_s`: the empty selection when no
+    /// exit helps or none is feasible *and* the empty selection itself
+    /// clears the floor; if even `acc_full` is below the floor, the empty
+    /// selection anyway — callers treat that plan as infeasible
+    /// downstream.
     pub(crate) fn close(&self, p: &ExitSettingProblem, rest_time_s: f64) -> ExitSettingSolution {
         let tail = p.full_prefix_time_s + rest_time_s;
         // (cost, acc, (front, state)); `None` is the empty selection.
@@ -273,7 +260,7 @@ impl ExitFronts {
             for i in 0..thresholds.len() {
                 let mut current = thresholds[i];
                 let mut current_pow = thr_pows[i];
-                for (g, &t) in p.threshold_grid.iter().enumerate() {
+                for (g, &t) in THRESHOLD_GRID.iter().enumerate() {
                     if t == current {
                         continue;
                     }
@@ -377,22 +364,22 @@ impl Front {
 /// Exhaustive reference solver (small instances only; used by tests to
 /// certify the DP).
 #[cfg(test)]
-fn solve_exhaustive(p: &ExitSettingProblem) -> ExitSettingSolution {
+fn solve_exhaustive(p: &ExitSettingProblem, rest_time_s: f64) -> ExitSettingSolution {
     let m = p.hosts.len();
     assert!(m <= 16, "exhaustive solver is for small instances");
     let mut best = ExitSettingSolution {
         selected: Vec::new(),
         threshold: 1.0,
-        expected_latency_s: p.full_prefix_time_s + p.rest_time_s,
+        expected_latency_s: p.full_prefix_time_s + rest_time_s,
         expected_accuracy: p.acc_full,
     };
-    for &t in &p.threshold_grid {
+    for &t in &THRESHOLD_GRID {
         for mask in 1u32..(1 << m) {
             if mask.count_ones() as usize > p.max_exits {
                 continue;
             }
             let sel: Vec<usize> = (0..m).filter(|&i| mask & (1 << i) != 0).collect();
-            let (cost, acc) = evaluate_selection(p, &sel, t);
+            let (cost, acc) = evaluate_selection(p, rest_time_s, &sel, t);
             if acc + 1e-12 >= p.accuracy_floor && cost < best.expected_latency_s {
                 best = ExitSettingSolution {
                     selected: sel,
@@ -412,6 +399,7 @@ fn solve_exhaustive(p: &ExitSettingProblem) -> ExitSettingSolution {
 #[cfg(test)]
 fn evaluate_selection_multi(
     p: &ExitSettingProblem,
+    rest_time_s: f64,
     sel: &[usize],
     thresholds: &[f64],
 ) -> (f64, f64) {
@@ -425,7 +413,7 @@ fn evaluate_selection_multi(
         .iter()
         .map(|&t| p.difficulty.threshold_pow(t))
         .collect();
-    evaluate_selection_cached(p, p.rest_time_s, sel, &depth, thresholds, &thr_pows)
+    evaluate_selection_cached(p, rest_time_s, sel, &depth, thresholds, &thr_pows)
 }
 
 /// Expected (latency, accuracy) of a selection with per-exit thresholds
@@ -464,21 +452,31 @@ fn evaluate_selection_cached(
     (cost, acc)
 }
 
-/// [`ExitFronts::refine`] of `sol` on `p` as posed: per-exit thresholds
-/// and the refined (latency, accuracy).
+/// [`ExitFronts::refine`] of `sol` on `p` at `rest_time_s`: per-exit
+/// thresholds and the refined (latency, accuracy).
 #[cfg(test)]
-fn refine_thresholds(p: &ExitSettingProblem, sol: &ExitSettingSolution) -> (Vec<f64>, f64, f64) {
-    let thresholds = ExitFronts::new(p).refine(p, p.rest_time_s, sol).thresholds;
+fn refine_thresholds(
+    p: &ExitSettingProblem,
+    rest_time_s: f64,
+    sol: &ExitSettingSolution,
+) -> (Vec<f64>, f64, f64) {
+    let thresholds = ExitFronts::new(p).refine(p, rest_time_s, sol).thresholds;
     if sol.selected.is_empty() {
         return (thresholds, sol.expected_latency_s, sol.expected_accuracy);
     }
-    let (cost, acc) = evaluate_selection_multi(p, &sol.selected, &thresholds);
+    let (cost, acc) = evaluate_selection_multi(p, rest_time_s, &sol.selected, &thresholds);
     (thresholds, cost, acc)
 }
 
-/// Expected (latency, accuracy) of an explicit selection at threshold `t`.
+/// Expected (latency, accuracy) of an explicit selection at threshold `t`
+/// and `rest_time_s`.
 #[cfg(test)]
-fn evaluate_selection(p: &ExitSettingProblem, sel: &[usize], t: f64) -> (f64, f64) {
+fn evaluate_selection(
+    p: &ExitSettingProblem,
+    rest_time_s: f64,
+    sel: &[usize],
+    t: f64,
+) -> (f64, f64) {
     // One `t^ρ` for the whole selection (depth-invariant).
     let thr_pow = p.difficulty.threshold_pow(t);
     let mut cost = 0.0;
@@ -495,7 +493,7 @@ fn evaluate_selection(p: &ExitSettingProblem, sel: &[usize], t: f64) -> (f64, f6
         cov_prev = c;
     }
     let remain = 1.0 - cov_prev;
-    cost += remain * (p.full_prefix_time_s + p.rest_time_s);
+    cost += remain * (p.full_prefix_time_s + rest_time_s);
     acc += remain * p.acc_full;
     (cost, acc)
 }
@@ -504,7 +502,7 @@ fn evaluate_selection(p: &ExitSettingProblem, sel: &[usize], t: f64) -> (f64, f6
 mod tests {
     use super::*;
 
-    fn problem(rest: f64, floor: f64) -> ExitSettingProblem {
+    fn problem(floor: f64) -> ExitSettingProblem {
         // Five hosts spread over a 100 ms prefix; heads cost 1 ms.
         let hosts = (1..=5)
             .map(|i| ExitCandidate {
@@ -517,21 +515,24 @@ mod tests {
         ExitSettingProblem {
             hosts,
             full_prefix_time_s: 0.100,
-            rest_time_s: rest,
             max_exits: 3,
             accuracy_floor: floor,
             acc_full: 0.76,
             difficulty: DifficultyModel::default(),
-            threshold_grid: ExitSettingProblem::default_grid(),
         }
+    }
+
+    /// Solve `p` at `rest` seconds after the prefix.
+    fn solve(p: &ExitSettingProblem, rest: f64) -> ExitSettingSolution {
+        ExitFronts::new(p).close(p, rest)
     }
 
     #[test]
     fn exits_help_when_rest_is_expensive() {
-        let p = problem(0.5, 0.70);
-        let s = solve(&p);
+        let (p, rest) = (problem(0.70), 0.5);
+        let s = solve(&p, rest);
         assert!(!s.selected.is_empty());
-        assert!(s.expected_latency_s < p.full_prefix_time_s + p.rest_time_s);
+        assert!(s.expected_latency_s < p.full_prefix_time_s + rest);
         assert!(s.expected_accuracy >= 0.70);
     }
 
@@ -540,12 +541,12 @@ mod tests {
         // Nothing after the prefix (device-only, rest = 0) and heads cost
         // time: the best selection may still exit early to skip prefix
         // remainder... make prefix cheap too so exits can't win.
-        let mut p = problem(0.0, 0.0);
+        let mut p = problem(0.0);
         for h in &mut p.hosts {
             h.time_to_host_s = 0.0999; // exits barely before the end
             h.head_time_s = 0.01; // expensive heads
         }
-        let s = solve(&p);
+        let s = solve(&p, 0.0);
         assert!(s.selected.is_empty(), "selected {:?}", s.selected);
     }
 
@@ -553,9 +554,9 @@ mod tests {
     fn dp_matches_exhaustive() {
         for rest in [0.0, 0.05, 0.2, 1.0] {
             for floor in [0.0, 0.72, 0.75] {
-                let p = problem(rest, floor);
-                let dp = solve(&p);
-                let ex = solve_exhaustive(&p);
+                let p = problem(floor);
+                let dp = solve(&p, rest);
+                let ex = solve_exhaustive(&p, rest);
                 assert!(
                     (dp.expected_latency_s - ex.expected_latency_s).abs() < 1e-9,
                     "rest={rest} floor={floor}: dp {} vs exhaustive {} (dp sel {:?}, ex sel {:?})",
@@ -570,31 +571,30 @@ mod tests {
 
     #[test]
     fn accuracy_floor_binds() {
-        let loose = solve(&problem(0.5, 0.0));
-        let tight = solve(&problem(0.5, 0.759));
+        let loose = solve(&problem(0.0), 0.5);
+        let tight = solve(&problem(0.759), 0.5);
         assert!(tight.expected_accuracy >= 0.759 - 1e-9);
         assert!(tight.expected_latency_s >= loose.expected_latency_s - 1e-12);
     }
 
     #[test]
     fn impossible_floor_returns_empty_selection() {
-        let p = problem(0.5, 0.99);
-        let s = solve(&p);
+        let s = solve(&problem(0.99), 0.5);
         assert!(s.selected.is_empty());
         assert_eq!(s.expected_accuracy, 0.76);
     }
 
     #[test]
     fn max_exits_zero_means_no_exits() {
-        let mut p = problem(0.5, 0.0);
+        let mut p = problem(0.0);
         p.max_exits = 0;
-        assert!(solve(&p).selected.is_empty());
+        assert!(solve(&p, 0.5).selected.is_empty());
     }
 
     #[test]
     fn selection_is_sorted_and_within_bounds() {
-        let p = problem(0.3, 0.72);
-        let s = solve(&p);
+        let p = problem(0.72);
+        let s = solve(&p, 0.3);
         assert!(s.selected.windows(2).all(|w| w[0] < w[1]));
         assert!(s.selected.len() <= p.max_exits);
         assert!(s.selected.iter().all(|&i| i < p.hosts.len()));
@@ -602,10 +602,10 @@ mod tests {
 
     #[test]
     fn evaluate_selection_consistent_with_solution() {
-        let p = problem(0.4, 0.70);
-        let s = solve(&p);
+        let p = problem(0.70);
+        let s = solve(&p, 0.4);
         if !s.selected.is_empty() {
-            let (cost, acc) = evaluate_selection(&p, &s.selected, s.threshold);
+            let (cost, acc) = evaluate_selection(&p, 0.4, &s.selected, s.threshold);
             assert!((cost - s.expected_latency_s).abs() < 1e-9);
             assert!((acc - s.expected_accuracy).abs() < 1e-9);
         }
@@ -615,9 +615,9 @@ mod tests {
     fn refinement_never_hurts_and_respects_floor() {
         for rest in [0.05, 0.2, 0.8] {
             for floor in [0.0, 0.73, 0.755] {
-                let p = problem(rest, floor);
-                let sol = solve(&p);
-                let (thresholds, cost, acc) = refine_thresholds(&p, &sol);
+                let p = problem(floor);
+                let sol = solve(&p, rest);
+                let (thresholds, cost, acc) = refine_thresholds(&p, rest, &sol);
                 assert_eq!(thresholds.len(), sol.selected.len());
                 assert!(
                     cost <= sol.expected_latency_s + 1e-12,
@@ -636,11 +636,11 @@ mod tests {
         // Heads of very different costs at very different depths benefit
         // from per-exit thresholds: the cheap early exit can afford a loose
         // threshold while the deep one stays tight.
-        let mut p = problem(0.6, 0.73);
+        let mut p = problem(0.73);
         p.hosts[0].head_time_s = 0.0001;
         p.hosts[4].head_time_s = 0.004;
-        let sol = solve(&p);
-        let (thresholds, cost, _) = refine_thresholds(&p, &sol);
+        let sol = solve(&p, 0.6);
+        let (thresholds, cost, _) = refine_thresholds(&p, 0.6, &sol);
         if sol.selected.len() >= 2 {
             // Either a strict improvement or already optimal with uniform
             // thresholds; both acceptable, but the refined cost must never
@@ -655,12 +655,12 @@ mod tests {
 
     #[test]
     fn multi_threshold_evaluation_matches_uniform_case() {
-        let p = problem(0.4, 0.0);
-        let sol = solve(&p);
+        let p = problem(0.0);
+        let sol = solve(&p, 0.4);
         if !sol.selected.is_empty() {
             let uniform = vec![sol.threshold; sol.selected.len()];
-            let (c1, a1) = evaluate_selection(&p, &sol.selected, sol.threshold);
-            let (c2, a2) = evaluate_selection_multi(&p, &sol.selected, &uniform);
+            let (c1, a1) = evaluate_selection(&p, 0.4, &sol.selected, sol.threshold);
+            let (c2, a2) = evaluate_selection_multi(&p, 0.4, &sol.selected, &uniform);
             assert!((c1 - c2).abs() < 1e-12);
             assert!((a1 - a2).abs() < 1e-12);
         }
@@ -670,7 +670,8 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        fn random_problem() -> impl Strategy<Value = ExitSettingProblem> {
+        /// A random instance and rest time.
+        fn random_problem() -> impl Strategy<Value = (ExitSettingProblem, f64)> {
             (
                 prop::collection::vec((0.01f64..0.95, 0.0001f64..0.05, 0.0001f64..0.005), 1..8),
                 0.0f64..1.0,  // rest time
@@ -692,16 +693,15 @@ mod tests {
                         })
                         .collect();
                     let full = hosts.last().map(|h| h.time_to_host_s).unwrap_or(0.0) + 0.05;
-                    ExitSettingProblem {
+                    let p = ExitSettingProblem {
                         hosts,
                         full_prefix_time_s: full,
-                        rest_time_s: rest,
                         max_exits,
                         accuracy_floor: floor,
                         acc_full: 0.76,
                         difficulty: DifficultyModel::default(),
-                        threshold_grid: vec![0.5, 0.7, 0.9],
-                    }
+                    };
+                    (p, rest)
                 })
         }
 
@@ -710,9 +710,10 @@ mod tests {
 
             /// The DP is certified against brute force on random instances.
             #[test]
-            fn dp_equals_exhaustive_on_random_instances(p in random_problem()) {
-                let dp = solve(&p);
-                let ex = solve_exhaustive(&p);
+            fn dp_equals_exhaustive_on_random_instances(inst in random_problem()) {
+                let (p, rest) = inst;
+                let dp = solve(&p, rest);
+                let ex = solve_exhaustive(&p, rest);
                 prop_assert!(
                     (dp.expected_latency_s - ex.expected_latency_s).abs() < 1e-9,
                     "dp {} vs exhaustive {} (sel {:?} vs {:?})",
@@ -725,14 +726,14 @@ mod tests {
             /// and closed at several rest times match brute force at each.
             #[test]
             fn fronts_closed_at_any_rest_equal_exhaustive(
-                p in random_problem(),
+                inst in random_problem(),
                 rests in prop::collection::vec(0.0f64..2.0, 1..6),
             ) {
+                let (p, _) = inst;
                 let fronts = ExitFronts::new(&p);
                 for &rest in &rests {
                     let closed = fronts.close(&p, rest);
-                    let at_rest = ExitSettingProblem { rest_time_s: rest, ..p.clone() };
-                    let ex = solve_exhaustive(&at_rest);
+                    let ex = solve_exhaustive(&p, rest);
                     prop_assert!(
                         (closed.expected_latency_s - ex.expected_latency_s).abs() < 1e-9,
                         "rest {rest}: closed {} vs exhaustive {} (sel {:?} vs {:?})",
@@ -748,17 +749,18 @@ mod tests {
             /// Solutions are always internally consistent and feasible
             /// whenever a feasible point exists.
             #[test]
-            fn solutions_are_consistent(p in random_problem()) {
-                let sol = solve(&p);
+            fn solutions_are_consistent(inst in random_problem()) {
+                let (p, rest) = inst;
+                let sol = solve(&p, rest);
                 prop_assert!(sol.selected.len() <= p.max_exits);
                 prop_assert!(sol.selected.windows(2).all(|w| w[0] < w[1]));
                 if !sol.selected.is_empty() {
-                    let (cost, acc) = evaluate_selection(&p, &sol.selected, sol.threshold);
+                    let (cost, acc) = evaluate_selection(&p, rest, &sol.selected, sol.threshold);
                     prop_assert!((cost - sol.expected_latency_s).abs() < 1e-9);
                     prop_assert!((acc - sol.expected_accuracy).abs() < 1e-9);
                 }
                 // Refinement never worsens and keeps feasibility.
-                let (_, cost, acc) = refine_thresholds(&p, &sol);
+                let (_, cost, acc) = refine_thresholds(&p, rest, &sol);
                 prop_assert!(cost <= sol.expected_latency_s + 1e-9);
                 if sol.expected_accuracy + 1e-12 >= p.accuracy_floor {
                     prop_assert!(acc + 1e-9 >= p.accuracy_floor);
@@ -769,12 +771,12 @@ mod tests {
 
     #[test]
     fn more_allowed_exits_never_hurts() {
-        let mut p1 = problem(0.5, 0.70);
+        let mut p1 = problem(0.70);
         p1.max_exits = 1;
-        let mut p3 = problem(0.5, 0.70);
+        let mut p3 = problem(0.70);
         p3.max_exits = 3;
-        let s1 = solve(&p1);
-        let s3 = solve(&p3);
+        let s1 = solve(&p1, 0.5);
+        let s3 = solve(&p3, 0.5);
         assert!(s3.expected_latency_s <= s1.expected_latency_s + 1e-12);
     }
 }

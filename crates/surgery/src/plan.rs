@@ -1,7 +1,7 @@
 //! The surgery plan: one stream's restructuring of its backbone.
 
 use crate::pruning::PruneLevel;
-use scalpel_models::{ExitErrorKind, ModelError, ModelGraph, MultiExitModel, NodeId};
+use scalpel_models::{ExitErrorKind, ModelError, ModelGraph, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// A complete model-surgery decision for one stream.
@@ -79,13 +79,6 @@ impl SurgeryPlan {
         Ok(())
     }
 
-    /// Instantiate the multi-exit model this plan describes.
-    pub fn instantiate(&self, model: &ModelGraph) -> Result<MultiExitModel, ModelError> {
-        self.validate(model)?;
-        let classes = model.output_shape().c;
-        MultiExitModel::new(model.clone(), &self.exits, classes)
-    }
-
     /// Bytes crossing the cut (0 for device-only).
     pub fn tx_bytes(&self, model: &ModelGraph) -> usize {
         model.crossing_bytes(self.cut)
@@ -131,20 +124,6 @@ mod tests {
         // boundary 6 lands inside the first basic block (two live tensors).
         let bad = SurgeryPlan::partition(6);
         assert!(bad.validate(&g).is_err());
-    }
-
-    #[test]
-    fn instantiate_builds_multi_exit_model() {
-        let g = zoo::alexnet(1000);
-        let plan = SurgeryPlan {
-            cut: 16,
-            exits: vec![(3, 0.8), (7, 0.85)],
-            prune: PruneLevel::Light,
-            quantize_tx: false,
-        };
-        let me = plan.instantiate(&g).unwrap();
-        assert_eq!(me.num_exits(), 2);
-        assert_eq!(me.device_side_exits(plan.cut).len(), 2);
     }
 
     #[test]

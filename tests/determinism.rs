@@ -63,7 +63,7 @@ fn whole_pipeline_is_deterministic() {
 /// classes active at a rate that disrupts most of the run).
 fn faulted_scenario(fault_seed: u64) -> ScenarioConfig {
     let mut cfg = scenario();
-    cfg.apply_fault_profile(&FaultProfile {
+    cfg.sim.faults = cfg.fault_plan(&FaultProfile {
         seed: fault_seed,
         rate_hz: 0.8,
         mean_outage_s: 1.5,
@@ -146,23 +146,20 @@ fn fault_seed_isolation() {
 fn optimizer_seed_changes_gibbs_exploration_only_deterministically() {
     let problem = scenario().build();
     let ev = Evaluator::new(&problem, None);
-    let solve_seeded = |seed: u64| {
+    let solve_gibbs = || {
         solve_with(
             &ev,
             Method::Joint,
             &OptimizerConfig {
                 rounds: 1,
                 gibbs_iters: 50,
-                seed,
                 ..Default::default()
             },
         )
         .result
         .objective
     };
-    let a1 = solve_seeded(1);
-    let a2 = solve_seeded(1);
-    assert_eq!(a1, a2);
+    assert_eq!(solve_gibbs(), solve_gibbs());
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Property tests for diversity-bounded placement: whenever the
-//! concentration caps are *feasible* (enough aggregate server/domain
-//! capacity for the whole fleet), every solver engine — full evaluation,
+//! concentration cap is *feasible* (enough aggregate domain capacity for
+//! the whole fleet), every solver engine — full evaluation,
 //! incremental evaluation, and the sharded pipeline — must return an
 //! assignment with **zero** cap excess. The caps are a hard invariant of
 //! the returned plan, not a soft penalty that better objectives may buy
@@ -13,25 +13,23 @@ use scalpel::core::evaluator::Evaluator;
 use scalpel::core::optimizer::{self, Budget, EvalMode, OptimizerConfig};
 use scalpel::core::shard::{self, ShardConfig};
 
-/// A randomized small fleet with servers split across two failure
-/// domains (alternating), plus randomized server/domain cap fractions.
+/// A randomized small fleet with servers dealt round robin into a
+/// randomized number of failure domains.
 #[derive(Debug, Clone)]
 struct CapCase {
     num_aps: usize,
     devices_per_ap: usize,
     seed: u64,
-    server_frac: f64,
-    domain_frac: f64,
+    domains: usize,
 }
 
 fn cap_case_strategy() -> impl Strategy<Value = CapCase> {
-    (1usize..3, 2usize..5, 1u64..500, 0.25f64..1.0, 0.3f64..1.0).prop_map(
-        |(num_aps, devices_per_ap, seed, server_frac, domain_frac)| CapCase {
+    (1usize..3, 2usize..5, 1u64..500, 2usize..5).prop_map(
+        |(num_aps, devices_per_ap, seed, domains)| CapCase {
             num_aps,
             devices_per_ap,
             seed,
-            server_frac,
-            domain_frac,
+            domains,
         },
     )
 }
@@ -47,31 +45,25 @@ impl CapCase {
         }
     }
 
-    /// Caps over a two-domain alternating split of the servers.
+    /// The round-robin domain map of the servers.
     fn diversity(&self, num_servers: usize) -> DiversityConfig {
         DiversityConfig {
-            max_server_frac: self.server_frac,
-            max_domain_frac: self.domain_frac,
-            server_domain: (0..num_servers).map(|s| s % 2).collect(),
+            server_domain: (0..num_servers).map(|s| s % self.domains).collect(),
         }
     }
 }
 
-/// Whether the caps admit a zero-excess assignment even if *every*
-/// stream offloads: each domain contributes at most
-/// `min(domain_cap, servers_in_domain × server_cap)` slots, and the
-/// total must cover the fleet. Infeasible draws are skipped — with not
-/// enough slots to go around, residual excess is priced, not forbidden.
+/// Whether the cap admits a zero-excess assignment even if *every*
+/// stream offloads: each domain holding a server contributes
+/// `domain_cap` slots, and the total must cover the fleet. Infeasible
+/// draws are skipped — with not enough slots to go around, residual
+/// excess is priced, not forbidden.
 fn feasible(div: &DiversityConfig, n_streams: usize, num_servers: usize) -> bool {
-    let caps = div.caps(n_streams);
-    let num_domains = div.num_domains().max(1);
-    let mut capacity = 0usize;
-    for d in 0..num_domains {
-        let servers_in = (0..num_servers).filter(|&s| div.domain_of(s) == d).count();
-        let by_servers = servers_in.saturating_mul(caps.server);
-        capacity = capacity.saturating_add(by_servers.min(caps.domain));
-    }
-    capacity >= n_streams
+    let cap = diversity::domain_cap(n_streams);
+    let occupied = (0..div.num_domains())
+        .filter(|&d| (0..num_servers).any(|s| div.domain_of(s) == d))
+        .count();
+    occupied * cap >= n_streams
 }
 
 fn check_zero_excess(case: &CapCase, run: impl Fn(&Evaluator, &DiversityConfig) -> usize) {
@@ -102,8 +94,8 @@ fn solve_excess(ev: &Evaluator, div: &DiversityConfig, mode: EvalMode) -> usize 
 }
 
 /// Solves are costly relative to the chaos generators, so the case count
-/// stays modest; the draws still cover both cap axes and both parities
-/// of fleet-vs-cap rounding.
+/// stays modest; the draws still cover two to four domains and both
+/// parities of fleet-vs-cap rounding.
 const CASES: u32 = if cfg!(debug_assertions) { 16 } else { 64 };
 
 proptest! {
@@ -149,7 +141,7 @@ proptest! {
                 ..ShardConfig::default()
             };
             let outcome = shard::solve_sharded_with(&problem, &ev, &cfg, Budget::UNLIMITED, None)
-                .expect("two-domain alternating map over all servers is valid");
+                .expect("a round-robin map over all servers is valid");
             let excess =
                 diversity::assignment_excess(&ev, &outcome.outcome.solution.assignment, &div);
             prop_assert_eq!(excess, 0, "sharded solve violated feasible caps on {:?}", case);

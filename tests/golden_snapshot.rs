@@ -31,7 +31,7 @@ fn golden_report() -> SimReport {
         },
         ..ScenarioConfig::default()
     };
-    cfg.apply_fault_profile(&FaultProfile {
+    cfg.sim.faults = cfg.fault_plan(&FaultProfile {
         seed: 5,
         rate_hz: 1.2,
         mean_outage_s: 1.5,
@@ -96,14 +96,14 @@ fn golden_recovered_report() -> SimReport {
         },
         ..ScenarioConfig::default()
     };
-    cfg.apply_fault_profile(&FaultProfile {
+    cfg.sim.faults = cfg.fault_plan(&FaultProfile {
         seed: 5,
         rate_hz: 1.2,
         mean_outage_s: 1.5,
         start_s: 1.0,
         classes: Vec::new(),
     });
-    cfg.apply_recovery(RecoveryConfig::full());
+    cfg.sim.recovery = RecoveryConfig::full();
     let problem = cfg.build();
     let ev = Evaluator::new(&problem, None);
     let sol = solve_with(
@@ -195,7 +195,6 @@ fn golden_correlated_report() -> SimReport {
         },
     );
     let opts = CompileOptions {
-        ranked_fallbacks: true,
         server_domain: Some(server_domain),
     };
     let sim = SimConfig {

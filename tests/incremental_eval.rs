@@ -176,15 +176,12 @@ proptest! {
     fn search_traces_identical_across_backends(s in scen_strategy(), capped in any::<bool>()) {
         let (ev, policies) = build(&s);
         let diversity = capped.then(|| DiversityConfig {
-            max_server_frac: 0.3,
-            max_domain_frac: 0.6,
             server_domain: (0..ev.num_servers()).map(|srv| srv % 2).collect(),
         });
         let base = OptimizerConfig {
             rounds: 2,
             gibbs_iters: 25,
             policies,
-            seed: s.seed,
             diversity,
             ..Default::default()
         };

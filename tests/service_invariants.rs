@@ -307,7 +307,7 @@ fn crash_restore_replay_is_bit_identical_and_pinned() {
         ],
         "checkpoint key set changed — that is a format break"
     );
-    let status = report.final_status().expect("non-empty drive").clone();
+    let status = report.statuses.last().expect("non-empty drive").clone();
     let summary = (
         status.tick,
         status.total_replans,
@@ -419,7 +419,7 @@ fn rejected_batch_survives_crash_and_restore() {
     let report = uninterrupted
         .drive_trace(&trace, horizon_s)
         .expect("fresh cursor");
-    let status = report.final_status().expect("non-empty drive");
+    let status = report.statuses.last().expect("non-empty drive");
     assert_eq!(
         status.rejected_batches, 1,
         "the poisoned batch was not rejected"
