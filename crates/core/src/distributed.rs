@@ -107,9 +107,9 @@ pub fn solve_distributed(ev: &Evaluator) -> DistributedOutcome {
 }
 
 /// Knobs of the cross-shard reconciliation pass (the budgeted, incremental
-/// cousin of [`solve_distributed`] used by `core::shard`). A move is
-/// accepted under the same relative improvement tolerance as
-/// [`solve_distributed`] (1e-6).
+/// cousin of [`solve_distributed`]; no solve runs it, `e2ebench` replays
+/// it over a partitioned fleet). A move is accepted under the same
+/// relative improvement tolerance as [`solve_distributed`] (1e-6).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReconcileConfig {
     /// Maximum best-response rounds (each round: every stream once).

@@ -65,21 +65,6 @@ impl DiversityConfig {
             .max()
             .map_or(0, |&d| d + 1)
     }
-
-    /// Restrict to a shard's server subset: entry `i` of the result maps
-    /// the shard's `i`-th server (global index `servers[i]`) to its
-    /// global domain id, so per-shard solves price the same domains.
-    /// The fractional cap carries over unchanged — each shard bounding its
-    /// own fraction composes conservatively (`Σ⌊f·nᵢ⌋ ≤ ⌊f·Σnᵢ⌋`).
-    pub fn for_servers(&self, servers: &[usize]) -> DiversityConfig {
-        DiversityConfig {
-            server_domain: if self.server_domain.is_empty() {
-                Vec::new()
-            } else {
-                servers.iter().map(|&s| self.domain_of(s)).collect()
-            },
-        }
-    }
 }
 
 /// Map servers to failure domains from a sim-side domain table: each
@@ -295,6 +280,5 @@ mod tests {
             server_domain: server_domain_from(&domains, 4),
         };
         assert_eq!(div.num_domains(), 2);
-        assert_eq!(div.for_servers(&[2, 3]).server_domain, vec![0, 1]);
     }
 }

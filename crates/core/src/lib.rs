@@ -19,9 +19,9 @@
 //!   SurgeryOnly / AllocOnly / Joint;
 //! * [`runner`] — executes solutions in the discrete-event simulator
 //!   (multi-seed, rayon-parallel);
-//! * [`shard`] — fleet-scale sharded solving: partition the topology into
-//!   AP/server shards, solve each in parallel, reconcile cross-shard
-//!   placements by best response, polish globally;
+//! * [`shard`] — fleet-scale replans: polish a warm start with budgeted
+//!   descent over the whole fleet (cold solves are `solve_with_budget`),
+//!   plus the AP/server partition rule;
 //! * [`service`] — the long-lived planning service: churn-driven
 //!   replanning behind a switching-hysteresis governor, with
 //!   checkpoint/restore and a degraded-mode ladder.
@@ -61,7 +61,5 @@ pub use service::{
     FleetState, GovernorConfig, GovernorDecision, PlanDelta, PlanningService, ServiceConfig,
     ServiceStatus, SwitchGovernor, TickOutcome,
 };
-pub use shard::{
-    partition, solve_sharded, Shard, ShardConfig, ShardPlan, ShardSolve, ShardedOutcome,
-};
+pub use shard::{partition, Shard, ShardConfig, ShardPlan, ShardedOutcome};
 pub use validate::{validate_diversity, ProblemError};

@@ -239,12 +239,11 @@ impl OnlineController {
     /// Warm-started *sharded* replan, not adopted: the fleet-scale
     /// counterpart of [`propose_with_budget`](Self::propose_with_budget).
     /// The previous assignment is remapped onto the new evaluator and
-    /// handed to [`crate::shard::solve_sharded_with`], which partitions
-    /// the fleet but solves no shard: it polishes the warm point with
-    /// the sharded path's descent rounds under the whole budget. The
-    /// warm point itself joins the incumbent race, so the candidate is
-    /// never worse than the re-priced stale plan. Fails only if
-    /// `shard_cfg` is inconsistent with `new_problem`.
+    /// handed to [`crate::shard::solve_sharded_with`], which polishes
+    /// the warm point with the sharded path's descent rounds under the
+    /// whole budget. The warm point itself joins the incumbent race, so
+    /// the candidate is never worse than the re-priced stale plan. Fails
+    /// only if `shard_cfg` is inconsistent with `new_problem`.
     pub fn propose_sharded(
         &self,
         old_ev: &Evaluator,

@@ -106,14 +106,6 @@ impl Budget {
         max_evals: None,
     };
 
-    /// A wall-clock-only budget.
-    pub fn wall(limit: Duration) -> Self {
-        Budget {
-            wall_time: Some(limit),
-            max_evals: None,
-        }
-    }
-
     /// An evaluation-count-only budget.
     pub fn evals(limit: usize) -> Self {
         Budget {
@@ -479,7 +471,7 @@ pub fn placement_for(
 
 /// The cheap per-stream plan heuristic: the menu index with the lowest
 /// reference expected latency proxy for stream `k`.
-pub(crate) fn cheap_plan(ev: &Evaluator, k: usize) -> usize {
+fn cheap_plan(ev: &Evaluator, k: usize) -> usize {
     let menu = ev.menu(k);
     (0..menu.len())
         .min_by(|&a, &b| {
@@ -976,7 +968,11 @@ mod tests {
     fn zero_wall_budget_returns_initial_incumbent_immediately() {
         let ev = tiny_evaluator();
         let cfg = OptimizerConfig::default();
-        let outcome = solve_with_budget(&ev, &cfg, Budget::wall(Duration::ZERO));
+        let budget = Budget {
+            wall_time: Some(Duration::ZERO),
+            max_evals: None,
+        };
+        let outcome = solve_with_budget(&ev, &cfg, budget);
         assert!(!outcome.converged);
         assert!(outcome.solution.result.objective.is_finite());
         // At most the initial evaluation plus one guarded menu scan.

@@ -453,10 +453,11 @@ pub struct ServiceConfig {
     pub tick_s: f64,
     /// Bypass the governor entirely (the thrash baseline for f18).
     pub ungoverned: bool,
-    /// Solve via [`crate::shard::solve_sharded_with`] instead of global
-    /// descent — the fleet-scale path. The bootstrap solve is global
-    /// either way; replans are warm, so the sharded path partitions the
-    /// fleet and polishes the incumbent without solving shards.
+    /// Replan via [`crate::shard::solve_sharded_with`] instead of
+    /// [`OnlineController::propose_with_budget`] — the fleet-scale path.
+    /// The bootstrap solve is [`crate::optimizer::solve`] either way;
+    /// replans are warm, so the sharded path polishes the incumbent with
+    /// its own descent rounds and races it against the polish.
     pub shard: Option<ShardConfig>,
 }
 

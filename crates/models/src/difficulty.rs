@@ -50,7 +50,7 @@ impl DifficultyModel {
 
     /// Fraction of inputs an exit at depth `x` with threshold `t` would
     /// confidently classify (unconditionally).
-    pub fn coverage(&self, x: f64, t: f64) -> f64 {
+    fn coverage(&self, x: f64, t: f64) -> f64 {
         debug_assert!((0.0..=1.0).contains(&x));
         debug_assert!((0.0..=1.0).contains(&t));
         self.coverage_cached(self.depth_cache(x), self.threshold_pow(t))
@@ -74,7 +74,7 @@ impl DifficultyModel {
     /// Precompute the two depth transcendentals (`x^γ` and the exit
     /// accuracy's `(1−x)^η` term) for one exit depth. Threshold sweeps —
     /// the exit-setting DP grid, coordinate-ascent refinement — evaluate
-    /// [`Self::coverage`]/[`Self::conditional_accuracy`] many times at
+    /// coverage and [`Self::conditional_accuracy`] many times at
     /// the *same* depth, and this cache is what they hoist out of the
     /// loop (the same idiom as the simulator's per-link SNR cache).
     pub fn depth_cache(&self, x: f64) -> DepthCache {
@@ -90,8 +90,9 @@ impl DifficultyModel {
         t.powf(self.rho)
     }
 
-    /// [`Self::coverage`] from cached powers — bit-identical to the
-    /// uncached form (same expression tree, exactly-rounded ops).
+    /// The coverage of an exit (the fraction of inputs it confidently
+    /// classifies) from cached powers — bit-identical to the uncached
+    /// form (same expression tree, exactly-rounded ops).
     pub fn coverage_cached(&self, depth: DepthCache, thr_pow: f64) -> f64 {
         ((1.0 - thr_pow) * depth.depth_pow).clamp(0.0, 1.0)
     }

@@ -100,14 +100,6 @@ pub enum LayerKind {
 }
 
 impl LayerKind {
-    /// Number of inputs this layer requires: `None` means "two or more".
-    pub fn arity(&self) -> Option<usize> {
-        match self {
-            LayerKind::Add | LayerKind::Concat => None,
-            _ => Some(1),
-        }
-    }
-
     /// Compute the output shape from the input shapes.
     pub fn output_shape(
         &self,

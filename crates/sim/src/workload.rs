@@ -16,7 +16,8 @@ pub enum ArrivalProcess {
     Periodic {
         /// Nominal inter-frame period, seconds.
         period_s: f64,
-        /// Jitter as a fraction of the period (`0.0` = strictly periodic).
+        /// Jitter as a fraction of the period, in `[0, 1]` (`0.0` =
+        /// strictly periodic).
         jitter_frac: f64,
     },
     /// Two-state Markov-modulated Poisson process (bursty traffic).
@@ -60,9 +61,9 @@ impl ArrivalProcess {
                 if !period_s.is_finite() || *period_s <= 0.0 {
                     return Err(bad(format!("period must be positive, got {period_s}")));
                 }
-                if !jitter_frac.is_finite() || *jitter_frac < 0.0 {
+                if !(0.0..=1.0).contains(jitter_frac) {
                     return Err(bad(format!(
-                        "jitter fraction must be non-negative, got {jitter_frac}"
+                        "jitter fraction must lie in [0, 1], got {jitter_frac}"
                     )));
                 }
             }
@@ -103,10 +104,7 @@ impl ArrivalState {
             ArrivalProcess::Periodic {
                 period_s,
                 jitter_frac,
-            } => {
-                let j = jitter_frac.clamp(0.0, 1.0);
-                period_s * (1.0 + rng.uniform(-j, j))
-            }
+            } => period_s * (1.0 + rng.uniform(-jitter_frac, *jitter_frac)),
             ArrivalProcess::Mmpp2 {
                 rate_low,
                 rate_high,
@@ -220,6 +218,18 @@ mod tests {
         assert!(ArrivalProcess::Periodic {
             period_s: 0.1,
             jitter_frac: -0.5
+        }
+        .validate()
+        .is_err());
+        assert!(ArrivalProcess::Periodic {
+            period_s: 0.1,
+            jitter_frac: 1.0
+        }
+        .validate()
+        .is_ok());
+        assert!(ArrivalProcess::Periodic {
+            period_s: 0.1,
+            jitter_frac: 1.5
         }
         .validate()
         .is_err());

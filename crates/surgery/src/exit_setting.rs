@@ -16,15 +16,15 @@ use serde::{Deserialize, Serialize};
 
 /// One possible exit host.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExitCandidate {
+pub(crate) struct ExitCandidate {
     /// Backbone node id of the host.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Fraction of backbone FLOPs completed at the host.
-    pub depth_fraction: f64,
+    pub(crate) depth_fraction: f64,
     /// Device seconds to compute the backbone through the host.
-    pub time_to_host_s: f64,
+    pub(crate) time_to_host_s: f64,
     /// Device seconds to evaluate this host's head.
-    pub head_time_s: f64,
+    pub(crate) head_time_s: f64,
 }
 
 /// An exit-setting instance for one (stream, cut) pair, short of its
@@ -32,19 +32,19 @@ pub struct ExitCandidate {
 /// (transmission + edge compute + queueing estimate), which each solve
 /// takes as an argument.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExitSettingProblem {
+pub(crate) struct ExitSettingProblem {
     /// Candidate hosts in ascending depth order.
-    pub hosts: Vec<ExitCandidate>,
+    pub(crate) hosts: Vec<ExitCandidate>,
     /// Device seconds for the full prefix when no exit fires.
-    pub full_prefix_time_s: f64,
+    pub(crate) full_prefix_time_s: f64,
     /// Maximum number of exits surgery may attach.
-    pub max_exits: usize,
+    pub(crate) max_exits: usize,
     /// Minimum acceptable expected accuracy.
-    pub accuracy_floor: f64,
+    pub(crate) accuracy_floor: f64,
     /// Accuracy of the full path (after pruning, if any).
-    pub acc_full: f64,
+    pub(crate) acc_full: f64,
     /// Difficulty calibration.
-    pub difficulty: DifficultyModel,
+    pub(crate) difficulty: DifficultyModel,
 }
 
 /// The confidence thresholds the DP sweeps.
@@ -52,15 +52,15 @@ const THRESHOLD_GRID: [f64; 6] = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95];
 
 /// The chosen exits.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExitSettingSolution {
+pub(crate) struct ExitSettingSolution {
     /// Indices into `problem.hosts`, ascending. Empty = no exits.
-    pub selected: Vec<usize>,
+    pub(crate) selected: Vec<usize>,
     /// The common threshold.
-    pub threshold: f64,
+    pub(crate) threshold: f64,
     /// Expected end-to-end seconds under the plan.
-    pub expected_latency_s: f64,
+    pub(crate) expected_latency_s: f64,
     /// Expected accuracy under the plan.
-    pub expected_accuracy: f64,
+    pub(crate) expected_accuracy: f64,
 }
 
 #[derive(Debug, Clone)]

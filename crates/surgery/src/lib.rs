@@ -8,9 +8,9 @@
 //! * [`pruning`] — the pruning levels and their compute/accuracy trades;
 //! * [`partition`] — cut-point candidate selection (downsampling dense cut
 //!   lists to a manageable, well-spread set);
-//! * [`exit_setting`] — the exit-setting dynamic program (LEIME-style):
-//!   pick ≤E exit hosts and a threshold minimizing expected latency subject
-//!   to an accuracy floor;
+//! * `exit_setting` (crate-private, run by [`candidates`]) — the
+//!   exit-setting dynamic program (LEIME-style): pick ≤E exit hosts and a
+//!   threshold minimizing expected latency subject to an accuracy floor;
 //! * [`pareto`] — dominated-plan elimination;
 //! * [`degrade`] — runtime graceful-degradation ladders (forced exits,
 //!   local finish) implied by an offloaded plan;
@@ -23,7 +23,7 @@
 
 pub mod candidates;
 pub mod degrade;
-pub mod exit_setting;
+mod exit_setting;
 pub mod pareto;
 pub mod partition;
 pub mod plan;
@@ -31,7 +31,6 @@ pub mod pruning;
 
 pub use candidates::{CandidatePlan, PlanProfile, ReferenceEnv};
 pub use degrade::{ladder_for_plan, DegradeLadder, DegradeRung, FORCED_EXIT_ACC_COST};
-pub use exit_setting::{ExitCandidate, ExitSettingProblem, ExitSettingSolution};
 pub use pareto::pareto_filter;
 pub use plan::SurgeryPlan;
 pub use pruning::PruneLevel;

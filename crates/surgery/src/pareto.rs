@@ -37,7 +37,7 @@ pub fn pareto_filter<T, K: AsRef<[f64]>>(items: Vec<T>, key: impl Fn(&T) -> K) -
 }
 
 /// Whether `a` dominates `b`: `a ≤ b` everywhere and `a < b` somewhere.
-pub fn dominates(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn dominates(a: &[f64], b: &[f64]) -> bool {
     debug_assert_eq!(a.len(), b.len());
     let mut strict = false;
     for (x, y) in a.iter().zip(b) {

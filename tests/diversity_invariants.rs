@@ -1,7 +1,7 @@
 //! Property tests for diversity-bounded placement: whenever the
 //! concentration cap is *feasible* (enough aggregate domain capacity for
 //! the whole fleet), every solver engine — full evaluation,
-//! incremental evaluation, and the sharded pipeline — must return an
+//! incremental evaluation, and the sharded warm polish — must return an
 //! assignment with **zero** cap excess. The caps are a hard invariant of
 //! the returned plan, not a soft penalty that better objectives may buy
 //! their way out of.
@@ -114,9 +114,8 @@ proptest! {
         check_zero_excess(&case, |ev, div| solve_excess(ev, div, EvalMode::Incremental));
     }
 
-    /// The sharded pipeline — per-shard solves with restricted domain
-    /// maps, reconcile, polish, final repair — never violates feasible
-    /// caps either.
+    /// The sharded warm polish never violates feasible caps either, even
+    /// from an unrepaired start: its final repair restores them.
     #[test]
     fn sharded_solver_respects_feasible_caps(case in cap_case_strategy()) {
         let problem = case.scenario().build();
@@ -140,8 +139,10 @@ proptest! {
                 },
                 ..ShardConfig::default()
             };
-            let outcome = shard::solve_sharded_with(&problem, &ev, &cfg, Budget::UNLIMITED, None)
-                .expect("a round-robin map over all servers is valid");
+            let warm = optimizer::initial_assignment(&ev, cfg.opt.placement);
+            let outcome =
+                shard::solve_sharded_with(&problem, &ev, &cfg, Budget::UNLIMITED, Some(&warm))
+                    .expect("a round-robin map over all servers is valid");
             let excess =
                 diversity::assignment_excess(&ev, &outcome.outcome.solution.assignment, &div);
             prop_assert_eq!(excess, 0, "sharded solve violated feasible caps on {:?}", case);

@@ -82,10 +82,10 @@ proptest! {
         for p in &points {
             let kept = survivors.contains(p);
             if !kept {
-                let dominated = survivors.iter().any(|s| {
-                    pareto::dominates(&[s.0, s.1, s.2], &[p.0, p.1, p.2])
-                        || (s.0 == p.0 && s.1 == p.1 && s.2 == p.2)
-                });
+                // Dominated or equalled: no worse on every coordinate.
+                let dominated = survivors
+                    .iter()
+                    .any(|s| s.0 <= p.0 && s.1 <= p.1 && s.2 <= p.2);
                 prop_assert!(dominated, "removed point {p:?} not dominated");
             }
         }

@@ -5,11 +5,13 @@
 //! other program file names has no caller and should go (or lose its
 //! `pub`).
 //!
-//! Test code never counts as a caller: files under a `tests/` directory,
-//! `#[cfg(test)] mod` blocks and `pub use` re-exports are left out of the
-//! corpus. The few public functions that only the test suites call from
-//! outside their own file are named in [`TEST_ORACLES`], each with the
-//! reason it stays public.
+//! Only code counts as a caller. Comments (doc comments included) and
+//! string and char literals are blanked before words are collected, and
+//! test code is left out of the corpus: files under a `tests/`
+//! directory, `#[cfg(test)] mod` blocks and `pub use` re-exports. The few
+//! public functions that only the test suites call from outside their own
+//! file are named in [`TEST_ORACLES`], each with the reason it stays
+//! public.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs;
@@ -20,7 +22,7 @@ const CORPUS_ROOTS: [&str; 4] = ["crates", "src", "examples", "e2ebench/src"];
 
 /// Public functions no other program file calls, with the reason each
 /// stays public.
-const TEST_ORACLES: [(&str, &str); 9] = [
+const TEST_ORACLES: [(&str, &str); 10] = [
     (
         "run_reference",
         "the AoS simulator the SoA parity suites compare against",
@@ -44,6 +46,10 @@ const TEST_ORACLES: [(&str, &str); 9] = [
     (
         "next_time",
         "the event queue's peek the queue property tests order against",
+    ),
+    (
+        "delivered",
+        "the event queue's delivery count the queue property tests check episodes against",
     ),
     (
         "validate_fault_plan",
@@ -82,26 +88,93 @@ fn is_ident(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// Byte offset just past the brace that closes the one opening at `open`,
-/// skipping braces inside comments, strings and char literals.
-fn block_end(text: &str, open: usize) -> usize {
+/// `text` with its comments (doc comments included) and its string and
+/// char literals blanked to spaces, line breaks kept.
+fn code_only(text: &str) -> String {
     let bytes = text.as_bytes();
+    let mut out = bytes.to_vec();
+    let mut i = 0;
+    while i < bytes.len() {
+        let literal_end = match bytes[i] {
+            b'/' if bytes.get(i + 1) == Some(&b'/') => Some(
+                bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |n| i + n),
+            ),
+            b'/' if bytes.get(i + 1) == Some(&b'*') => Some(block_comment_end(bytes, i)),
+            b'"' => Some(string_end(bytes, i + 1)),
+            b'\'' => char_literal_end(text, i),
+            _ => None,
+        };
+        let Some(end) = literal_end else {
+            i += 1;
+            continue;
+        };
+        for c in &mut out[i..end] {
+            if *c != b'\n' {
+                *c = b' ';
+            }
+        }
+        i = end;
+    }
+    // Every blanked run starts and ends at an ASCII delimiter.
+    String::from_utf8(out).expect("blanking keeps UTF-8 intact")
+}
+
+/// Byte offset just past the `*/` that closes the (possibly nested)
+/// block comment opening at `open`.
+fn block_comment_end(bytes: &[u8], open: usize) -> usize {
     let mut depth = 0usize;
     let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
-            }
-            b'"' => {
+    while i + 1 < bytes.len() {
+        match &bytes[i..i + 2] {
+            b"/*" => depth += 1,
+            b"*/" => depth -= 1,
+            _ => {
                 i += 1;
-                while i < bytes.len() && bytes[i] != b'"' {
-                    i += if bytes[i] == b'\\' { 2 } else { 1 };
-                }
+                continue;
             }
-            b'\'' if bytes.get(i + 2) == Some(&b'\'') => i += 2,
+        }
+        i += 2;
+        if depth == 0 {
+            return i;
+        }
+    }
+    bytes.len()
+}
+
+/// Byte offset just past the unescaped `"` at or after `from`.
+fn string_end(bytes: &[u8], from: usize) -> usize {
+    let mut i = from;
+    while i < bytes.len() && bytes[i] != b'"' {
+        i += if bytes[i] == b'\\' { 2 } else { 1 };
+    }
+    (i + 1).min(bytes.len())
+}
+
+/// Byte offset just past the char literal opening at `open`, or `None`
+/// when the quote starts a lifetime or a label.
+fn char_literal_end(text: &str, open: usize) -> Option<usize> {
+    let rest = &text[open + 1..];
+    let mut chars = rest.char_indices();
+    let (_, first) = chars.next()?;
+    if first == '\\' {
+        // An escape (`'\n'`, `'\''`, `'\u{..}'`): skip the escaped char,
+        // then find the closing quote.
+        let (at, _) = chars.nth(1)?;
+        return rest[at..].find('\'').map(|q| open + 1 + at + q + 1);
+    }
+    let (at, next) = chars.next()?;
+    (next == '\'').then_some(open + 1 + at + 1)
+}
+
+/// Byte offset just past the brace that closes the one opening at `open`
+/// in code whose comments and literals are blanked.
+fn block_end(text: &str, open: usize) -> usize {
+    let mut depth = 0usize;
+    for (i, c) in text.bytes().enumerate().skip(open) {
+        match c {
             b'{' => depth += 1,
             b'}' => {
                 depth -= 1;
@@ -111,15 +184,16 @@ fn block_end(text: &str, open: usize) -> usize {
             }
             _ => {}
         }
-        i += 1;
     }
-    bytes.len()
+    text.len()
 }
 
-/// `text` without its `#[cfg(test)] mod` blocks and `pub use` items.
+/// The code of `text` without its `#[cfg(test)] mod` blocks and `pub
+/// use` items.
 fn program_text(text: &str) -> String {
+    let text = code_only(text);
     let mut out = String::with_capacity(text.len());
-    let mut rest = text;
+    let mut rest = text.as_str();
     while let Some(at) = rest.find("#[cfg(test)]") {
         out.push_str(&rest[..at]);
         let after = &rest[at + "#[cfg(test)]".len()..];

@@ -1,4 +1,4 @@
-//! Release-mode speed floors and fleet-scale solver checks.
+//! Release-mode speed floors.
 //!
 //! Each test runs only in an optimized build; a debug build marks them
 //! ignored. The floors are absolute throughputs, so each one must be
@@ -12,10 +12,6 @@
 //! the scalar kernel oracle beside every unrolled kernel call.
 //!
 //! * N = 512 incremental search reaches the pre-kernel evals/s baseline.
-//! * The N = 512 sharded solve really shards and trails the centralized
-//!   solve by at most 2% (tighter than the 5% bound `shard_parity` checks
-//!   on small random topologies).
-//! * A second N = 4096 sharded solve repeats the first bit for bit.
 //! * The clean 1k-request simulation of a 512-stream fleet reaches
 //!   6.0 M events/s.
 
@@ -23,8 +19,7 @@ use scalpel::core::baselines::{solve_with, Method};
 use scalpel::core::compiler;
 use scalpel::core::config::{ScenarioConfig, ServerMix};
 use scalpel::core::evaluator::Evaluator;
-use scalpel::core::optimizer::{self, Budget, EvalMode, OptimizerConfig, Solution};
-use scalpel::core::shard::{self, ShardConfig};
+use scalpel::core::optimizer::{self, EvalMode, OptimizerConfig};
 use scalpel::sim::{EdgeSim, SimConfig, SimScratch};
 use std::time::Instant;
 
@@ -32,9 +27,6 @@ use std::time::Instant;
 /// kernels landed about 4× above it, so only a real hot-path regression
 /// trips the floor.
 const N512_FLOOR_EVALS_PER_S: f64 = 69_443.2;
-
-/// Ceiling on the N = 512 sharded-vs-centralized objective gap, percent.
-const GAP_BOUND_PCT: f64 = 2.0;
 
 /// Clean 1k-request events/s before the columnar simulator rewrite.
 const SIM_FLOOR_EVENTS_PER_S: f64 = 6.0e6;
@@ -64,29 +56,6 @@ fn light_search() -> OptimizerConfig {
     }
 }
 
-/// Two solves walked bit-identical objective traces to bit-identical
-/// incumbents.
-fn assert_same_search(a: &Solution, b: &Solution, what: &str) {
-    assert_eq!(
-        a.trace.evaluations, b.trace.evaluations,
-        "{what}: evaluation counts diverged"
-    );
-    assert_eq!(
-        a.trace.objective.len(),
-        b.trace.objective.len(),
-        "{what}: trace lengths diverged"
-    );
-    for (i, (x, y)) in a.trace.objective.iter().zip(&b.trace.objective).enumerate() {
-        assert_eq!(x.to_bits(), y.to_bits(), "{what}: trace[{i}] {x} vs {y}");
-    }
-    assert_eq!(a.assignment, b.assignment, "{what}: assignments diverged");
-    assert_eq!(
-        a.result.objective.to_bits(),
-        b.result.objective.to_bits(),
-        "{what}: objectives diverged"
-    );
-}
-
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only")]
 fn n512_incremental_search_meets_evals_floor() {
@@ -108,65 +77,6 @@ fn n512_incremental_search_meets_evals_floor() {
         evals_per_s >= N512_FLOOR_EVALS_PER_S,
         "N=512 incremental search fell below the pre-kernel baseline: \
          {evals_per_s:.0} < {N512_FLOOR_EVALS_PER_S:.0} evals/s"
-    );
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "release-only")]
-fn n512_sharded_gap_to_centralized_within_2pct() {
-    let problem = fleet(512).build();
-    let ev = Evaluator::new(&problem, None);
-    let central = optimizer::solve(&ev, &light_search()).result.objective;
-    // A 128-stream cap forces bisection to split the fleet.
-    let cfg = ShardConfig {
-        max_streams: 128,
-        opt: light_search(),
-        ..ShardConfig::default()
-    };
-    let out = shard::solve_sharded(&problem, &cfg, Budget::UNLIMITED).expect("valid");
-    let sharded = out.outcome.solution.result.objective;
-    let gap_pct = (sharded - central) / central * 100.0;
-    println!(
-        "N=512 gap to centralized: {gap_pct:+.4}% over {} shards \
-         (central {central:.6}, sharded {sharded:.6}, bound {GAP_BOUND_PCT}%)",
-        out.plan.shards.len()
-    );
-    assert!(out.plan.shards.len() > 1, "the gap run must actually shard");
-    assert!(
-        gap_pct <= GAP_BOUND_PCT,
-        "N=512 sharded gap {gap_pct:.3}% exceeds {GAP_BOUND_PCT}%"
-    );
-}
-
-#[test]
-#[cfg_attr(debug_assertions, ignore = "release-only")]
-fn n4096_sharded_solve_repeats_bit_for_bit() {
-    let problem = fleet(4096).build();
-    let cfg = ShardConfig {
-        opt: OptimizerConfig {
-            gibbs_iters: 10,
-            ..light_search()
-        },
-        ..ShardConfig::default()
-    };
-    let t0 = Instant::now();
-    let first = shard::solve_sharded(&problem, &cfg, Budget::UNLIMITED).expect("valid");
-    println!(
-        "N=4096 sharded solve: {:.1} ms, {} shards, {} evals, objective {:.6}",
-        t0.elapsed().as_secs_f64() * 1e3,
-        first.plan.shards.len(),
-        first.outcome.spent.evaluations,
-        first.outcome.solution.result.objective
-    );
-    assert!(
-        first.outcome.solution.result.objective.is_finite(),
-        "N=4096 sharded objective is not finite"
-    );
-    let again = shard::solve_sharded(&problem, &cfg, Budget::UNLIMITED).expect("valid");
-    assert_same_search(
-        &first.outcome.solution,
-        &again.outcome.solution,
-        "N=4096 sharded re-solve",
     );
 }
 
