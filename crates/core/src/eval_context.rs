@@ -43,11 +43,9 @@ use crate::diversity::{self, DiversityConfig, NO_DOMAIN};
 use crate::evaluator::{
     AllocPolicies, Assignment, EvalResult, Evaluator, PlanPricing, RHO_CAP, TX_WATTS,
 };
-use rayon::prelude::*;
 use scalpel_alloc::bandwidth_alloc::{self, BandwidthCols};
 use scalpel_alloc::compute_alloc::{self, ComputeCols};
 use scalpel_alloc::AllocScratch;
-use std::cell::RefCell;
 
 /// A single-coordinate change to an [`Assignment`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,9 +107,9 @@ fn objective_terms(lat: f64, dl: f64) -> (f64, f64, bool) {
 }
 
 /// Reusable buffers for one delta trial, generation-stamped so nothing
-/// needs clearing between trials. [`EvalContext::evaluate_delta`] takes
-/// `&self`, so independent scratches allow concurrent candidate scoring
-/// over a shared read-only context.
+/// needs clearing between trials. The probes take it by `&mut`, so a
+/// caller can keep one across many trials; the menu scans reuse the
+/// context's own.
 #[derive(Debug, Default)]
 pub struct DeltaScratch {
     gen: u32,
@@ -219,28 +217,6 @@ impl DemandCols {
             deadline_s: &self.deadline,
         }
     }
-}
-
-thread_local! {
-    /// Per-thread pool of [`DeltaScratch`] buffers for the menu scans
-    /// ([`EvalContext::score_menu`] and the descent pick): each probe
-    /// recycles a warm scratch instead of paying eight n-sized zeroing
-    /// allocations. Recycling across contexts (and across problem sizes)
-    /// is safe because `DeltaScratch::begin` reallocates on size change
-    /// and generation-stamps every overlay.
-    static SCRATCH_POOL: RefCell<Vec<DeltaScratch>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Run `f` on a scratch recycled from this thread's pool: the overlays
-/// inside are generation-stamped, so a warm buffer prices exactly like a
-/// fresh one.
-fn with_pooled_scratch<R>(f: impl FnOnce(&mut DeltaScratch) -> R) -> R {
-    let mut s = SCRATCH_POOL
-        .with(|pool| pool.borrow_mut().pop())
-        .unwrap_or_default();
-    let r = f(&mut s);
-    SCRATCH_POOL.with(|pool| pool.borrow_mut().push(s));
-    r
 }
 
 /// A descent step replaces the running best plan only with one whose
@@ -479,11 +455,6 @@ impl<'a> EvalContext<'a> {
     /// The underlying evaluator.
     pub fn evaluator(&self) -> &'a Evaluator {
         self.ev
-    }
-
-    /// Allocation policies this context prices under.
-    pub fn policies(&self) -> AllocPolicies {
-        self.policies
     }
 
     /// Objective of the cached assignment.
@@ -1068,17 +1039,16 @@ impl<'a> EvalContext<'a> {
         self.offloaded[k]
     }
 
-    /// Score every plan in stream `k`'s menu against the current context.
-    /// The context is read-only here, so candidates score in parallel
-    /// under rayon, each on its own scratch from a per-thread pool; the
-    /// vendored rayon runs them on a real worker pool and keeps results
-    /// in menu order. Entry `i` is the pooled objective with `k` on plan
-    /// `i`, everyone else unchanged.
-    pub fn score_menu(&self, k: usize) -> Vec<f64> {
-        let idxs: Vec<usize> = (0..self.ev.menus[k].len()).collect();
-        idxs.par_iter()
-            .map(|&idx| with_pooled_scratch(|s| self.evaluate_delta(k, idx, s)))
-            .collect()
+    /// Score every plan in stream `k`'s menu against the current context,
+    /// in menu order on the context's own scratch. Entry `i` is the
+    /// pooled objective with `k` on plan `i`, everyone else unchanged.
+    pub fn score_menu(&mut self, k: usize) -> Vec<f64> {
+        let mut s = std::mem::take(&mut self.scratch);
+        let scores = (0..self.ev.menus[k].len())
+            .map(|idx| self.evaluate_delta(k, idx, &mut s))
+            .collect();
+        self.scratch = s;
+        scores
     }
 
     /// A lower bound on [`evaluate_delta`]`(k, idx)` without its O(n)
@@ -1122,47 +1092,44 @@ impl<'a> EvalContext<'a> {
     /// in order from the cached objective, each plan within the caps
     /// whose objective lies below the running best by more than
     /// [`DESCENT_TOL`] becomes the best; the current plan stands when
-    /// none does. This is that scan over [`score_menu`], but the exact
-    /// [`evaluate_delta`] runs only for plans whose [`objective_bound`]
-    /// passes the same test, since a plan whose bound fails it cannot
-    /// pass it either. The bounds fan out under rayon like `score_menu`.
-    /// Under `eval-xcheck` every plan is priced exactly and checked
-    /// against its bound.
+    /// none does. This is that scan over [`score_menu`], in one pass on
+    /// the context's own scratch, but the exact [`evaluate_delta`] runs
+    /// only for plans whose [`objective_bound`] passes the same test
+    /// against the running best, since a plan whose bound fails it
+    /// cannot pass it either. Under `eval-xcheck` every plan is priced
+    /// exactly and checked against its bound.
     ///
     /// [`score_menu`]: EvalContext::score_menu
     /// [`evaluate_delta`]: EvalContext::evaluate_delta
     /// [`objective_bound`]: EvalContext::objective_bound
-    pub(crate) fn descent_pick(&self, k: usize) -> usize {
+    pub(crate) fn descent_pick(&mut self, k: usize) -> usize {
+        let mut s = std::mem::take(&mut self.scratch);
         let cur = self.plan_idx[k];
-        let idxs: Vec<usize> = (0..self.ev.menus[k].len())
-            .filter(|&idx| idx != cur && self.plan_within_caps(k, idx))
-            .collect();
-        let bounds: Vec<f64> = idxs
-            .par_iter()
-            .map(|&idx| with_pooled_scratch(|s| self.objective_bound(k, idx, s)))
-            .collect();
-        with_pooled_scratch(|s| {
-            let mut best_idx = cur;
-            let mut best_obj = self.objective;
-            for (&idx, &bound) in idxs.iter().zip(&bounds) {
-                let may_improve = bound < best_obj - DESCENT_TOL;
-                if !may_improve && !cfg!(feature = "eval-xcheck") {
-                    continue;
-                }
-                let o = self.evaluate_delta(k, idx, s);
-                if cfg!(feature = "eval-xcheck") {
-                    assert!(
-                        o.is_nan() || o >= bound,
-                        "plan ({k},{idx}): bound {bound} exceeds exact {o}"
-                    );
-                }
-                if o < best_obj - DESCENT_TOL {
-                    best_obj = o;
-                    best_idx = idx;
-                }
+        let mut best_idx = cur;
+        let mut best_obj = self.objective;
+        for idx in 0..self.ev.menus[k].len() {
+            if idx == cur || !self.plan_within_caps(k, idx) {
+                continue;
             }
-            best_idx
-        })
+            let bound = self.objective_bound(k, idx, &mut s);
+            let may_improve = bound < best_obj - DESCENT_TOL;
+            if !may_improve && !cfg!(feature = "eval-xcheck") {
+                continue;
+            }
+            let o = self.evaluate_delta(k, idx, &mut s);
+            if cfg!(feature = "eval-xcheck") {
+                assert!(
+                    o.is_nan() || o >= bound,
+                    "plan ({k},{idx}): bound {bound} exceeds exact {o}"
+                );
+            }
+            if o < best_obj - DESCENT_TOL {
+                best_obj = o;
+                best_idx = idx;
+            }
+        }
+        self.scratch = s;
+        best_idx
     }
 
     /// Apply a priced move: flip the coordinate, splice the recomputed
@@ -1482,7 +1449,7 @@ mod tests {
     fn score_menu_matches_individual_trials() {
         let cfg = small();
         let (ev, asg) = context(&cfg);
-        let ctx = EvalContext::new(&ev, asg, AllocPolicies::optimal());
+        let mut ctx = EvalContext::new(&ev, asg, AllocPolicies::optimal());
         let mut s = DeltaScratch::default();
         for k in 0..ev.num_streams() {
             let scores = ctx.score_menu(k);
@@ -1498,11 +1465,11 @@ mod tests {
 
     /// The descent scan over `score_menu`: what `descent_pick` must
     /// return.
-    fn scanned_pick(ctx: &EvalContext, k: usize) -> usize {
+    fn scanned_pick(ctx: &mut EvalContext, k: usize) -> usize {
         let cur = ctx.plan_of(k);
         let mut best_idx = cur;
         let mut best_obj = ctx.objective();
-        for (idx, &o) in ctx.score_menu(k).iter().enumerate() {
+        for (idx, o) in ctx.score_menu(k).into_iter().enumerate() {
             if idx != cur && ctx.plan_within_caps(k, idx) && o < best_obj - DESCENT_TOL {
                 best_obj = o;
                 best_idx = idx;
@@ -1536,7 +1503,7 @@ mod tests {
                 server_domain: (0..ev.num_servers()).map(|srv| srv % 2).collect(),
             };
             for div in [None, Some(tight)] {
-                let ctx =
+                let mut ctx =
                     EvalContext::with_diversity(&ev, asg.clone(), AllocPolicies::optimal(), div);
                 capped += ctx.div.as_ref().map_or(0, |d| d.excess);
                 let mut s = DeltaScratch::default();
@@ -1550,7 +1517,7 @@ mod tests {
                         let slack = 1e-12 * exact.abs().max(1.0);
                         assert!(exact - bound < slack, "({k},{idx}): {bound} vs {exact}");
                     }
-                    assert_eq!(ctx.descent_pick(k), scanned_pick(&ctx, k));
+                    assert_eq!(ctx.descent_pick(k), scanned_pick(&mut ctx, k));
                 }
             }
         }
@@ -1585,14 +1552,14 @@ mod tests {
             plan_idx,
             placement,
         };
-        let ctx = EvalContext::new(&ev, asg, AllocPolicies::optimal());
+        let mut ctx = EvalContext::new(&ev, asg, AllocPolicies::optimal());
         assert!(!ctx.objective().is_finite(), "{}", ctx.objective());
         let mut s = DeltaScratch::default();
         for k in 0..ev.num_streams() {
             for idx in 0..ev.menu(k).len() {
                 assert_eq!(ctx.objective_bound(k, idx, &mut s), f64::NEG_INFINITY);
             }
-            assert_eq!(ctx.descent_pick(k), scanned_pick(&ctx, k));
+            assert_eq!(ctx.descent_pick(k), scanned_pick(&mut ctx, k));
         }
     }
 

@@ -401,24 +401,9 @@ impl Evaluator {
         self.ap_members[self.ap_of[k]].len().max(1)
     }
 
-    /// Device hosting stream `k`.
-    pub fn device_of(&self, k: usize) -> usize {
-        self.device_of[k]
-    }
-
     /// Number of devices in the topology.
     pub fn num_devices(&self) -> usize {
         self.num_devices
-    }
-
-    /// Streams hosted on device `d`, ascending.
-    pub fn device_members(&self, d: usize) -> &[usize] {
-        &self.device_members[d]
-    }
-
-    /// Streams attached to AP `ap`, ascending.
-    pub fn ap_members(&self, ap: usize) -> &[usize] {
-        &self.ap_members[ap]
     }
 
     /// Transmission seconds at full spectrum for plan `p` of stream `k`.

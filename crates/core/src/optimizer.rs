@@ -288,7 +288,7 @@ impl<'a> Engine<'a> {
     /// Objective for every plan in stream `k`'s menu, current state
     /// otherwise unchanged. Entry `plan_of(k)` is the cached objective
     /// (no evaluation spent); the caller accounts `menu_len - 1` probes.
-    fn score_menu(&self, k: usize) -> Vec<f64> {
+    fn score_menu(&mut self, k: usize) -> Vec<f64> {
         match self {
             Engine::Full {
                 ev,
@@ -321,7 +321,7 @@ impl<'a> Engine<'a> {
     /// none does. `Full` prices every plan, the oracle; `Incremental`
     /// prices exactly only the plans its lower bound cannot rule out and
     /// picks the same index.
-    fn descent_pick(&self, k: usize) -> usize {
+    fn descent_pick(&mut self, k: usize) -> usize {
         match self {
             Engine::Full { .. } => {
                 let current = self.plan_of(k);

@@ -67,19 +67,6 @@ impl ProcessorSpec {
         let memory = bytes as f64 / self.bytes_per_sec;
         compute.max(memory) + self.layer_overhead_s
     }
-
-    /// Scale this processor's compute throughput (used by processor-sharing
-    /// servers handing a fraction of capacity to one stream).
-    pub fn scaled(&self, fraction: f64) -> ProcessorSpec {
-        assert!(fraction > 0.0 && fraction <= 1.0);
-        ProcessorSpec {
-            name: format!("{}@{:.2}", self.name, fraction),
-            flops_per_sec: self.flops_per_sec * fraction,
-            bytes_per_sec: self.bytes_per_sec * fraction,
-            layer_overhead_s: self.layer_overhead_s,
-            joules_per_flop: self.joules_per_flop,
-        }
-    }
 }
 
 /// Named device / server classes with calibrated effective throughputs.
@@ -236,13 +223,6 @@ mod tests {
     fn overhead_added_per_kernel() {
         let p = ProcessorSpec::new("p", 1e9, 1e9, 0.5);
         assert!((p.kernel_time(0, 0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaled_processor_is_proportionally_slower() {
-        let p = ProcessorClass::EdgeXeon.spec();
-        let half = p.scaled(0.5);
-        assert!((half.flops_per_sec - p.flops_per_sec * 0.5).abs() < 1.0);
     }
 
     #[test]

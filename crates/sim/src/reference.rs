@@ -29,6 +29,7 @@ use crate::task::RunTask;
 use crate::time::SimTime;
 use crate::tracelog::{FaultRecord, RunTrace, TaskRecord};
 use crate::workload::ArrivalState;
+use std::collections::binary_heap::PeekMut;
 
 /// Events of the edge simulation (reference copy).
 #[derive(Debug, Clone, Copy)]
@@ -61,6 +62,7 @@ enum Ev {
 
 const NIL: u32 = u32::MAX;
 const NO_RUNG: u32 = u32::MAX;
+const NO_SERVER: usize = usize::MAX;
 
 /// A request with its accumulated timing breakdown (reference AoS form).
 #[derive(Debug, Clone, Copy)]
@@ -71,7 +73,10 @@ struct InFlight {
     tx_time: f64,
     req: u64,
     attempts: u32,
-    target: Option<usize>,
+    /// The server this request offloads to: its stream's primary until
+    /// routing picks a hedge. [`NO_SERVER`] for device-only streams,
+    /// whose requests never transmit.
+    server: usize,
     degrade_to: u32,
     retry_key: EventKey,
 }
@@ -302,9 +307,9 @@ impl ServerState {
     }
 
     fn pop_completions(&mut self, eps: f64, done: &mut Vec<(u32, SimTime)>) {
-        while let Some(top) = self.served.peek() {
+        while let Some(top) = self.served.peek_mut() {
             if (top.vtag - self.vclock) * top.weight <= eps {
-                let e = self.served.pop().unwrap_or_else(|| unreachable!());
+                let e = PeekMut::pop(top);
                 self.total_w -= e.weight;
                 done.push((e.flight, e.entered));
             } else {
@@ -587,7 +592,7 @@ impl Runner<'_> {
             tx_time: 0.0,
             req,
             attempts: 0,
-            target: None,
+            server: s.server.unwrap_or(NO_SERVER),
             degrade_to: NO_RUNG,
             retry_key: EventKey::NONE,
         });
@@ -656,19 +661,21 @@ impl Runner<'_> {
             self.st.degrade_backlog_s[device] =
                 (self.st.degrade_backlog_s[device] - extra).max(0.0);
             self.complete_degraded(now, idx);
-        } else if exits || s.server.is_none() {
-            self.complete(now, idx, 0.0);
-        } else if self.st.recovery_active {
-            self.route_offload(now, idx, device);
+        } else if let (false, Some(primary)) = (exits, s.server) {
+            if self.st.recovery_active {
+                self.route_offload(now, idx, device, primary);
+            } else {
+                let st = &mut *self.st;
+                st.uplinks[device].queue.push_back(&mut st.pool, idx);
+                self.maybe_start_tx(now, device);
+            }
         } else {
-            let st = &mut *self.st;
-            st.uplinks[device].queue.push_back(&mut st.pool, idx);
-            self.maybe_start_tx(now, device);
+            self.complete(now, idx, 0.0);
         }
         self.maybe_start_device(now, device);
     }
 
-    fn route_offload(&mut self, now: SimTime, idx: u32, device: usize) {
+    fn route_offload(&mut self, now: SimTime, idx: u32, device: usize, primary: usize) {
         let sim = self.sim;
         let (stream, arrival, req, attempts) = {
             let f = self.st.pool.get(idx);
@@ -676,7 +683,6 @@ impl Runner<'_> {
         };
         let s = &sim.streams[stream];
         let cfg = &sim.config.recovery;
-        let primary = s.server.expect("offloaded stream has a server");
         let ap = sim.cluster.devices[device].ap;
         let now_s = now.as_secs_f64();
         let slack = s.deadline_s - now.secs_since(arrival);
@@ -715,7 +721,7 @@ impl Runner<'_> {
         if target != primary {
             self.st.ra.hedges += 1;
         }
-        self.st.pool.get_mut(idx).target = Some(target);
+        self.st.pool.get_mut(idx).server = target;
         if cfg.retry {
             let timeout = retry_timeout_s(attempts, slack);
             let key = self.st.queue.schedule(
@@ -960,12 +966,11 @@ impl Runner<'_> {
         if let Some(b) = self.st.ap_breakers.as_mut() {
             b[sim.cluster.devices[device].ap].record_success();
         }
-        let (stream, target) = {
+        let (stream, server) = {
             let f = self.st.pool.get(idx);
-            (f.task.stream, f.target)
+            (f.task.stream, f.server)
         };
         let s = &sim.streams[stream];
-        let server = target.unwrap_or_else(|| s.server.expect("offloaded request has a server"));
         if !self.st.server_up[server] {
             // Delivered to a dark rack: the request dies at the server's
             // door, feeding the target's breaker.
@@ -1341,13 +1346,10 @@ impl Runner<'_> {
                 .as_ref()
                 .is_none_or(|bc| bc.miss_is_failure);
             if let Some(brk) = self.st.srv_breakers.as_mut() {
-                let target = f
-                    .target
-                    .unwrap_or_else(|| s.server.expect("offloaded request has a server"));
                 if latency <= s.deadline_s || !miss_is_failure {
-                    brk[target].record_success();
+                    brk[f.server].record_success();
                 } else {
-                    brk[target].record_failure(now.as_secs_f64());
+                    brk[f.server].record_failure(now.as_secs_f64());
                 }
             }
         }

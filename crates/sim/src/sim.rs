@@ -613,11 +613,9 @@ impl ServerCols {
                 #[cfg(feature = "kernel-xcheck")]
                 {
                     let m = &mut self.mirror[s];
-                    let i = m
-                        .flight
-                        .iter()
-                        .position(|&f| f == flight)
-                        .expect("xcheck: popped flight missing from scalar mirror");
+                    let Some(i) = m.flight.iter().position(|&f| f == flight) else {
+                        panic!("xcheck: popped flight {flight} missing from scalar mirror");
+                    };
                     m.flight.swap_remove(i);
                     let remaining = m.remaining.swap_remove(i);
                     m.weight.swap_remove(i);

@@ -39,6 +39,7 @@ impl SurgeryPlan {
     }
 
     /// Run everything on the device, no exits, no pruning.
+    #[cfg(test)]
     pub fn device_only(model: &ModelGraph) -> Self {
         Self {
             cut: model.len(),
@@ -80,6 +81,7 @@ impl SurgeryPlan {
     }
 
     /// Bytes crossing the cut (0 for device-only).
+    #[cfg(test)]
     pub fn tx_bytes(&self, model: &ModelGraph) -> usize {
         model.crossing_bytes(self.cut)
     }

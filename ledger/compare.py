@@ -54,8 +54,12 @@ def load_rows():
 
 
 def last_rows(rows, rev):
-    """The last row per workload among rows whose rev starts with `rev`."""
-    revs = {r["rev"] for r in rows if r["rev"].startswith(rev)}
+    """The last row per workload among rows whose rev starts with `rev`.
+    A dirty tree's rows match only a `rev` that names it dirty, so the
+    commit `abc1234` and the tree `abc1234-dirty` stay apart."""
+    dirty = rev.endswith("-dirty")
+    revs = {r["rev"] for r in rows
+            if r["rev"].startswith(rev) and r["rev"].endswith("-dirty") == dirty}
     if len(revs) != 1:
         die("rev %r matches %d ledger revs: %s" % (rev, len(revs), sorted(revs)))
     return {r["workload"]: r for r in rows if r["rev"] in revs}

@@ -1,8 +1,7 @@
 //! Structural invariants of the sharded optimizer (DESIGN.md §2.12).
 //!
-//! Partition soundness (coverage, disjointness, cap), rayon thread-count
-//! invariance of the cold solve and of the warm polish, and the
-//! warm-start contract: a warm replan is the polish from the warm point.
+//! Partition soundness (coverage, disjointness, cap) and the warm-start
+//! contract: a warm replan is the polish from the warm point.
 
 use proptest::prelude::*;
 use scalpel::core::config::{ScenarioConfig, ServerMix};
@@ -86,60 +85,6 @@ proptest! {
         );
         prop_assert!(ap_owner.iter().all(|&c| c == 1), "AP coverage broken");
         prop_assert!(server_owner.iter().all(|&c| c <= 1), "server claimed twice");
-    }
-}
-
-/// The cold solve and the warm polish are invariant to the rayon thread
-/// count: `EvalContext` scores menu candidates in parallel but keeps
-/// them in menu order, so 1, 2 and 8 workers must produce bit-identical
-/// outcomes.
-#[test]
-fn thread_count_sweep_is_invariant() {
-    let (scenario, cfg, drifts) = bisected();
-    let ev = Evaluator::new(&scenario.build(), None);
-    let ctl = OnlineController::bootstrap(&ev, quick_opt());
-    // The AP-bandwidth collapse moves some decisions, so the polish has
-    // work to do.
-    let (_, shifted) = &drifts[1];
-    let problem = shifted.build();
-    let new_ev = Evaluator::new(&problem, None);
-    let (warm, _) = remap_assignment_counted(&ev, &new_ev, &ctl.solution().assignment);
-    let solve = || {
-        let cold = optimizer::solve_with_budget(&new_ev, &cfg.opt, Budget::UNLIMITED);
-        let polished =
-            shard::solve_sharded_with(&problem, &new_ev, &cfg, Budget::UNLIMITED, Some(&warm))
-                .expect("valid scenario");
-        [cold, polished.outcome]
-    };
-    let baseline = solve();
-    for threads in [1usize, 2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool builds");
-        let outs = pool.install(solve);
-        for (what, out, base) in [
-            ("cold", &outs[0], &baseline[0]),
-            ("warm", &outs[1], &baseline[1]),
-        ] {
-            assert_eq!(
-                out.solution.result.objective.to_bits(),
-                base.solution.result.objective.to_bits(),
-                "{what} objective differs at {threads} threads"
-            );
-            assert_eq!(
-                out.solution.assignment, base.solution.assignment,
-                "{what} assignment differs at {threads} threads"
-            );
-            assert_eq!(
-                out.solution.trace.objective, base.solution.trace.objective,
-                "{what} trace differs at {threads} threads"
-            );
-            assert_eq!(
-                out.spent.evaluations, base.spent.evaluations,
-                "{what} evaluation count differs at {threads} threads"
-            );
-        }
     }
 }
 
