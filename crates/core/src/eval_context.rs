@@ -109,7 +109,8 @@ fn objective_terms(lat: f64, dl: f64) -> (f64, f64, bool) {
 /// Reusable buffers for one delta trial, generation-stamped so nothing
 /// needs clearing between trials. The probes take it by `&mut`, so a
 /// caller can keep one across many trials; the menu scans reuse the
-/// context's own.
+/// context's own and key its scan memo for the scan only, so a caller's
+/// scratch never holds one.
 #[derive(Debug, Default)]
 pub struct DeltaScratch {
     gen: u32,
@@ -137,6 +138,60 @@ pub struct DeltaScratch {
     pooled_sum: f64,
     objective: f64,
     misses: usize,
+    memo: ScanMemo,
+}
+
+/// The toggle-invariant server solves of one menu scan (DESIGN.md §2.9).
+/// A toggling plan of stream `k` re-solves the server of every
+/// offloading AP-mate of `k`. For a server that is not `placement[k]`
+/// and hosts nothing on `k`'s device, that solve's inputs are the same
+/// for every toggling plan of the scan: its members, their plans and
+/// device waits, and the AP offloader count, which moves by the same ±1.
+/// So the scan's first toggling plan stores the shares of such servers,
+/// and the re-pricing of their members off `k`'s AP (whose bandwidth
+/// shares no plan of `k` moves), and later toggling plans copy them.
+#[derive(Debug, Default)]
+struct ScanMemo {
+    /// The stream whose menu is being scanned; `None` outside a scan.
+    k: Option<usize>,
+    /// Whether a toggling plan of the scan has stored the memo.
+    filled: bool,
+    gen: u32,
+    /// Per stream: its memoized values are live iff its stamp equals
+    /// `gen`, which marks the members of the memoized servers.
+    stamp: Vec<u32>,
+    cs: Vec<f64>,
+    /// `[latency, device energy, total energy]`, stored only for members
+    /// off `k`'s AP.
+    priced: Vec<[f64; 3]>,
+}
+
+impl ScanMemo {
+    /// Key an empty memo by stream `k`, at the start of its scan.
+    fn start(&mut self, k: usize, n: usize) {
+        if self.stamp.len() != n {
+            self.stamp = vec![0; n];
+            self.cs = vec![0.0; n];
+            self.priced = vec![[0.0; 3]; n];
+            self.gen = 0;
+        }
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.stamp.iter_mut().for_each(|s| *s = 0);
+            self.gen = 1;
+        }
+        self.k = Some(k);
+        self.filled = false;
+    }
+
+    /// Drop the memo at the end of a scan, so no later probe reads it.
+    fn end(&mut self) {
+        self.k = None;
+    }
+
+    fn holds(&self, j: usize) -> bool {
+        self.stamp[j] == self.gen
+    }
 }
 
 /// SoA gather buffers for one group's demand columns — the flat layout
@@ -842,14 +897,35 @@ impl<'a> EvalContext<'a> {
                 }
             }
         }
+        // Inside stream k's menu scan, a toggling plan reads the scan
+        // memo, or stores it if it is the scan's first.
+        let memo = toggled && s.memo.k == Some(k);
         s.dirty_servers.sort_unstable();
         s.dirty_servers.dedup();
         for si in 0..s.dirty_servers.len() {
             let srv = s.dirty_servers[si];
+            let cached = &self.server_members[srv];
+            // A stream belongs to one server only, so a memoized server
+            // is known by its first member's stamp.
+            let reuse = memo && s.memo.filled && cached.first().is_some_and(|&j| s.memo.holds(j));
+            if reuse && !cfg!(feature = "eval-xcheck") {
+                for &j in cached {
+                    if s.cs_stamp[j] != s.gen {
+                        s.touched_cs.push(j);
+                    }
+                    s.cs_stamp[j] = s.gen;
+                    s.cs_val[j] = s.memo.cs[j];
+                }
+                continue;
+            }
+            let store = memo
+                && !s.memo.filled
+                && srv != self.placement[k]
+                && cached.iter().all(|&j| ev.device_of[j] != d_k);
             // Membership under the move: the cached ascending list,
             // patched for k.
             s.members.clear();
-            for &j in &self.server_members[srv] {
+            for &j in cached {
                 if j != k {
                     s.members.push(j);
                 }
@@ -872,6 +948,17 @@ impl<'a> EvalContext<'a> {
             );
             for i in 0..s.members.len() {
                 let j = s.members[i];
+                if cfg!(feature = "eval-xcheck") && reuse {
+                    assert_eq!(
+                        s.memo.cs[j].to_bits(),
+                        s.shares[i].to_bits(),
+                        "scan memo of stream {k}: share of stream {j} on server {srv}"
+                    );
+                }
+                if store {
+                    s.memo.stamp[j] = s.memo.gen;
+                    s.memo.cs[j] = s.shares[i];
+                }
                 if s.cs_stamp[j] != s.gen {
                     s.touched_cs.push(j);
                 }
@@ -972,6 +1059,13 @@ impl<'a> EvalContext<'a> {
         }
         for i in 0..s.touched_lat.len() {
             let j = s.touched_lat[i];
+            // A member of a memoized server off k's AP keeps its plan,
+            // wait and bandwidth share: only its memoized share moved.
+            let memo_priced = memo && s.memo.holds(j) && ev.ap_of[j] != a_k;
+            if memo_priced && s.memo.filled && !cfg!(feature = "eval-xcheck") {
+                [s.lat_val[j], s.de_val[j], s.te_val[j]] = s.memo.priced[j];
+                continue;
+            }
             let cs = if s.cs_stamp[j] == s.gen {
                 s.cs_val[j]
             } else {
@@ -983,9 +1077,22 @@ impl<'a> EvalContext<'a> {
                 self.bandwidth_shares[j]
             };
             let (lat, de, te) = self.price_stream(j, plan_of(j), wait_of(j), cs, bw, srv_of(j));
+            if memo_priced && !s.memo.filled {
+                s.memo.priced[j] = [lat, de, te];
+            } else if memo_priced {
+                // Only `eval-xcheck` re-prices a memoized member.
+                assert_eq!(
+                    s.memo.priced[j].map(f64::to_bits),
+                    [lat, de, te].map(f64::to_bits),
+                    "scan memo of stream {k}: pricing of stream {j}"
+                );
+            }
             s.lat_val[j] = lat;
             s.de_val[j] = de;
             s.te_val[j] = te;
+        }
+        if memo {
+            s.memo.filled = true;
         }
     }
 
@@ -1040,13 +1147,18 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Score every plan in stream `k`'s menu against the current context,
-    /// in menu order on the context's own scratch. Entry `i` is the
-    /// pooled objective with `k` on plan `i`, everyone else unchanged.
+    /// in menu order on the context's own scratch, with the scan memo.
+    /// Entry `i` is the pooled objective with `k` on plan `i`, everyone
+    /// else unchanged: the bits [`evaluate_delta`] gives.
+    ///
+    /// [`evaluate_delta`]: EvalContext::evaluate_delta
     pub fn score_menu(&mut self, k: usize) -> Vec<f64> {
         let mut s = std::mem::take(&mut self.scratch);
+        s.memo.start(k, self.ev.num_streams());
         let scores = (0..self.ev.menus[k].len())
             .map(|idx| self.evaluate_delta(k, idx, &mut s))
             .collect();
+        s.memo.end();
         self.scratch = s;
         scores
     }
@@ -1096,14 +1208,16 @@ impl<'a> EvalContext<'a> {
     /// the context's own scratch, but the exact [`evaluate_delta`] runs
     /// only for plans whose [`objective_bound`] passes the same test
     /// against the running best, since a plan whose bound fails it
-    /// cannot pass it either. Under `eval-xcheck` every plan is priced
-    /// exactly and checked against its bound.
+    /// cannot pass it either. The scan memo serves both. Under
+    /// `eval-xcheck` every plan is priced exactly and checked against its
+    /// bound.
     ///
     /// [`score_menu`]: EvalContext::score_menu
     /// [`evaluate_delta`]: EvalContext::evaluate_delta
     /// [`objective_bound`]: EvalContext::objective_bound
     pub(crate) fn descent_pick(&mut self, k: usize) -> usize {
         let mut s = std::mem::take(&mut self.scratch);
+        s.memo.start(k, self.ev.num_streams());
         let cur = self.plan_idx[k];
         let mut best_idx = cur;
         let mut best_obj = self.objective;
@@ -1128,6 +1242,7 @@ impl<'a> EvalContext<'a> {
                 best_idx = idx;
             }
         }
+        s.memo.end();
         self.scratch = s;
         best_idx
     }

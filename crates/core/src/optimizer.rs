@@ -527,10 +527,12 @@ pub fn descent_from_with_budget(
 
 /// Budget-aware descent body. With the unlimited tracker every branch the
 /// tracker guards is dead, so the walk — and its trace — is bit-identical
-/// to the historical unbudgeted implementation. When the budget runs out
-/// mid-round the engine already holds the best committed configuration
-/// (descent only ever commits improving plans), so the incumbent is
-/// returned as a complete, valid solution.
+/// to the historical unbudgeted implementation. A step commits a plan
+/// only when it lowers the objective, but each round's re-placement is
+/// adopted whenever it differs from the current placement, even when it
+/// raises the objective. When the budget runs out mid-round the engine's
+/// current configuration, the last one committed, is returned as a
+/// complete, valid solution; it need not be the best one visited.
 fn descent_impl(
     ev: &Evaluator,
     cfg: &OptimizerConfig,

@@ -2,7 +2,9 @@
 //! topologies, random plan flips and server moves priced through
 //! [`EvalContext`] must match a fresh full evaluation — not just within
 //! 1e-9, but bit for bit — and the search must walk identical
-//! trajectories under both evaluation backends.
+//! trajectories under both evaluation backends. Topologies host one to
+//! three streams per device, so a plan flip moves its device-mates'
+//! wait.
 
 use proptest::prelude::*;
 use scalpel::core::config::{ScenarioConfig, ServerMix};
@@ -10,14 +12,16 @@ use scalpel::core::diversity::DiversityConfig;
 use scalpel::core::eval_context::{DeltaScratch, EvalContext};
 use scalpel::core::evaluator::{AllocPolicies, Assignment, Evaluator};
 use scalpel::core::optimizer::{self, Budget, EvalMode, OptimizerConfig};
+use scalpel::core::problem::JointProblem;
 use scalpel::sim::SimRng;
 
 /// Scenario axes small enough to keep 64 cases fast but varied: topology
-/// shape, load, server rack, and allocation policies.
+/// shape, streams per device, load, server rack, and allocation policies.
 #[derive(Debug, Clone)]
 struct Scen {
     num_aps: usize,
     devices_per_ap: usize,
+    streams_per_device: usize,
     arrival_rate_hz: f64,
     /// 0 = the standard four-box rack; 1..=4 = that many synthetic servers.
     synthetic_servers: usize,
@@ -27,25 +31,25 @@ struct Scen {
 
 fn scen_strategy() -> impl Strategy<Value = Scen> {
     (
+        (
+            1usize..4,
+            1usize..5,
+            1.0f64..10.0,
+            0usize..5,
+            0u64..1_000,
+            any::<bool>(),
+        ),
         1usize..4,
-        1usize..5,
-        1.0f64..10.0,
-        0usize..5,
-        0u64..1_000,
-        any::<bool>(),
     )
         .prop_map(
             |(
-                num_aps,
-                devices_per_ap,
-                arrival_rate_hz,
-                synthetic_servers,
-                seed,
-                equal_policies,
+                (num_aps, devices_per_ap, arrival_rate_hz, synthetic_servers, seed, equal_policies),
+                streams_per_device,
             )| {
                 Scen {
                     num_aps,
                     devices_per_ap,
+                    streams_per_device,
                     arrival_rate_hz,
                     synthetic_servers,
                     seed,
@@ -53,6 +57,21 @@ fn scen_strategy() -> impl Strategy<Value = Scen> {
                 }
             },
         )
+}
+
+/// Give every device `streams_per_device` streams: extra stream `e` on
+/// device `d` copies the stream of device `d + e` (its model, deadline
+/// and floor, wrapping round), moved onto `d`.
+fn add_device_mates(problem: &mut JointProblem, streams_per_device: usize) {
+    let devices = problem.streams.len();
+    for extra in 1..streams_per_device {
+        for d in 0..devices {
+            let mut spec = problem.streams[(d + extra) % devices].clone();
+            spec.device = d;
+            problem.streams.push(spec);
+        }
+    }
+    assert!(problem.validate().is_ok());
 }
 
 fn build(s: &Scen) -> (Evaluator, AllocPolicies) {
@@ -71,13 +90,31 @@ fn build(s: &Scen) -> (Evaluator, AllocPolicies) {
         seed: s.seed,
         ..ScenarioConfig::default()
     };
-    let ev = Evaluator::new(&cfg.build(), None);
+    let mut problem = cfg.build();
+    add_device_mates(&mut problem, s.streams_per_device);
+    let ev = Evaluator::new(&problem, None);
     let policies = if s.equal_policies {
         AllocPolicies::equal()
     } else {
         AllocPolicies::optimal()
     };
     (ev, policies)
+}
+
+/// Every menu scan equals its plans probed one by one on fresh scratch,
+/// which no scan memo reaches: bit for bit, for every stream and plan.
+fn assert_scans_match_fresh_probes(ctx: &mut EvalContext) {
+    for k in 0..ctx.evaluator().num_streams() {
+        let scores = ctx.score_menu(k);
+        for (idx, &scored) in scores.iter().enumerate() {
+            let fresh = ctx.evaluate_delta(k, idx, &mut DeltaScratch::default());
+            assert_eq!(
+                scored.to_bits(),
+                fresh.to_bits(),
+                "scan of stream {k}, plan {idx}: {scored} vs {fresh}"
+            );
+        }
+    }
 }
 
 fn random_assignment(ev: &Evaluator, rng: &mut SimRng) -> Assignment {
@@ -145,6 +182,16 @@ proptest! {
         );
     }
 
+    /// A menu scan prices every plan as a lone probe on fresh scratch does.
+    #[test]
+    fn menu_scans_match_fresh_probes(s in scen_strategy()) {
+        let (ev, policies) = build(&s);
+        let mut rng = SimRng::new(s.seed, 37);
+        let asg = random_assignment(&ev, &mut rng);
+        let mut ctx = EvalContext::new(&ev, asg, policies);
+        assert_scans_match_fresh_probes(&mut ctx);
+    }
+
     /// A random walk of committed flips and moves keeps every cache equal
     /// to a from-scratch rebuild at each step.
     #[test]
@@ -208,4 +255,57 @@ proptest! {
             );
         }
     }
+}
+
+/// A hand-built device-mate case for the scan memo. One AP, two devices
+/// with three streams each, every stream on its most offloading plan
+/// except stream 0, which runs on the device. Stream 0's device-mates 2
+/// and 4 offload to servers 1 and 0, and streams 1, 3 and 5 share those
+/// servers from the other device. Every offloading plan of stream 0 is
+/// a toggle, and each moves device 0's wait: server 1 holds no stream 0
+/// would join, yet it must be re-solved for every plan, because its
+/// member 2 waits on stream 0's device. The deadline-aware solve reads a
+/// wait only through that member's deadline floor, and at this seed and
+/// load the floor moves server 1's shares: a scan that kept them from
+/// its first toggle would price some plans wrong.
+#[test]
+fn menu_scans_reprice_servers_of_device_mates() {
+    let cfg = ScenarioConfig {
+        num_aps: 1,
+        devices_per_ap: 2,
+        arrival_rate_hz: 2.0,
+        servers: ServerMix::Synthetic {
+            count: 2,
+            mean_fps: 5e11,
+            cv: 0.4,
+        },
+        seed: 9,
+        ..ScenarioConfig::default()
+    };
+    let mut problem = cfg.build();
+    add_device_mates(&mut problem, 3);
+    let ev = Evaluator::new(&problem, None);
+    assert_eq!(ev.num_streams(), 6);
+    let plan_idx = (0..ev.num_streams())
+        .map(|k| {
+            let menu = ev.menu(k);
+            let remain = |i: usize| menu[i].behavior.remain_prob;
+            let pick = |better: fn(f64, f64) -> bool| {
+                (0..menu.len()).fold(0, |b, i| if better(remain(i), remain(b)) { i } else { b })
+            };
+            if k == 0 {
+                pick(|a, b| a < b)
+            } else {
+                pick(|a, b| a > b)
+            }
+        })
+        .collect();
+    let asg = Assignment {
+        plan_idx,
+        placement: vec![0, 1, 1, 1, 0, 0],
+    };
+    let mut ctx = EvalContext::new(&ev, asg, AllocPolicies::optimal());
+    assert!(!ctx.is_offloaded(0));
+    assert!((1..6).all(|k| ctx.is_offloaded(k)));
+    assert_scans_match_fresh_probes(&mut ctx);
 }
